@@ -31,7 +31,7 @@ def main():
     print("\n   mu    density")
     for t in grid:
         dv = conespline.spline_density(S, (float(t),))
-        print(f"{t:+6.2f}   {dv.value:.12f}")
+        print(f"{t:+6.2f}   {float(dv.value):.12f}")
 
     print("\n   z      transform        2 sin(zL)/z     |diff|")
     worst = 0.0

@@ -51,6 +51,13 @@ def parse_vector(text: str):
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a count of at least 1")
+    return value
+
+
 def parse_grid(text: str):
     """--grid lo:hi:count per axis, comma separated."""
     axes = []
@@ -92,9 +99,17 @@ def write_json(path, payload):
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _finite_number(text):
+    """JSON number hook: Infinity, NaN and overflowing literals are bad input."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in input JSON")
+    return value
+
+
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
 
 
 def _emit(payload, out_path):
@@ -412,14 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--grid", type=parse_grid, default=None,
                    help="density grid, lo:hi:count per axis, comma separated")
-    p.add_argument("--zeta-samples", type=int, default=5)
+    p.add_argument("--zeta-samples", type=positive_int, default=5)
     p.add_argument("--chamber", type=parse_vector, default=None)
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("orbit", help="orbit measures for a Hermitian pair")
     common(p)
     p.add_argument("--grid", type=parse_grid, default=None)
-    p.add_argument("--zeta-samples", type=int, default=3)
+    p.add_argument("--zeta-samples", type=positive_int, default=3)
     p.add_argument("--chamber", type=parse_vector, default=None)
     p.add_argument("--measure", choices=("t", "k", "both"), default="both")
     p.add_argument("--tol", type=float, default=1e-6)

@@ -1,15 +1,29 @@
 """Signed cone splines: translated Heaviside convolutions and their densities.
 
 A term delta_base * H_{b1} * ... * H_{bn} pushes Lebesgue measure on the
-positive orthant R^n_+ forward under s -> base + sum s_i b_i. Its density at
-mu is the fiber-polytope volume
+positive orthant R^n_+ forward under s -> base + sum s_i b_i. When the
+factors span R^d its density at mu is the multivariate truncated power
+T_B(mu - base), the volume of the fiber {s >= 0 : B s = mu - base} over the
+coarea factor. One engine evaluates it, the Dahmen-Micchelli recursion
 
-    vol_{n-r} {s >= 0 : B s = mu - base} / J,
+    (n - d) T_B(x) = sum_{p in C} lambda_p(x) T_{B - b_p}(x),
 
-where r = rank B and J is the product of the nonzero singular values of B
-(the coarea factor; J^2 is a sum of squared r x r minors, so it is computed
-exactly). Fiber vertices are enumerated exactly over the rationals from
-active coordinate sets; only the final convex-hull volume is floating point.
+with C a basis among the factors and lambda = C^-1 x (Dahmen-Micchelli,
+Trans. AMS 308, 1988; De Concini-Procesi, Topics in Hyperplane
+Arrangements, Polytopes and Box-Splines, 2011, ch. 7). A child that no
+longer spans R^d is dropped; a leaf (n = d) is 1/|det C| on cone(C) and 0
+off it. The bases, their exact inverses, the leaf weights and the spanning
+children are derived once per factor tuple and cached. The same recursion
+runs on exact rationals (heaviside_density, spline_density: a rational
+point gives an exact rational density, with error bound 0) and on a float
+copy of that data (DensityEvaluator, for quadrature and grids).
+
+On a wall, where the density jumps, the value is the limit from inside the
+term's cone: along mu + eps*c + eps^2*e_1 + ... + eps^(d+1)*e_d for small
+eps > 0, with c the sum of the term's factors. That is the volume of the
+closed fiber. Factors that do not span R^d push forward to a measure with
+no density function: evaluating such a term raises ValueError, as a point
+mass (no factors) raises PureDeltaError.
 
 All measures here are unit-normalized: H_b integrates f along t -> t*b with
 plain dt and no 2*pi factors. The Monte-Carlo calibration suite in
@@ -19,13 +33,13 @@ this normalization.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -35,7 +49,6 @@ from .rational import (
     ZERO,
     det,
     is_zero_vec,
-    nullspace,
     rank,
     rat,
     rat_str,
@@ -198,10 +211,6 @@ class SignedConeSpline:
     def nfactors(self) -> int:
         return len(self.terms[0].factors) if self.terms else 0
 
-    @property
-    def poly_multiplier(self) -> Polynomial | None:
-        return self.poly
-
 
 def spline(dim, terms, poly=None) -> SignedConeSpline:
     return SignedConeSpline(dim, tuple(terms), poly)
@@ -209,132 +218,152 @@ def spline(dim, terms, poly=None) -> SignedConeSpline:
 
 @dataclass(frozen=True)
 class DensityValue:
-    value: float
+    """A density and a bound on its absolute error; spline_density returns
+    an exact rational value, so the bound is 0."""
+
+    value: object
     abs_error_bound: float
 
 
 # ---------------------------------------------------------------------------
-# exact-vertex density evaluation
+# density engine: the Dahmen-Micchelli recursion
 
 
-def _factor_rows(factors, dim):
-    """Rows of B (d x n) with columns the factors."""
-    return [[f[j] for f in factors] for j in range(dim)]
+@lru_cache(maxsize=1024)
+def _plan(factors) -> tuple:
+    """Exact recursion data of a sorted factor tuple that spans R^d.
+
+    Lists the nodes the recursion visits, each one sub-multiset of the
+    factors, children before parents and the root last. A node is
+    (scale, rows, children, ties), where rows are rows of the inverse of a
+    basis C of the node's factors, so that a row applied to x is the
+    coefficient lambda_p of x on basis vector c_p.
+
+    An inner node (k > d factors) has scale 1/(k - d) and keeps the rows of
+    the c_p whose removal leaves a spanning set; children holds the plan
+    index of each such child. A child that no longer spans R^d is dropped:
+    its measure lives on the hyperplane where lambda_p vanishes.
+
+    A leaf (k = d) has scale 1/|det C|, all d rows, children None and, per
+    row, the side taken when lambda_p = 0: the sign of the first nonzero of
+    (C^-1 c)_p, (C^-1 e_1)_p, ..., (C^-1 e_d)_p, with c the sum of all the
+    factors. That is the limit along x + eps c + eps^2 e_1 + ..., the same
+    curve for every node, so the recursion returns the limit of the density
+    from inside the factor cone.
+    """
+    d = len(factors[0])
+    total = tuple(sum(f[j] for f in factors) for j in range(d))
+    nodes = []
+    index = {}
+
+    def columns(vectors):
+        return [[v[j] for v in vectors] for j in range(d)]
+
+    def build(vectors):
+        if vectors in index:
+            return index[vectors]
+        basis = [vectors[p] for p in rref(columns(vectors))[1]]
+        B = columns(basis)
+        inv_cols = [solve(B, [ONE if i == j else ZERO for i in range(d)]) for j in range(d)]
+        rows = tuple(tuple(col[p] for col in inv_cols) for p in range(d))
+        if len(vectors) == d:
+            ties = tuple(
+                next(1 if v > 0 else -1 for v in (vdot(row, total),) + row if v != 0)
+                for row in rows
+            )
+            node = (ONE / abs(det(B)), rows, None, ties)
+        else:
+            # without c_p the rest spans iff some non-basis factor has a
+            # nonzero coefficient on c_p
+            others = list(vectors)
+            for b in basis:
+                others.remove(b)
+            kept, children = [], []
+            for b, row in zip(basis, rows):
+                if any(vdot(row, v) != 0 for v in others):
+                    p = vectors.index(b)
+                    kept.append(row)
+                    children.append(build(vectors[:p] + vectors[p + 1:]))
+            node = (ONE / (len(vectors) - d), tuple(kept), tuple(children), None)
+        nodes.append(node)
+        index[vectors] = len(nodes) - 1
+        return index[vectors]
+
+    if rank(columns(factors)) < d:
+        raise ValueError(
+            "factors do not span the ambient space: the measure has no density function"
+        )
+    build(factors)
+    return tuple(nodes)
 
 
-def _pseudo_det_sq(rows, r):
-    """Sum of squared r x r minors = squared product of nonzero singular values."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    total = ZERO
-    for T in itertools.combinations(range(nrows), r):
-        for S in itertools.combinations(range(ncols), r):
-            sub = [[rows[i][j] for j in S] for i in T]
-            d = det(sub)
-            total += d * d
-    return total
+def _float_plan(plan) -> tuple:
+    return tuple(
+        (
+            float(scale),
+            tuple(tuple(float(a) for a in row) for row in rows),
+            children,
+            ties,
+        )
+        for scale, rows, children, ties in plan
+    )
 
 
-def _gram_det(vectors):
-    g = [[vdot(a, b) for b in vectors] for a in vectors]
-    return det(g)
+def _truncated_power(plan, x):
+    """T(x) by the recursion (k - d) T_Y(x) = sum_p lambda_p(x) T_{Y - c_p}(x).
+
+    Runs on an exact plan with rational x, or on a float plan with float x.
+    """
+    values = []
+    for scale, rows, children, ties in plan:
+        if children is None:
+            value = scale
+            for row, tie in zip(rows, ties):
+                lam = sum(map(mul, row, x))
+                if lam < 0 or (lam == 0 and tie < 0):
+                    value = 0 * scale
+                    break
+        else:
+            value = scale * sum(
+                [sum(map(mul, row, x)) * values[k] for row, k in zip(rows, children)]
+            )
+        values.append(value)
+    return values[-1]
 
 
-def heaviside_density(factors, mu) -> float:
+def heaviside_density(factors, mu):
     """Density of H_{b1} * ... * H_{bn} at mu, unit normalization.
 
-    Returns the density with respect to Lebesgue measure on the span of the
-    factors (Hausdorff measure of the right dimension when the span is a
-    proper subspace); 0.0 when the fiber is empty. Wall points are evaluated
-    as-is. Raises NonProperConeError when the factor cone contains a line.
+    The multivariate truncated power of the factors, evaluated by the
+    Dahmen-Micchelli recursion; exact (a rational) for rational input. On a
+    wall the value is the limit from inside the factor cone, which equals
+    the volume of the closed fiber. Raises NonProperConeError when the
+    factor cone contains a line, PureDeltaError for no factors, and
+    ValueError when the factors do not span R^d (the measure is then
+    singular and has no density function).
     """
     factors = tuple(vec(f) for f in factors)
     if not factors:
         raise PureDeltaError("a point mass has no density function")
-    dim = len(factors[0])
     mu = vec(mu)
-    if len(mu) != dim:
+    if len(mu) != len(factors[0]):
         raise ValueError("point/factor dimension mismatch")
     if not _proper_factor_cone(factors):
         raise NonProperConeError("factors do not span a proper cone")
-    n = len(factors)
-    if n > 12:
-        raise ValueError("too many factors for exact vertex enumeration")
-
-    rows = _factor_rows(factors, dim)
-    s0 = solve(rows, mu)
-    r = rank(rows)
-    if s0 is None:
-        if r < dim:
-            raise ValueError("point lies outside the span of the factors")
-        return 0.0
-    J = math.sqrt(float(_pseudo_det_sq(rows, r)))
-    m = n - r
-
-    if m == 0:
-        return (1.0 / J) if all(x >= 0 for x in s0) else 0.0
-
-    kernel = nullspace(rows)
-    # vertices: m active coordinates pinned to zero, solved in fiber coords
-    verts_u = []
-    seen = set()
-    for S in itertools.combinations(range(n), m):
-        M = [[kernel[b][i] for b in range(m)] for i in S]
-        rhs = [-s0[i] for i in S]
-        red, piv = rref([row + [v] for row, v in zip(M, rhs)])
-        if len(piv) != m or m in piv:
-            continue  # singular active set (or inconsistent): not a vertex
-        u = [ZERO] * m
-        for row_i, c in enumerate(piv):
-            u[c] = red[row_i][m]
-        s = list(s0)
-        for b in range(m):
-            if u[b] != 0:
-                for i in range(n):
-                    s[i] += u[b] * kernel[b][i]
-        if all(x >= 0 for x in s):
-            tu = tuple(u)
-            if tu not in seen:
-                seen.add(tu)
-                verts_u.append(tu)
-    if not verts_u:
-        return 0.0
-
-    gram = math.sqrt(float(_gram_det(kernel)))
-    if m == 1:
-        us = [u[0] for u in verts_u]
-        uvol = float(max(us) - min(us))
-    else:
-        if len(verts_u) <= m:
-            return 0.0
-        pts = np.array([[float(x) for x in u] for u in verts_u])
-        try:
-            from scipy.spatial import ConvexHull
-
-            uvol = float(ConvexHull(pts).volume)
-        except Exception:
-            return 0.0  # degenerate (flat) fiber polytope
-    return uvol * gram / J
+    return _truncated_power(_plan(tuple(sorted(factors))), mu)
 
 
 def spline_density(S: SignedConeSpline, mu) -> DensityValue:
-    """Signed density of the spline at mu (poly multiplier applied)."""
+    """Signed density of the spline at mu (poly multiplier applied); exact."""
     if S.nfactors == 0 and S.terms:
         raise PureDeltaError("point-mass spline has no density function")
     mu = vec(mu)
-    total = 0.0
-    spread = 0.0
+    total = ZERO
     for t in S.terms:
-        v = heaviside_density(t.factors, vsub(mu, t.base))
-        total += t.sign * v
-        spread += abs(v)
-    pval = 1.0
+        total += t.sign * heaviside_density(t.factors, vsub(mu, t.base))
     if S.poly is not None:
-        pval = float(S.poly.eval_exact(mu))
-        total *= pval
-    # float roundoff in hull volumes, scaled by the cancellation mass
-    err = 1e-12 * (1.0 + spread) * (1.0 + abs(pval))
-    return DensityValue(total, err)
+        total *= S.poly.eval_exact(mu)
+    return DensityValue(total, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,116 +432,31 @@ def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# compiled float evaluator (for grids, quadrature and Monte-Carlo binning)
+# float front end (for quadrature, grids and Monte-Carlo binning)
 
 
 class DensityEvaluator:
-    """Float fast path mirroring heaviside_density term by term.
-
-    Square terms (n factors = rank = dim) and one-dimensional fibers get
-    closed-form branches; higher-dimensional fibers reuse precomputed exact
-    active-set solves, floated once. Terms whose factors do not span the
-    ambient space fall back to the exact reference evaluator per point.
-    """
-
-    FEAS_TOL = 1e-9
+    """Float evaluation of a spline's density: the recursion of
+    heaviside_density run on a float copy of each term's cached plan."""
 
     def __init__(self, S: SignedConeSpline):
-        self.spline = S
-        self.dim = S.dim
-        self.poly = S.poly
-        self._compiled = [self._compile(t) for t in S.terms]
-
-    def _compile(self, t: ConeSplineTerm):
-        d = self.dim
-        n = len(t.factors)
-        if n == 0:
+        if S.nfactors == 0 and S.terms:
             raise PureDeltaError("point-mass spline has no density function")
-        rows = _factor_rows(t.factors, d)
-        r = rank(rows)
-        base = np.array([float(x) for x in t.base])
-        if r < d:
-            return ("exact", t.sign, t.factors, t.base)
-        J = math.sqrt(float(_pseudo_det_sq(rows, r)))
-        B = np.array([[float(x) for x in row] for row in rows])  # d x n
-        m = n - d
-        if m == 0:
-            Binv = np.linalg.inv(B)
-            return ("square", t.sign, base, Binv, 1.0 / J)
-        Rinv = B.T @ np.linalg.inv(B @ B.T)  # n x d right inverse
-        kernel = nullspace(rows)
-        K = np.array([[float(x) for x in k] for k in kernel]).T  # n x m
-        if m == 1:
-            k = K[:, 0]
-            knorm = float(np.linalg.norm(k))
-            return ("segment", t.sign, base, Rinv, k, knorm / J)
-        subset_maps = []
-        for S_idx in itertools.combinations(range(n), m):
-            M = [[kernel[b][i] for b in range(m)] for i in S_idx]
-            if rank(M) != m:
-                continue
-            Mf = np.array([[float(x) for x in row] for row in M])
-            Minv = np.linalg.inv(Mf)
-            # u(mu') = -Minv @ (Rinv mu')_S ; s(mu') = Rinv mu' + K u
-            subset_maps.append((np.array(S_idx), Minv))
-        gram = math.sqrt(float(_gram_det(kernel)))
-        # orthonormality is not assumed: volumes computed in kernel coords
-        return ("general", t.sign, base, Rinv, K, subset_maps, gram / J, m, n)
+        self.poly = S.poly
+        self._terms = [
+            (
+                t.sign,
+                tuple(float(b) for b in t.base),
+                _float_plan(_plan(tuple(sorted(t.factors)))),
+            )
+            for t in S.terms
+        ]
 
     def __call__(self, point) -> float:
-        mu = np.asarray(point, dtype=float)
+        mu = [float(x) for x in point]
         total = 0.0
-        for c in self._compiled:
-            kind = c[0]
-            if kind == "exact":
-                _, sign, factors, base = c
-                total += sign * heaviside_density(
-                    factors, vsub(vec([float(x) for x in mu]), base)
-                )
-                continue
-            if kind == "square":
-                _, sign, base, Binv, inv_j = c
-                s = Binv @ (mu - base)
-                tol = -self.FEAS_TOL * (1.0 + float(np.max(np.abs(s))))
-                if np.all(s >= tol):
-                    total += sign * inv_j
-                continue
-            if kind == "segment":
-                _, sign, base, Rinv, k, scale = c
-                sp = Rinv @ (mu - base)
-                lo, hi = -np.inf, np.inf
-                ok = True
-                for i in range(len(k)):
-                    ki = k[i]
-                    if abs(ki) < 1e-14:
-                        if sp[i] < -self.FEAS_TOL * (1 + abs(sp[i])):
-                            ok = False
-                            break
-                    elif ki > 0:
-                        lo = max(lo, -sp[i] / ki)
-                    else:
-                        hi = min(hi, -sp[i] / ki)
-                if ok and hi > lo:
-                    total += sign * (hi - lo) * scale
-                continue
-            _, sign, base, Rinv, K, subset_maps, scale, m, n = c
-            sp = Rinv @ (mu - base)
-            tol = self.FEAS_TOL * (1.0 + float(np.max(np.abs(sp))))
-            verts = []
-            for S_idx, Minv in subset_maps:
-                u = -(Minv @ sp[S_idx])
-                s = sp + K @ u
-                if np.all(s >= -tol):
-                    verts.append(u)
-            if len(verts) > m:
-                pts = np.unique(np.round(np.array(verts), 10), axis=0)
-                if len(pts) > m:
-                    try:
-                        from scipy.spatial import ConvexHull
-
-                        total += sign * float(ConvexHull(pts).volume) * scale
-                    except Exception:
-                        pass
+        for sign, base, plan in self._terms:
+            total += sign * _truncated_power(plan, [m - b for m, b in zip(mu, base)])
         if self.poly is not None:
             total *= self.poly(mu)
         return total

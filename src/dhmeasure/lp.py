@@ -33,14 +33,6 @@ class LinearConstraint:
     rel: str
     rhs: object
 
-    def holds_at(self, x) -> bool:
-        lhs = vdot(self.coeffs, x)
-        if self.rel == GE:
-            return lhs >= self.rhs
-        if self.rel == LE:
-            return lhs <= self.rhs
-        return lhs == self.rhs
-
 
 def constraint(coeffs, rel, rhs) -> LinearConstraint:
     if rel not in _RELS:
@@ -63,7 +55,7 @@ class LPResult:
 
 
 class _Tableau:
-    def __init__(self, rows, rhs, ncols):
+    def __init__(self, rows, ncols):
         self.rows = rows          # list of lists, length ncols + 1 (rhs last)
         self.basis = []           # basic column per row
         self.ncols = ncols
@@ -172,7 +164,7 @@ def solve_lp(objective, constraints, *, maximize=False) -> LPResult:
         raise DimensionMismatchError(
             f"objective has {n} coefficients, constraints have {n2}"
         )
-    tab = _Tableau(rows, None, ncols)
+    tab = _Tableau(rows, ncols)
     tab.basis = [art0 + i for i in range(m)]
 
     # phase 1: minimize the artificial sum

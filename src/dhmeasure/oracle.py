@@ -9,7 +9,6 @@ these agree with it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -676,7 +675,3 @@ def truncated_circle_check(alpha: int, z: complex, a: float,
         "resolved_coeff": best[1],
         "resolved_abs_diff": best[2],
     }
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)

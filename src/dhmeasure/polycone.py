@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from . import lp
-from .lp import EQ, GE, LE, LPResult, constraint
+from .lp import EQ, GE, LE, constraint
 from .rational import (
     ONE,
     ZERO,
@@ -127,17 +127,12 @@ def cone_from_generators(dim, generators) -> Cone:
     return Cone(dim, generators=tuple(vec(g) for g in generators))
 
 
-def lp_feasible(constraints, dim=None) -> LPResult:
-    """Exact feasibility with witness / Farkas certificate (re-export)."""
-    return lp.feasibility(constraints, dim=dim)
-
-
 def is_feasible(P: PolyhedralSet) -> bool:
-    return lp_feasible(P.constraints(), dim=P.dim).status == lp.OPTIMAL
+    return lp.feasibility(P.constraints(), dim=P.dim).status == lp.OPTIMAL
 
 
 def feasible_point(P: PolyhedralSet):
-    res = lp_feasible(P.constraints(), dim=P.dim)
+    res = lp.feasibility(P.constraints(), dim=P.dim)
     return res.x if res.status == lp.OPTIMAL else None
 
 

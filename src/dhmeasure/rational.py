@@ -50,10 +50,6 @@ ZERO = rat(0)
 ONE = rat(1)
 
 
-def is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction, _RAT_SCALAR))
-
-
 def rat_str(x) -> str:
     """Wire format: "5", "-2/3"."""
     return str(rat(x))
@@ -70,20 +66,8 @@ def vdot(a, b):
     return s
 
 
-def vadd(a, b) -> tuple:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vsub(a, b) -> tuple:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vscale(c, a) -> tuple:
-    return tuple(c * x for x in a)
-
-
-def vneg(a) -> tuple:
-    return tuple(-x for x in a)
 
 
 def is_zero_vec(a) -> bool:

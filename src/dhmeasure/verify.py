@@ -429,7 +429,7 @@ def convolution_suite(seed: int = 0, count: int = 50) -> dict:
         worst = max(worst, diff / (1.0 + abs(quad_val)))
         if diff > tol:
             failures.append(
-                {"case": i, "factors": factors, "mu": mu, "engine": engine,
+                {"case": i, "factors": factors, "mu": mu, "engine": float(engine),
                  "quadrature": quad_val, "diff": diff}
             )
     return _report("convolution", seed, count, failures, t0,

@@ -150,6 +150,27 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_non_finite_json_number_exits_two(number, tmp_path, capsys):
+    bad = tmp_path / "inf.json"
+    bad.write_text(
+        '{"dim": 2, "halfspaces": [{"normal": [%s, 0], "offset": 0}]}' % number
+    )
+    rc = cli.main(["cones", "--input", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["abelian", "orbit"])
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_zeta_samples_below_one_exits_two(command, count, sphere_input, orbit_input):
+    path = sphere_input if command == "abelian" else orbit_input
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--input", path, "--zeta-samples", count])
+    assert exc.value.code == 2
+
+
 def test_wrong_schema_exits_two(tmp_path, capsys):
     bad = write(tmp_path / "weird.json", {"dim": 2, "halfspaces": [[1, 0]]})
     rc = cli.main(["cones", "--input", str(bad)])

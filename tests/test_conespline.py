@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -38,6 +39,33 @@ def test_heaviside_triangle_weights():
     assert heaviside_density(factors, (2, 5)) == pytest.approx(2.0)
     assert heaviside_density(factors, (5, 2)) == pytest.approx(2.0)
     assert heaviside_density(factors, (-1, 1)) == 0.0
+
+
+def test_heaviside_exact_rational_value():
+    # cross-checked by exact triangulation of the exact fiber vertices
+    factors = [(0, 1, 1), (3, -2, 2), (-1, 2, -1), (2, 0, 1), (1, 1, -1), (0, 0, 1)]
+    mu = (Fraction(13, 2), Fraction(19, 3), Fraction(23, 6))
+    assert heaviside_density(factors, mu) == Fraction(819923, 81000)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6),
+    st.fractions(min_value=Fraction(1, 1000), max_value=50),
+)
+def test_heaviside_one_dimensional_closed_form(weights, x):
+    n = len(weights)
+    want = x ** (n - 1) / (math.factorial(n - 1) * math.prod(weights))
+    assert heaviside_density([(a,) for a in weights], (x,)) == want
+
+
+def test_heaviside_wall_values_are_limits_from_inside():
+    a = Fraction(7, 3)
+    assert heaviside_density([(1, 0), (1, 0), (0, 1)], (a, 0)) == a
+    assert heaviside_density([(1,)], (0,)) == 1
+    square = [(2, 1), (1, 3)]  # |det| = 5
+    for mu in ((0, 0), (4, 2), (Fraction(1, 3), 1)):
+        assert heaviside_density(square, mu) == Fraction(1, 5)
+    assert heaviside_density(square, (1, 5)) == 0
 
 
 def test_heaviside_improper_cone_rejected():
@@ -102,17 +130,18 @@ def test_polynomial_algebra():
 
 
 def test_density_evaluator_matches_pointwise():
-    S = spline(
-        2,
-        [
-            spline_term(1, (0, 0), [(1, 0), (0, 1), (1, 1)]),
-        ],
-    )
-    ev = DensityEvaluator(S)
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        mu = tuple(rng.uniform(-1, 4, 2))
-        assert ev(mu) == pytest.approx(spline_density(S, mu).value, abs=1e-12)
+    for factors in (
+        [(1, 0), (0, 1), (1, 1)],
+        [(1, 0), (1, 0), (0, 1), (2, 1)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 2)],
+    ):
+        d = len(factors[0])
+        S = spline(d, [spline_term(1, (0,) * d, factors)])
+        ev = DensityEvaluator(S)
+        for _ in range(25):
+            mu = tuple(rng.uniform(-1, 4, d))
+            assert ev(mu) == pytest.approx(spline_density(S, mu).value, abs=1e-12)
 
 
 def test_laplace_requires_damping_when_strict():
@@ -185,13 +214,21 @@ def test_laplace_scaling_in_one_dim(k):
 
 
 def test_heaviside_rank_deficient_direction():
-    # mu off the factor span is rejected rather than silently zero
+    # factors that do not span have no density function, on or off their span
     with pytest.raises(ValueError):
         heaviside_density([(1, 0)], (0, 1))
+    with pytest.raises(ValueError):
+        heaviside_density([(1, 0), (2, 0)], (3, 0))
+    with pytest.raises(ValueError):
+        DensityEvaluator(spline(2, [spline_term(1, (0, 0), [(1, 0)])]))
 
 
 def test_density_error_bound_is_reported():
     S = spline(1, [spline_term(1, (0,), [(1,)])])
     dv = spline_density(S, (1,))
-    assert dv.abs_error_bound >= 0.0
-    assert math.isfinite(dv.abs_error_bound)
+    assert dv.abs_error_bound == 0
+    factors = [(3,), (2,)]
+    S = spline(1, [spline_term(1, (0,), factors), spline_term(-1, (1,), factors)])
+    dv = spline_density(S, (Fraction(7, 2),))
+    assert dv.value == Fraction(1, 6)
+    assert dv.abs_error_bound == 0

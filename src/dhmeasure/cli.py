@@ -47,7 +47,7 @@ class RunConfig:
 def parse_vector(text: str):
     try:
         return vec([rat(part.strip()) for part in text.split(",")])
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}")
 
 
@@ -265,7 +265,7 @@ def cmd_abelian(cfg: RunConfig) -> int:
 def cmd_orbit(cfg: RunConfig) -> int:
     O = hermitian.orbit_from_json(_load_json(cfg.input_path))
     pair = O.pair
-    om = hermitian.orbit_model(O)
+    om = O.model
     M = om.model
     rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 202]))
 

@@ -20,14 +20,21 @@ full-torus measure comes from localize.dh_measure; the reduced measure keeps
 only noncompact convolution factors and multiplies by the product of the
 compact-root wall functionals. Its transform is computed symbolically in an
 exponential-rational algebra with exact Gaussian-rational coefficients.
+
+Exact data is derived once and evaluated many times: build_pair caches the
+root data per family, and an OrbitSpec builds its orbit model and compiles
+its symbolic transform on first use, so every further zeta only evaluates
+float terms.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from . import localize
 from .conespline import (
@@ -57,7 +64,7 @@ class HermitianPairData:
     rank: int  # torus dimension d
     roots: tuple  # positive roots, compact first
     k: int  # number of compact positive roots
-    killing_duals: tuple  # trace-form duals of the compact roots
+    duals: tuple  # trace-form duals of the roots, in the order of roots
     weyl: tuple  # compact Weyl group as d x d matrices (row tuples)
     center_vector: tuple  # xi0 with value 1 on every noncompact root
 
@@ -68,6 +75,11 @@ class HermitianPairData:
     @property
     def compact(self) -> tuple:
         return self.roots[: self.k]
+
+    @property
+    def killing_duals(self) -> tuple:
+        """Trace-form duals of the compact roots."""
+        return self.duals[: self.k]
 
 
 def weyl_det(matrix) -> int:
@@ -158,7 +170,15 @@ def _weyl_closure(dim, generators):
 
 
 def build_pair(family, params) -> HermitianPairData:
-    """Construct the root data and verify every structural invariant."""
+    """Construct the root data and verify every structural invariant.
+
+    The data is immutable, so it is built and verified once per
+    (family, params) and shared afterwards."""
+    return _build_pair(family, tuple(params))
+
+
+@lru_cache(maxsize=16)
+def _build_pair(family, params) -> HermitianPairData:
     if family == "AIII":
         p, q = (int(x) for x in params)
         if p < 1 or q < 1 or p + q > 5:
@@ -217,11 +237,11 @@ def build_pair(family, params) -> HermitianPairData:
         d,
         tuple(compact) + tuple(noncompact),
         len(compact),
-        tuple(duals_c),
+        tuple(duals_c) + tuple(duals_n),
         weyl,
         xi0,
     )
-    _verify_pair(pair, tuple(duals_n))
+    _verify_pair(pair)
     return pair
 
 
@@ -234,8 +254,9 @@ def _cumsum(values):
     return out
 
 
-def _verify_pair(pair, duals_n):
-    duals = tuple(pair.killing_duals) + duals_n
+def _verify_pair(pair):
+    duals = pair.duals
+    duals_n = duals[pair.k :]
     roots = pair.roots
     n = len(roots)
     # trace-form duality is symmetric
@@ -287,6 +308,16 @@ class OrbitSpec:
     lam: tuple  # in measure coordinates
     lam_native: tuple  # as supplied (diagonal entries for AIII)
 
+    @cached_property
+    def model(self) -> "OrbitModel":
+        """The orbit model, built on first use."""
+        return orbit_model(self)
+
+    @cached_property
+    def transform(self) -> tuple:
+        """The reduced transform compiled to float terms, on first use."""
+        return _compile_transform(self)
+
 
 def orbit_spec(pair: HermitianPairData, lam_native) -> OrbitSpec:
     lam_native = vec(lam_native)
@@ -310,39 +341,10 @@ def orbit_spec(pair: HermitianPairData, lam_native) -> OrbitSpec:
     return O
 
 
-def _form_with_root(pair, mu, root_index, duals_cache={}):
-    key = (pair.family, pair.params)
-    if key not in duals_cache:
-        duals_cache[key] = _all_duals(pair)
-    return vdot(mu, duals_cache[key][root_index])
-
-
-def _all_duals(pair):
-    if pair.family == "AIII":
-        amb = pair.rank + 1
-        p = pair.params[0]
-        duals = []
-        order = []
-        for i in range(1, amb + 1):
-            for j in range(i + 1, amb + 1):
-                if (j <= p) or (i > p):
-                    order.append((i, j))
-        for i in range(1, p + 1):
-            for j in range(p + 1, amb + 1):
-                order.append((i, j))
-        for i, j in order:
-            duals.append(_aiii_dual(i, j, pair.rank))
-        return tuple(duals)
-    return tuple(
-        pair.killing_duals
-        + tuple(tuple(x / 2 for x in b) for b in pair.noncompact)
-    )
-
-
 def _validate_orbit(O: OrbitSpec):
     pair = O.pair
     for idx in range(pair.k, len(pair.roots)):
-        val = _form_with_root(pair, O.lam, idx)
+        val = vdot(O.lam, pair.duals[idx])
         if val <= 0:
             raise OrbitValidationError(
                 "lambda pairs nonpositively with a noncompact root "
@@ -436,7 +438,7 @@ def t_type_measure(O: OrbitSpec, xi=None) -> SignedConeSpline:
     (nonnegative) pushforward. The transform of the result therefore equals
     compact_orientation(pair) times the localization sum of the raw model.
     """
-    om = orbit_model(O)
+    om = O.model
     pair = O.pair
     xi = vec(xi) if xi is not None else om.chamber
     _check_lambda_chamber(O, xi)
@@ -458,7 +460,7 @@ def _check_lambda_chamber(O: OrbitSpec, xi):
     # xi shares lambda's chamber iff their sign patterns agree on every root
     pair = O.pair
     for idx, a in enumerate(pair.roots):
-        lam_side = _form_with_root(pair, O.lam, idx)
+        lam_side = vdot(O.lam, pair.duals[idx])
         xi_side = vdot(a, xi)
         if xi_side == 0:
             raise localize.NonRegularXiError("xi pairs to zero with a root")
@@ -473,7 +475,7 @@ def k_type_measure(O: OrbitSpec) -> SignedConeSpline:
     determinants); the noncompact factor multiset is Weyl-stable, so every
     term carries the same canonically ordered factors.
     """
-    om = orbit_model(O)
+    om = O.model
     pair = O.pair
     factors = tuple(sorted(pair.noncompact))
     terms = []
@@ -556,33 +558,114 @@ class ExpRationalSum:
                 )
         return ExpRationalSum.build(self.dim, out)
 
-    def evaluate(self, zeta) -> complex:
-        zeta = tuple(complex(z) for z in zeta)
-        zn = math.sqrt(sum(abs(z) ** 2 for z in zeta))
-        import numpy as np
-
-        total = 0.0 + 0.0j
+    @cached_property
+    def _float_terms(self) -> tuple:
+        out = []
         for coeff, expo, denom in self.terms:
-            val = complex(float(coeff[0]), float(coeff[1]))
-            val *= np.exp(1j * sum(float(x) * z for x, z in zip(expo, zeta)))
-            for form, mult in denom:
-                fz = sum(float(x) * z for x, z in zip(form, zeta))
-                fn = math.sqrt(sum(float(x) ** 2 for x in form))
-                if abs(fz) <= REGULARITY_RTOL * fn * zn:
-                    raise NonRegularZetaError(
-                        "a denominator form vanishes at zeta"
-                    )
-                val /= fz**mult
-            total += val
-        return complex(total)
+            forms = _float_forms(form for form, _ in denom)
+            out.append((
+                complex(float(coeff[0]), float(coeff[1])),
+                tuple(float(x) for x in expo),
+                tuple((f, n, mult) for (f, n), (_, mult) in zip(forms, denom)),
+            ))
+        return tuple(out)
+
+    def evaluate(self, zeta) -> complex:
+        return _evaluate(self._float_terms, zeta)
+
+
+def _float_forms(forms) -> list:
+    """(float form, its Euclidean norm) per exact form."""
+    out = []
+    for form in forms:
+        f = tuple(float(x) for x in form)
+        out.append((f, math.sqrt(sum(x**2 for x in f))))
+    return out
+
+
+def _evaluate(terms, zeta) -> complex:
+    """Sum of float terms (coeff, exponent, ((form, |form|, mult), ...)) at
+    zeta: coeff * e^{i<exponent, zeta>} / prod <form, zeta>^mult, term by
+    term in the given order. Each distinct phase and denominator power is
+    computed once; they are the same floats either way."""
+    zeta = tuple(complex(z) for z in zeta)
+    zn = math.sqrt(sum(abs(z) ** 2 for z in zeta))
+    phases = {}
+    powers = {}
+    total = 0.0 + 0.0j
+    for coeff, expo, denom in terms:
+        phase = phases.get(expo)
+        if phase is None:
+            phase = np.exp(1j * sum(x * z for x, z in zip(expo, zeta)))
+            phases[expo] = phase
+        val = coeff * phase
+        for form, norm, mult in denom:
+            key = (form, mult)
+            power = powers.get(key)
+            if power is None:
+                fz = sum(x * z for x, z in zip(form, zeta))
+                if abs(fz) <= REGULARITY_RTOL * norm * zn:
+                    raise NonRegularZetaError("a denominator form vanishes at zeta")
+                power = fz**mult
+                powers[key] = power
+            val /= power
+        total += val
+    return complex(total)
+
+
+def _compile_transform(O: OrbitSpec) -> tuple:
+    """Float terms of the reduced transform, before its prefactor.
+
+    Starts from the fixed-point sum with noncompact denominators only and
+    applies one directional derivative per compact root, in the trace-form
+    dual direction. At a fixed point w*lam the denominator forms w*b stay
+    fixed and a derivative only moves coefficients between multiplicity
+    tuples, so the chain runs per point on {multiplicities: coefficient}.
+    A phase derivative multiplies by i, so every term of multiplicity sum
+    n_c + j took k - j of them: its exact coefficient is a rational times
+    i^(k - j), kept rational until the end. Terms come out as
+    ExpRationalSum would give them: sorted by (exponent, denominator), with
+    exact zeros pruned. The images w*lam are distinct (lam is off every
+    compact wall), so no two points share an exponent.
+    """
+    pair = O.pair
+    n_c = len(pair.noncompact)
+    points = sorted(zip(O.model.model.points, pair.weyl), key=lambda pm: pm[0].image)
+    terms = []
+    for pt, m in points:
+        forms = tuple(sorted(mat_vec(m, b) for b in pair.noncompact))
+        acc = {(1,) * n_c: rat(_compact_match_sign(pair, m))}
+        for dual in pair.killing_duals:
+            pairing = vdot(pt.image, dual)
+            slopes = [(j, vdot(f, dual)) for j, f in enumerate(forms)]
+            slopes = [(j, s) for j, s in slopes if s != 0]
+            nxt = {}
+            for mults, c in acc.items():
+                if pairing != 0:
+                    nxt[mults] = nxt.get(mults, ZERO) + c * pairing
+                for j, s in slopes:
+                    bumped = mults[:j] + (mults[j] + 1,) + mults[j + 1 :]
+                    nxt[bumped] = nxt.get(bumped, ZERO) - c * mults[j] * s
+            acc = {mults: c for mults, c in nxt.items() if c != 0}
+        expo = tuple(float(x) for x in pt.image)
+        fforms = _float_forms(forms)
+        for mults in sorted(acc):
+            c = acc[mults]
+            # c * i^(k - j) as an exact Gaussian pair
+            re, im = ((c, ZERO), (ZERO, c), (-c, ZERO), (ZERO, -c))[
+                (pair.k + n_c - sum(mults)) % 4
+            ]
+            denom = tuple((f, n, mult) for (f, n), mult in zip(fforms, mults))
+            terms.append((complex(float(re), float(im)), expo, denom))
+    return tuple(terms)
 
 
 def laplace_nu_symbolic(O: OrbitSpec, zeta, strict: bool = True) -> complex:
     """Transform of the reduced measure, computed symbolically.
 
-    Starts from the fixed-point sum with noncompact denominators only,
-    applies one directional derivative per compact root (in the trace-form
-    dual direction), and evaluates.
+    The fixed-point sum with noncompact denominators only, differentiated
+    once per compact root in the trace-form dual direction, is compiled
+    once per orbit (OrbitSpec.transform); each zeta only evaluates it.
 
     Prefactor bookkeeping: with n_c noncompact factors, the transform of the
     underlying convolution carries i^(n_c); each wall functional pulls one
@@ -591,7 +674,6 @@ def laplace_nu_symbolic(O: OrbitSpec, zeta, strict: bool = True) -> complex:
     measure must be.
     """
     pair = O.pair
-    om = orbit_model(O)
     zeta = tuple(complex(z) for z in zeta)
     if strict:
         for b in pair.noncompact:
@@ -599,16 +681,8 @@ def laplace_nu_symbolic(O: OrbitSpec, zeta, strict: bool = True) -> complex:
                 raise NonRegularZetaError(
                     "Im(zeta) is not strictly inside the noncompact dual cone"
                 )
-    raw = []
-    for m, pt in zip(pair.weyl, om.model.points):
-        sign = _compact_match_sign(pair, m)
-        denom = tuple((mat_vec(m, b), 1) for b in pair.noncompact)
-        raw.append(((rat(sign), ZERO), pt.image, denom))
-    expr = ExpRationalSum.build(pair.rank, raw)
-    for dual in pair.killing_duals:
-        expr = expr.d_dir(dual)
     power = (len(pair.noncompact) - pair.k) % 4
-    return (1j**power) * expr.evaluate(zeta)
+    return (1j**power) * _evaluate(O.transform, zeta)
 
 
 # ---------------------------------------------------------------------------

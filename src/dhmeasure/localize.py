@@ -6,18 +6,23 @@ every weight is flipped to pair positively with xi; the product of flip signs
 becomes the sign of the point's Heaviside-convolution term. The resulting
 signed cone spline is the pushforward measure, and its closed-form transform
 matches the oscillatory fixed-point sum on the tube where both converge.
+
+The flipped weights span a proper cone, and xi is the certificate: it pairs
+strictly positively with every one of them. Renormalization checks that
+exactly and runs no LP.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import polycone
 from .conespline import SignedConeSpline, laplace_factor, spline_term
-from .rational import is_zero_vec, rat_str, vdot, vec
+from .rational import is_zero_vec, primitive, rat_str, vdot, vec
 
 MAX_MOMENT_CURVE_TRIES = 1000
 
@@ -118,16 +123,12 @@ def validate_model(M: FixedPointModel) -> ModelValidation:
     except NonRegularXiError as e:
         return ModelValidation(False, (str(e),))
     factors = _distinct_factors(R)
-    if factors and polycone.strict_positive_functional(factors) is None:
-        # unreachable for regular xi (xi itself is such a functional);
-        # kept as a corruption guard
+    if not _certifies_proper(factors, R.chamber_point):
         return ModelValidation(False, ("renormalized weight cone is not proper",))
     chamber = polycone.cone_from_normals(M.dim, factors) if factors else None
     hyper = []
     for p in M.points:
         for w in p.weights:
-            from .rational import primitive
-
             cw = primitive(w)
             if cw not in hyper:
                 hyper.append(cw)
@@ -205,6 +206,12 @@ def _renormalize_unchecked(M: FixedPointModel, xi) -> RenormalizedModel:
     return RenormalizedModel(M.dim, xi, tuple(pts))
 
 
+def _certifies_proper(factors, xi) -> bool:
+    """Does xi pair strictly positively with every factor? Then the factors
+    span a proper cone, with xi as the exact certificate."""
+    return all(vdot(f, xi) > 0 for f in factors)
+
+
 def _distinct_factors(R: RenormalizedModel):
     seen = []
     for p in R.points:
@@ -215,11 +222,16 @@ def _distinct_factors(R: RenormalizedModel):
 
 
 def renormalize(M: FixedPointModel, xi=None) -> RenormalizedModel:
+    """Flip every weight to pair positively with xi (default: the canonical
+    chamber point) and record the flip signs.
+
+    xi is the certificate that the flipped weights span a proper cone; it is
+    checked exactly, and no LP is run.
+    """
     if xi is None:
         xi = default_chamber(M)
     R = _renormalize_unchecked(M, xi)
-    factors = _distinct_factors(R)
-    if factors and polycone.strict_positive_functional(factors) is None:
+    if not _certifies_proper(_distinct_factors(R), R.chamber_point):
         raise ModelValidationError("renormalized weight cone is not proper")
     return R
 
@@ -257,7 +269,12 @@ class GammaRegion:
         )
 
     def sample_interior(self):
-        """A rational point strictly inside, scaled to primitive form."""
+        """A rational point strictly inside, scaled to primitive form; found
+        once per region."""
+        return self._interior
+
+    @cached_property
+    def _interior(self):
         return polycone.interior_point(self.cone)
 
 

@@ -23,15 +23,21 @@ except ImportError:  # pragma: no cover - gmpy2 is normally present
 def rat(value=0, den=None):
     """Coerce ``value`` (int, str like "3/2" or "1.5", float, Fraction, mpq)
     to the exact scalar type. Floats convert exactly (every float is rational).
+    A zero denominator, as in "1/0", is a ValueError.
     """
     if den is not None:
+        if den == 0:
+            raise ValueError(f"zero denominator in {value}/{den}")
         if _MPQ is not None:
             return _MPQ(value, den)
         return Fraction(value, den)
     if isinstance(value, _RAT_SCALAR):
         return value
     if isinstance(value, (str, float)):
-        f = Fraction(value)
+        try:
+            f = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
         if _MPQ is not None:
             return _MPQ(f.numerator, f.denominator)
         return f

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from dhmeasure import cli
+from dhmeasure import cli, hermitian
 
 
 def write(path, payload):
@@ -169,6 +169,34 @@ def test_zeta_samples_below_one_exits_two(command, count, sphere_input, orbit_in
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--input", path, "--zeta-samples", count])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("cones", {"dim": 2, "halfspaces": [{"normal": ["1/0", 0], "offset": 0}]}),
+        ("abelian", {"dim": 1, "points": [{"image": ["2"], "weights": [["-1"]]},
+                                          {"image": ["-2"], "weights": [["1/0"]]}]}),
+        ("orbit", {"family": "AIII", "params": [2, 1], "lambda": ["3", "1/0", "-4"]}),
+    ],
+)
+def test_zero_denominator_exits_two(command, payload, tmp_path, capsys):
+    path = write(tmp_path / "zero.json", payload)
+    rc = cli.main([command, "--input", path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "zero denominator" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_orbit_run_builds_the_orbit_model_once(orbit_input, tmp_path, monkeypatch):
+    built = []
+    real = hermitian.orbit_model
+    monkeypatch.setattr(hermitian, "orbit_model", lambda O: built.append(O) or real(O))
+    rc = cli.main(["orbit", "--input", orbit_input, "--out", str(tmp_path / "o"),
+                   "--measure", "both", "--grid=-6:6:3,-6:6:3"])
+    assert rc == 0
+    assert len(built) == 1
 
 
 def test_wrong_schema_exits_two(tmp_path, capsys):

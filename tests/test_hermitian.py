@@ -195,3 +195,100 @@ def test_wall_values_nonzero():
     om = orbit_model(su21())
     for label, val in om.wall_values:
         assert val != 0
+
+
+SUPPORTED_PAIRS = [
+    ("AIII", (p, q)) for p in range(1, 5) for q in range(1, 5) if p + q <= 5
+] + [("CI", (r,)) for r in (1, 2, 3)]
+
+
+def _duals_in_root_order(pair):
+    """Trace-form duals of every root, compact first, derived apart from
+    build_pair: sum of h_a over i <= a < j for e_i - e_j in AIII, half the
+    root in CI."""
+    if pair.family == "CI":
+        return tuple(tuple(x / 2 for x in root) for root in pair.roots)
+    p, q = pair.params
+    amb, d = p + q, p + q - 1
+    pairs = [(i, j) for i in range(1, amb + 1) for j in range(i + 1, amb + 1)
+             if j <= p or i > p]
+    pairs += [(i, j) for i in range(1, p + 1) for j in range(p + 1, amb + 1)]
+    return tuple(
+        tuple(rat(1) if i <= a < j else rat(0) for a in range(1, d + 1))
+        for i, j in pairs
+    )
+
+
+@pytest.mark.parametrize("family,params", SUPPORTED_PAIRS)
+def test_stored_duals_cover_every_root(family, params):
+    pair = build_pair(family, params)
+    assert pair.duals == _duals_in_root_order(pair)
+    assert pair.killing_duals == pair.duals[: pair.k]
+    for root, dual in zip(pair.roots, pair.duals):
+        assert vdot(root, dual) > 0
+
+
+def test_build_pair_is_built_and_verified_once(monkeypatch):
+    hermitian._build_pair.cache_clear()
+    verified = []
+    real = hermitian._verify_pair
+    monkeypatch.setattr(
+        hermitian, "_verify_pair", lambda pair: verified.append(pair) or real(pair)
+    )
+    first = build_pair("AIII", [2, 1])
+    assert build_pair("AIII", (2, 1)) is first
+    assert len(verified) == 1
+
+
+def _derive_from_scratch(spec):
+    """The reduced transform's exact expression, rebuilt with the
+    exponential-rational algebra: the fixed-point sum, then one d_dir per
+    compact dual."""
+    pair = spec.pair
+    raw = []
+    for m, pt in zip(pair.weyl, orbit_model(spec).model.points):
+        sign = hermitian._compact_match_sign(pair, m)
+        denom = tuple((mat_vec(m, b), 1) for b in pair.noncompact)
+        raw.append(((sign, 0), pt.image, denom))
+    expr = hermitian.ExpRationalSum.build(pair.rank, raw)
+    for dual in pair.killing_duals:
+        expr = expr.d_dir(dual)
+    return expr
+
+
+def _evaluate_term_by_term(expr, zeta):
+    zeta = tuple(complex(z) for z in zeta)
+    total = 0.0 + 0.0j
+    for coeff, expo, denom in expr.terms:
+        val = complex(float(coeff[0]), float(coeff[1]))
+        val *= np.exp(1j * sum(float(x) * z for x, z in zip(expo, zeta)))
+        for form, mult in denom:
+            val /= sum(float(x) * z for x, z in zip(form, zeta)) ** mult
+        total += val
+    return complex(total)
+
+
+@pytest.mark.parametrize(
+    "family,params,lam",
+    [
+        ("AIII", (1, 1), (2, -1)),
+        ("AIII", (2, 1), (3, 1, -4)),
+        ("CI", (2,), (5, 2)),
+        ("CI", (3,), (7, 4, 1)),
+        ("AIII", (3, 2), (5, 3, 1, -1, -4)),
+    ],
+)
+def test_compiled_transform_equals_from_scratch_route(family, params, lam):
+    spec = orbit_spec(build_pair(family, params), lam)
+    pair = spec.pair
+    expr = _derive_from_scratch(spec)
+    power = (len(pair.noncompact) - pair.k) % 4
+    center = np.array([float(x) for x in pair.center_vector])
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        im = center * rng.uniform(1.0, 1.8)
+        zeta = tuple(complex(r, i) for r, i in zip(rng.uniform(-1, 1, pair.rank), im))
+        scratch = _evaluate_term_by_term(expr, zeta)
+        # bit for bit, not approximately
+        assert expr.evaluate(zeta) == scratch
+        assert laplace_nu_symbolic(spec, zeta) == (1j**power) * scratch

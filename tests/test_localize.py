@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dhmeasure import conespline, localize, verify
-from dhmeasure.rational import rat
+from dhmeasure.rational import rat, vdot
 
 
 def sphere(lam=2):
@@ -154,3 +154,61 @@ def test_dh_measure_signs_sum_to_zero_on_compact_models():
     M = verify.sphere_product_model((2, 3))
     S = localize.dh_measure(M, (1, 2))
     assert sum(t.sign for t in S.terms) == 0
+
+
+def test_renormalisation_runs_no_lp(monkeypatch):
+    from dhmeasure import lp
+
+    M = verify.projective_plane_model(2)
+    xi = (1, 2)
+    # term construction checks each factor tuple's cone once and caches it
+    localize.dh_measure(M, xi)
+    eta = [float(x) for x in localize.gamma_region(M, xi).sample_interior()]
+    zeta = tuple(complex(0.3 * (j + 1), e) for j, e in enumerate(eta))
+    solves = []
+    real = lp.solve_lp
+    monkeypatch.setattr(
+        lp, "solve_lp", lambda *a, **k: solves.append(a) or real(*a, **k)
+    )
+    localize.renormalize(M, xi)
+    localize.dh_measure(M, xi)
+    localize.gamma_region(M, xi)
+    localize.localization_sum(M, zeta, xi, strict=True)
+    localize.support_min(M, xi)
+    assert solves == []
+
+
+def test_renormalized_factors_pair_positively_with_regular_xi():
+    rng = np.random.default_rng(4)
+    models = [
+        sphere(3),
+        verify.projective_plane_model(2),
+        verify.sphere_product_model((2, 3)),
+        verify.flat_space_model([(1, 0), (-1, 2)], (1, 1)),
+    ]
+    for M in models:
+        for _ in range(6):
+            xi = tuple(int(x) for x in rng.integers(-5, 6, M.dim))
+            if not localize.is_regular(M, xi):
+                continue
+            R = localize.renormalize(M, xi)
+            for p in R.points:
+                assert all(vdot(f, xi) > 0 for f in p.factors)
+
+
+def test_renormalize_rejects_a_factor_xi_does_not_certify(monkeypatch):
+    M = sphere(2)
+    real = localize._renormalize_unchecked
+
+    def one_unflipped(M, xi):
+        R = real(M, xi)
+        p = R.points[0]
+        bad = localize.RenormalizedPoint(
+            p.label, p.image, tuple(tuple(-x for x in f) for f in p.factors), -p.sign
+        )
+        return localize.RenormalizedModel(R.dim, R.chamber_point, (bad,) + R.points[1:])
+
+    monkeypatch.setattr(localize, "_renormalize_unchecked", one_unflipped)
+    with pytest.raises(localize.ModelValidationError):
+        localize.renormalize(M, (1,))
+    assert not localize.validate_model(M).ok

@@ -13,6 +13,12 @@ from dhmeasure.rational import (
 )
 
 
+@pytest.mark.parametrize("args", [("1/0",), ("-3/0",), (" 2/0 ",), (1, 0)])
+def test_rat_rejects_zero_denominator(args):
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat(*args)
+
+
 def test_rat_parses_strings_and_fractions():
     assert rat("3/2") == rat(3, 2)
     assert rat("-7") == -7

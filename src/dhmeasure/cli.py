@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -68,7 +69,7 @@ def parse_grid(text: str):
                 f"grid axis {part!r} is not lo:hi:count"
             )
         lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
-        if count < 1 or not hi > lo:
+        if count < 1 or not hi > lo or not math.isfinite(hi - lo):
             raise argparse.ArgumentTypeError(f"bad grid axis {part!r}")
         axes.append((lo, hi, count))
     return tuple(axes)
@@ -400,7 +401,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument wiring
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dhk parser, built once and shared: parse_args leaves it as it is."""
     top = argparse.ArgumentParser(
         prog="dhk",
         description="Measures on moment images from fixed-point data.",

@@ -13,10 +13,13 @@ Trans. AMS 308, 1988; De Concini-Procesi, Topics in Hyperplane
 Arrangements, Polytopes and Box-Splines, 2011, ch. 7). A child that no
 longer spans R^d is dropped; a leaf (n = d) is 1/|det C| on cone(C) and 0
 off it. The bases, their exact inverses, the leaf weights and the spanning
-children are derived once per factor tuple and cached. The same recursion
-runs on exact rationals (heaviside_density, spline_density: a rational
-point gives an exact rational density, with error bound 0) and on a float
-copy of that data (DensityEvaluator, for quadrature and grids).
+children are derived once per factor tuple and cached, and compiled once
+more into integer form: per node, integer rows and one common denominator.
+heaviside_density and spline_density put a rational point over one common
+denominator D and run the recursion on Python integers; the density is the
+integer result over (root denominator) * D^(n - d), normalized once per
+call, an exact rational with error bound 0. DensityEvaluator runs the same
+recursion on a float copy of the data, for quadrature and grids.
 
 On a wall, where the density jumps, the value is the limit from inside the
 term's cone: along mu + eps*c + eps^2*e_1 + ... + eps^(d+1)*e_d for small
@@ -157,14 +160,41 @@ class Polynomial:
 # spline types
 
 
-@lru_cache(maxsize=4096)
+_PROVEN_MAX = 4096
+_proven = {}  # factor tuples known to span a proper cone, oldest first
+
+
+def _remember_proper(factors):
+    if len(_proven) >= _PROVEN_MAX:
+        del _proven[next(iter(_proven))]
+    _proven[factors] = None
+
+
 def _proper_factor_cone(factors) -> bool:
+    """Do the factors span a proper cone (none zero, no line inside)?
+
+    A tuple already proven, by an LP here or by a certificate offered to
+    _certify_proper, is answered from a bounded cache; any other tuple is
+    decided by an exact LP for a functional positive on every factor.
+    """
+    if factors in _proven:
+        return True
     live = [f for f in factors if not is_zero_vec(f)]
     if len(live) != len(factors):
         return False
-    if not live:
-        return True
-    return polycone.strict_positive_functional(live) is not None
+    if live and polycone.strict_positive_functional(live) is None:
+        return False
+    _remember_proper(factors)
+    return True
+
+
+def _certify_proper(factors, certificate) -> bool:
+    """_proper_factor_cone with a candidate proof: a covector that pairs
+    strictly positively with every factor, checked exactly. A certificate
+    that does not prove it leaves the question to the LP."""
+    if factors not in _proven and all(vdot(f, certificate) > 0 for f in factors):
+        _remember_proper(factors)
+    return _proper_factor_cone(factors)
 
 
 @dataclass(frozen=True)
@@ -297,6 +327,42 @@ def _plan(factors) -> tuple:
     return tuple(nodes)
 
 
+@lru_cache(maxsize=1024)
+def _kernel(factors) -> tuple:
+    """Integer form of the plan of a factor tuple, keyed in the order given.
+
+    Checks once that the factors span a proper cone. Returns (nodes, Q):
+    nodes in the layout of _plan, with integer rows and scales, such that
+    _truncated_power(nodes, X) / (Q * D^(n - d)) is the density at X / D
+    for an integer vector X and D > 0. Per node the rows are the exact rows
+    times the lcm of their denominators (rowden); an inner node's row for
+    a child is further multiplied by L / Q_child, with L the lcm of its
+    children's denominators Q_child. A leaf's scale is the numerator of
+    1/|det C| and Q its denominator; an inner node keeps the numerator of
+    1/(k - d) and has Q = (k - d) * rowden * L. Row scales are positive, so
+    leaf sign tests are unchanged.
+    """
+    if not _proper_factor_cone(factors):
+        raise NonProperConeError("factors do not span a proper cone")
+    nodes, dens = [], []
+    for scale, rows, children, ties in _plan(tuple(sorted(factors))):
+        rowden = math.lcm(*(a.denominator for row in rows for a in row))
+        den = scale.denominator
+        if children is None:
+            mults = (1,) * len(rows)
+        else:
+            lcm = math.lcm(*(dens[k] for k in children))
+            mults = tuple(lcm // dens[k] for k in children)
+            den *= rowden * lcm
+        int_rows = tuple(
+            tuple(a.numerator * (rowden // a.denominator) * m for a in row)
+            for row, m in zip(rows, mults)
+        )
+        nodes.append((scale.numerator, int_rows, children, ties))
+        dens.append(den)
+    return tuple(nodes), dens[-1]
+
+
 def _float_plan(plan) -> tuple:
     return tuple(
         (
@@ -312,7 +378,8 @@ def _float_plan(plan) -> tuple:
 def _truncated_power(plan, x):
     """T(x) by the recursion (k - d) T_Y(x) = sum_p lambda_p(x) T_{Y - c_p}(x).
 
-    Runs on an exact plan with rational x, or on a float plan with float x.
+    Runs on an integer kernel with integer x, on an exact plan with rational
+    x, or on a float plan with float x.
     """
     values = []
     for scale, rows, children, ties in plan:
@@ -348,9 +415,10 @@ def heaviside_density(factors, mu):
     mu = vec(mu)
     if len(mu) != len(factors[0]):
         raise ValueError("point/factor dimension mismatch")
-    if not _proper_factor_cone(factors):
-        raise NonProperConeError("factors do not span a proper cone")
-    return _truncated_power(_plan(tuple(sorted(factors))), mu)
+    nodes, den = _kernel(factors)
+    common = math.lcm(*(x.denominator for x in mu))
+    scaled = [x.numerator * (common // x.denominator) for x in mu]
+    return rat(_truncated_power(nodes, scaled), den * common ** (len(factors) - len(mu)))
 
 
 def spline_density(S: SignedConeSpline, mu) -> DensityValue:

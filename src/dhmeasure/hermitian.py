@@ -42,6 +42,7 @@ from .conespline import (
     NonRegularZetaError,
     Polynomial,
     SignedConeSpline,
+    _certify_proper,
     spline_term,
 )
 from .rational import ZERO, det, mat_vec, rat, rat_str, vdot, vec
@@ -478,6 +479,7 @@ def k_type_measure(O: OrbitSpec) -> SignedConeSpline:
     om = O.model
     pair = O.pair
     factors = tuple(sorted(pair.noncompact))
+    _certify_proper(factors, pair.center_vector)
     terms = []
     for m, pt in zip(pair.weyl, om.model.points):
         sign = _compact_match_sign(pair, m)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import polycone
-from .conespline import SignedConeSpline, laplace_factor, spline_term
+from .conespline import SignedConeSpline, _certify_proper, laplace_factor, spline_term
 from .rational import is_zero_vec, primitive, rat_str, vdot, vec
 
 MAX_MOMENT_CURVE_TRIES = 1000
@@ -244,6 +244,8 @@ def dh_measure(M: FixedPointModel, xi=None) -> SignedConeSpline:
     with the same total measure.
     """
     R = renormalize(M, xi)
+    for p in R.points:
+        _certify_proper(p.factors, R.chamber_point)
     terms = tuple(spline_term(p.sign, p.image, p.factors) for p in R.points)
     return SignedConeSpline(M.dim, terms)
 

@@ -199,6 +199,25 @@ def test_orbit_run_builds_the_orbit_model_once(orbit_input, tmp_path, monkeypatc
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("command", ["abelian", "orbit"])
+@pytest.mark.parametrize("grid", ["-inf:1:3", "0:inf:3", "0:1e400:2"])
+def test_non_finite_grid_bound_exits_two(command, grid, sphere_input, orbit_input, tmp_path):
+    path = sphere_input if command == "abelian" else orbit_input
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--input", path, "--out", str(out), f"--grid={grid}"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_reused_parser_keeps_no_xi_between_calls(cone_input, capsys):
+    assert cli.main(["cones", "--input", cone_input, "--xi=1,1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["directions"]) == 1
+    assert cli.main(["cones", "--input", cone_input]) == 0
+    assert "directions" not in json.loads(capsys.readouterr().out)
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_wrong_schema_exits_two(tmp_path, capsys):
     bad = write(tmp_path / "weird.json", {"dim": 2, "halfspaces": [[1, 0]]})
     rc = cli.main(["cones", "--input", str(bad)])

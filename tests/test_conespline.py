@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from dhmeasure import conespline
+from dhmeasure import conespline, hermitian, localize, polycone, verify
 from dhmeasure.conespline import (
     DensityEvaluator,
     NonProperConeError,
@@ -20,7 +20,7 @@ from dhmeasure.conespline import (
     spline_term,
     write_density_csv,
 )
-from dhmeasure.rational import rat
+from dhmeasure.rational import rat, vec
 
 
 def test_heaviside_single_weight_is_flat():
@@ -232,3 +232,63 @@ def test_density_error_bound_is_reported():
     dv = spline_density(S, (Fraction(7, 2),))
     assert dv.value == Fraction(1, 6)
     assert dv.abs_error_bound == 0
+
+
+def _fraction_density(factors, mu):
+    # reference: the same recursion on the exact Fraction plan
+    factors = tuple(vec(f) for f in factors)
+    return conespline._truncated_power(conespline._plan(tuple(sorted(factors))), vec(mu))
+
+
+def test_integer_kernel_equals_fraction_recursion():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        d = int(rng.integers(1, 4))
+        n = d + int(rng.integers(0, 4))
+        ints, _ = verify.random_proper_factors(rng, d, n)
+        # positive rescaling keeps the cone: rational, non-integer factors
+        factors = [tuple(Fraction(int(a), int(rng.integers(1, 5))) for a in f) for f in ints]
+        points = [
+            tuple(Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 8))) for _ in range(d)),
+            tuple(float(x) for x in rng.uniform(-4, 4, d)),  # binary denominators
+            tuple(int(x) for x in rng.integers(-4, 5, d)),
+        ]
+        # wall points: non-negative combinations of at most d - 1 factors
+        for k in range(d):
+            picks = rng.choice(n, size=k, replace=False)
+            coeffs = [Fraction(int(rng.integers(0, 6)), int(rng.integers(1, 4))) for _ in picks]
+            points.append(tuple(
+                sum((c * factors[i][j] for c, i in zip(coeffs, picks)), Fraction(0))
+                for j in range(d)
+            ))
+        for mu in points:
+            got = heaviside_density(factors, mu)
+            want = _fraction_density(factors, mu)
+            assert got == want and type(got) is type(want)
+
+
+def test_synthesized_terms_are_proven_proper_without_lp(monkeypatch):
+    calls = []
+    real = polycone.strict_positive_functional
+    monkeypatch.setattr(
+        polycone, "strict_positive_functional", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    monkeypatch.setattr(conespline, "_proven", {})
+    conespline._kernel.cache_clear()
+    splines = [localize.dh_measure(verify.projective_plane_model(2), (1, 2))]
+    for family, params, lam in (("AIII", (2, 1), (3, 1, -4)), ("CI", (2,), (5, 3))):
+        O = hermitian.orbit_spec(hermitian.build_pair(family, params), lam)
+        splines += [hermitian.t_type_measure(O), hermitian.k_type_measure(O)]
+    for S in splines:
+        for t in S.terms:
+            spline_density(S, tuple(b + 1 for b in t.base))
+    assert calls == []
+
+
+def test_non_certifying_certificate_leaves_improper_terms_rejected():
+    factors = vec((1, 0)), vec((-1, 0)), vec((0, 1))
+    assert not conespline._certify_proper(factors, vec((0, 1)))
+    with pytest.raises(NonProperConeError):
+        spline_term(1, (0, 0), factors)
+    with pytest.raises(NonProperConeError):
+        heaviside_density(factors, (0, 1))

@@ -294,8 +294,7 @@ def _plan(factors) -> tuple:
             return index[vectors]
         basis = [vectors[p] for p in rref(columns(vectors))[1]]
         B = columns(basis)
-        inv_cols = [solve(B, [ONE if i == j else ZERO for i in range(d)]) for j in range(d)]
-        rows = tuple(tuple(col[p] for col in inv_cols) for p in range(d))
+        rows = solve(B, [[ONE if i == j else ZERO for j in range(d)] for i in range(d)])
         if len(vectors) == d:
             ties = tuple(
                 next(1 if v > 0 else -1 for v in (vdot(row, total),) + row if v != 0)

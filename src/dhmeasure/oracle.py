@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, special
@@ -294,17 +295,19 @@ def spline_tail_bound(S, im_zeta, decay_log: float) -> float:
     return coeff_scale * total
 
 
+@lru_cache(maxsize=512)
 def _orthant_poly(poly, base, factors):
     """Expand poly(base + factors^T s) into orthant-coordinate monomials.
 
-    Returns {exponent tuple over s: float coefficient}. The identity
+    Returns ((exponent tuple over s, float coefficient), ...). The identity
     holds for any factor count because the multiplier is constant on
-    the fibers of the orthant map.
+    the fibers of the orthant map. Cached: a spline's terms are expanded
+    once, not once per zeta.
     """
     n = len(factors)
     one = {(0,) * n: 1.0}
     if poly is None:
-        return one
+        return tuple(one.items())
 
     def poly_mul(a, b):
         acc = {}
@@ -332,7 +335,7 @@ def _orthant_poly(poly, base, factors):
                 mono = poly_mul(mono, coords[i])
         for es, cs in mono.items():
             out[es] = out.get(es, 0.0) + float(c) * cs
-    return {e: c for e, c in out.items() if c != 0.0}
+    return tuple((e, c) for e, c in out.items() if c != 0.0)
 
 
 def _moment_quad(k, w, decay_log, cfg):
@@ -354,12 +357,15 @@ def _moment_quad(k, w, decay_log, cfg):
     return complex(val), float(tail)
 
 
-def _mapped_term_transform(term, poly, zeta, decay_log, cfg):
+def _mapped_term_transform(term, poly, zeta, decay_log, cfg, moments):
     """Transform of one signed term via orthant-coordinate factorization.
 
     Splits the kernel into independent one-dimensional moment integrals,
     one per factor, after expanding the multiplier in orthant coordinates.
-    Returns (value, tail_bound).
+    moments maps (k, w) to _moment_quad(k, w, decay_log, cfg) and the
+    undamped bound k!/Im(w)^(k+1); it is filled as needed, so terms sharing
+    a factor pairing w = <f, zeta> integrate each moment once. Returns
+    (value, tail_bound).
     """
     n = len(term.factors)
     phase = np.exp(1j * sum(float(b) * z for b, z in zip(term.base, zeta)))
@@ -372,19 +378,19 @@ def _mapped_term_transform(term, poly, zeta, decay_log, cfg):
         if w.imag <= 0:
             raise ValueError("Im(zeta) does not damp every factor direction")
         ws.append(w)
-    monos = _orthant_poly(poly, term.base, term.factors)
-    cache = {}
     value = 0.0 + 0.0j
     tail = 0.0
-    for es, c in monos.items():
+    for es, c in _orthant_poly(poly, term.base, term.factors):
         vals, tails, fulls = [], [], []
         for j, k in enumerate(es):
-            if (j, k) not in cache:
-                cache[(j, k)] = _moment_quad(k, ws[j], decay_log, cfg)
-            v, t = cache[(j, k)]
+            key = (k, ws[j])
+            if key not in moments:
+                moments[key] = (*_moment_quad(k, ws[j], decay_log, cfg),
+                                math.gamma(k + 1) / ws[j].imag ** (k + 1))
+            v, t, full = moments[key]
             vals.append(v)
             tails.append(t)
-            fulls.append(math.gamma(k + 1) / ws[j].imag ** (k + 1))
+            fulls.append(full)
         value += c * np.prod(vals)
         for j in range(n):
             bound = tails[j]
@@ -415,8 +421,9 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
         mcfg = cfg or QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
         value = 0.0 + 0.0j
         tail = 0.0
+        moments = {}
         for term in S.terms:
-            v, t = _mapped_term_transform(term, S.poly, zeta, decay_log, mcfg)
+            v, t = _mapped_term_transform(term, S.poly, zeta, decay_log, mcfg, moments)
             value += v
             tail += t
         return complex(value), tail

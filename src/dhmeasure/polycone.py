@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import lp
 from .lp import EQ, GE, LE, constraint
@@ -253,24 +254,11 @@ def interior_point(C: Cone):
     Halfspace form: maximize t subject to <n_i, x> >= t, t <= 1; for a cone
     the optimum is 1 exactly when C is full-dimensional. Generator form: the
     sum of the generators, valid once they span. Deterministic given input
-    order; the returned point is scaled to a primitive integer vector.
+    order, so the halfspace LP runs once per cone; the returned point is
+    scaled to a primitive integer vector.
     """
     if C.normals is not None:
-        d = C.dim
-        if not C.normals:
-            return tuple([ONE] + [ZERO] * (d - 1)) if d else ()
-        cons = []
-        for n in C.normals:
-            cons.append(constraint(list(n) + [-ONE], GE, 0))
-        tsel = [ZERO] * d + [ONE]
-        cons.append(constraint(tsel, LE, 1))
-        res = lp.solve_lp(tsel, cons, maximize=True)
-        if res.status != lp.OPTIMAL or res.objective <= 0:
-            raise NotFullDimensionalError("cone has empty interior")
-        x = primitive_ray(res.x[:d])
-        if any(vdot(n, x) <= 0 for n in C.normals):  # pragma: no cover
-            raise AssertionError("interior point certificate failed")
-        return x
+        return _slack_interior_point(C.dim, C.normals)
     gens = [g for g in C.generators if not is_zero_vec(g)]
     if rank([list(g) for g in gens]) < C.dim:
         raise NotFullDimensionalError("generators do not span")
@@ -279,6 +267,27 @@ def interior_point(C: Cone):
         for j in range(C.dim):
             total[j] += g[j]
     return primitive_ray(total)
+
+
+@lru_cache(maxsize=1024)
+def _slack_interior_point(d, normals):
+    """interior_point of a halfspace-form cone, memoised per (dim, normals):
+    the LP is deterministic, so every call on one cone returns one point. A
+    cone without interior is not cached and raises on every call."""
+    if not normals:
+        return tuple([ONE] + [ZERO] * (d - 1)) if d else ()
+    cons = []
+    for n in normals:
+        cons.append(constraint(list(n) + [-ONE], GE, 0))
+    tsel = [ZERO] * d + [ONE]
+    cons.append(constraint(tsel, LE, 1))
+    res = lp.solve_lp(tsel, cons, maximize=True)
+    if res.status != lp.OPTIMAL or res.objective <= 0:
+        raise NotFullDimensionalError("cone has empty interior")
+    x = primitive_ray(res.x[:d])
+    if any(vdot(n, x) <= 0 for n in normals):  # pragma: no cover
+        raise AssertionError("interior point certificate failed")
+    return x
 
 
 def extreme_rays(C: Cone, max_subsets: int = 20000):

@@ -123,19 +123,28 @@ def rank(rows) -> int:
 
 
 def solve(rows, rhs):
-    """One exact solution of ``rows @ x = rhs`` or None if inconsistent."""
+    """One exact solution of ``rows @ x = rhs`` or None if inconsistent.
+
+    As in numpy.linalg.solve, rhs is a vector or a matrix given by its rows;
+    a matrix rhs is solved by one elimination for all its columns and gives
+    the solution matrix by rows, or None if any column is inconsistent.
+    Free variables are set to zero.
+    """
     if not rows:
         return ()
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
+    matrix = bool(rhs) and isinstance(rhs[0], (list, tuple))
+    aug = [list(r) + (list(b) if matrix else [b]) for r, b in zip(rows, rhs, strict=True)]
     red, pivots = rref(aug)
-    # pivot in the rhs column means 0 = 1
-    if ncols in pivots:
+    # a pivot in an rhs column means 0 = 1
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [ZERO] * ncols
+    x = [[ZERO] * (len(aug[0]) - ncols) for _ in range(ncols)]
     for i, c in enumerate(pivots):
-        x[c] = red[i][ncols]
-    return tuple(x)
+        x[c] = red[i][ncols:]
+    if matrix:
+        return tuple(tuple(r) for r in x)
+    return tuple(r[0] for r in x)
 
 
 def nullspace(rows, ncols=None):

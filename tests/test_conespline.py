@@ -292,3 +292,27 @@ def test_non_certifying_certificate_leaves_improper_terms_rejected():
         spline_term(1, (0, 0), factors)
     with pytest.raises(NonProperConeError):
         heaviside_density(factors, (0, 1))
+
+
+def test_plan_rows_equal_the_per_column_route(monkeypatch):
+    from dhmeasure import rational
+
+    def per_column(rows, rhs):
+        # the inverse of a node's basis one unit column at a time
+        cols = [rational.solve(rows, [r[j] for r in rhs]) for j in range(len(rhs[0]))]
+        return tuple(tuple(c[p] for c in cols) for p in range(len(rows[0])))
+
+    factor_sets = {
+        tuple(sorted(t.factors))
+        for _name, M, chambers in verify.model_library()
+        for xi in chambers
+        for t in localize.dh_measure(M, xi).terms
+    }
+    try:
+        conespline._plan.cache_clear()
+        plans = {f: conespline._plan(f) for f in factor_sets}
+        conespline._plan.cache_clear()
+        monkeypatch.setattr(conespline, "solve", per_column)
+        assert {f: conespline._plan(f) for f in factor_sets} == plans
+    finally:
+        conespline._plan.cache_clear()

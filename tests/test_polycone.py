@@ -173,3 +173,26 @@ def test_not_full_dimensional_guard():
     flat = polycone.cone_from_normals(2, [(1, 1), (-1, -1)])
     with pytest.raises(polycone.NotFullDimensionalError):
         polycone.interior_point(flat)
+
+
+def test_interior_point_solves_one_lp_per_cone(monkeypatch):
+    from dhmeasure import lp
+
+    calls = []
+    real = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append(a) or real(*a, **k))
+    polycone._slack_interior_point.cache_clear()
+    normals = [(1, 0, 2), (0, 1, -1), (1, 1, 1)]
+    first = polycone.interior_point(polycone.cone_from_normals(3, normals))
+    # a maximisation is one minimisation, which solve_lp runs by a call
+    # to itself
+    assert len(calls) == 2
+    second = polycone.interior_point(polycone.cone_from_normals(3, normals))
+    assert len(calls) == 2
+    assert first == second and type(second) is tuple
+    assert all(vdot(n, first) > 0 for n in normals)
+    flat = polycone.cone_from_normals(2, [(1, 1), (-1, -1)])
+    for expected_calls in (4, 6):
+        with pytest.raises(polycone.NotFullDimensionalError):
+            polycone.interior_point(flat)
+        assert len(calls) == expected_calls

@@ -1,3 +1,5 @@
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from dhmeasure.rational import (
     primitive_ray,
     rat,
     rat_str,
+    solve,
     vdot,
     vec,
 )
@@ -72,3 +75,33 @@ def test_mat_vec():
 def test_vec_rejects_bad_entries():
     with pytest.raises((ValueError, TypeError)):
         vec(("a_string_not_a_number_x",))
+
+
+def _column_solves(rows, rhs):
+    cols = [solve(rows, [r[j] for r in rhs]) for j in range(len(rhs[0]))]
+    if any(c is None for c in cols):
+        return None
+    return tuple(tuple(c[i] for c in cols) for i in range(len(rows[0])))
+
+
+def test_solve_with_matrix_rhs_equals_column_by_column_solves():
+    rng = random.Random(8)
+
+    def entry():
+        return rat(rng.randint(-9, 9), rng.randint(1, 4))
+
+    for _ in range(40):
+        n, m, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+        A = [[entry() for _ in range(m)] for _ in range(n)]
+        # right-hand sides in the column space, so rank-deficient and
+        # over-determined systems stay consistent
+        X = [[entry() for _ in range(k)] for _ in range(m)]
+        B = [[vdot(a, [x[j] for x in X]) for j in range(k)] for a in A]
+        got = solve(A, B)
+        assert got is not None and got == _column_solves(A, B)
+        assert [[vdot(a, [x[j] for x in got]) for j in range(k)] for a in A] == B
+    # rank 1; the second column of the right-hand side is not in its span
+    A = [[rat(1), rat(2)], [rat(2), rat(4)]]
+    assert solve(A, [[rat(1), rat(1)], [rat(2), rat(3)]]) is None
+    assert solve(A, [rat(1), rat(3)]) is None
+    assert solve(A, [[rat(1)], [rat(2)]]) == ((rat(1),), (rat(0),))

@@ -307,7 +307,7 @@ def _verify_pair(pair):
 class OrbitSpec:
     pair: HermitianPairData
     lam: tuple  # in measure coordinates
-    lam_native: tuple  # sorted within compact blocks (diagonal entries for AIII)
+    lam_native: tuple  # as supplied (diagonal entries for AIII)
 
     @cached_property
     def model(self) -> "OrbitModel":
@@ -321,10 +321,6 @@ class OrbitSpec:
 
 
 def orbit_spec(pair: HermitianPairData, lam_native) -> OrbitSpec:
-    """The orbit through lambda, with lambda moved into the dominant compact
-    Weyl chamber: sorted decreasing within each compact block, the first p
-    and the last q diagonal entries for AIII(p, q) and all r entries for
-    CI(r). Every compact Weyl translate of lambda lies on the same orbit."""
     lam_native = vec(lam_native)
     if pair.family == "AIII":
         amb = pair.rank + 1
@@ -332,8 +328,6 @@ def orbit_spec(pair: HermitianPairData, lam_native) -> OrbitSpec:
             raise OrbitValidationError(
                 f"AIII{pair.params} expects {amb} diagonal entries"
             )
-        p = pair.params[0]
-        lam_native = _decreasing(lam_native[:p]) + _decreasing(lam_native[p:])
         lam = tuple(
             lam_native[a] - lam_native[a + 1] for a in range(pair.rank)
         )
@@ -342,14 +336,10 @@ def orbit_spec(pair: HermitianPairData, lam_native) -> OrbitSpec:
             raise OrbitValidationError(
                 f"CI({pair.params[0]}) expects {pair.rank} entries"
             )
-        lam_native = lam = _decreasing(lam_native)
+        lam = lam_native
     O = OrbitSpec(pair, lam, lam_native)
     _validate_orbit(O)
     return O
-
-
-def _decreasing(values) -> tuple:
-    return tuple(sorted(values, reverse=True))
 
 
 def _validate_orbit(O: OrbitSpec):

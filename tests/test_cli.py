@@ -251,17 +251,3 @@ def test_parse_grid_and_vector():
     with pytest.raises(argparse.ArgumentTypeError):
         cli.parse_grid("-1:1")
     assert cli.parse_vector("3/2,-1") == (rat(3, 2), -1)
-
-
-@pytest.mark.parametrize(
-    "family,params,lam,canonical",
-    [("AIII", [2, 1], ["1", "3", "-4"], ["3", "1", "-4"]),
-     ("CI", [3], ["3", "5", "1"], ["5", "3", "1"])],
-)
-def test_orbit_accepts_lambda_outside_the_dominant_compact_chamber(
-    family, params, lam, canonical, tmp_path, capsys
-):
-    path = write(tmp_path / "orbit.json", {"family": family, "params": params, "lambda": lam})
-    rc = cli.main(["orbit", "--input", path, "--zeta-samples", "1"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["lambda"] == canonical

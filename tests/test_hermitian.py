@@ -292,22 +292,3 @@ def test_compiled_transform_equals_from_scratch_route(family, params, lam):
         # bit for bit, not approximately
         assert expr.evaluate(zeta) == scratch
         assert laplace_nu_symbolic(spec, zeta) == (1j**power) * scratch
-
-
-@pytest.mark.parametrize(
-    "family,params,lam,translate",
-    [
-        ("AIII", (2, 1), (3, 1, -4), (1, 3, -4)),
-        ("AIII", (3, 2), (5, 3, 1, -1, -4), (3, 1, 5, -4, -1)),
-        ("CI", (2,), (5, 2), (2, 5)),
-        ("CI", (3,), (5, 3, 1), (3, 5, 1)),
-    ],
-)
-def test_compact_weyl_translates_of_lambda_give_equal_splines(family, params, lam, translate):
-    pair = build_pair(family, params)
-    dominant, moved = orbit_spec(pair, lam), orbit_spec(pair, translate)
-    assert moved.lam_native == dominant.lam_native
-    for measure in (t_type_measure, k_type_measure):
-        assert conespline.spline_to_json(measure(moved)) == conespline.spline_to_json(
-            measure(dominant)
-        )

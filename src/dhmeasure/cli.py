@@ -59,6 +59,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_tolerance(text: str) -> float:
+    """A tolerance is positive and finite: inf would pass every check and nan
+    none, so both are bad input rather than a verdict."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite tolerance")
+    return value
+
+
 def parse_grid(text: str):
     """--grid lo:hi:count per axis, comma separated."""
     axes = []
@@ -432,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="density grid, lo:hi:count per axis, comma separated")
     p.add_argument("--zeta-samples", type=positive_int, default=5)
     p.add_argument("--chamber", type=parse_vector, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=positive_tolerance, default=1e-6)
 
     p = sub.add_parser("orbit", help="orbit measures for a Hermitian pair")
     common(p)
@@ -440,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta-samples", type=positive_int, default=3)
     p.add_argument("--chamber", type=parse_vector, default=None)
     p.add_argument("--measure", choices=("t", "k", "both"), default="both")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=positive_tolerance, default=1e-6)
 
     p = sub.add_parser("verify", help="run cross-check suites")
     common(p, needs_input=False)

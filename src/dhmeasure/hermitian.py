@@ -1,25 +1,28 @@
-"""Root data for two families of noncompact pairs and their orbit measures.
+"""Root data of Hermitian symmetric pairs and their elliptic orbit measures.
 
-Supported families:
+A family is data (FAMILIES): its parameter caps, a torus basis B by rows in
+ambient coordinates, the scale c of the trace form, and its positive ambient
+roots with compact flags. Supported: AIII(p, q) = su(p, q) with p + q <= 5,
+and CI(r) = sp(r, R) with r <= 3. One function, build_pair, derives the rest:
 
-  AIII(p, q): su(p, q), p + q <= 5. Torus coordinates are values on the
-      simple coroot basis h_a = E_aa - E_{a+1,a+1} (d = p + q - 1 numbers);
-      an element of the torus Lie algebra is stored by its coefficients on
-      {h_a}, so weight evaluation is a plain dot product. Roots are e_i-e_j
-      on the diagonal; compact means both indices in the same block.
-  CI(r): sp(r, R), r <= 3. Standard coordinates e_i; compact roots e_i-e_j,
-      noncompact positive e_i+e_j (i <= j).
+  roots    B * root, compact first; weight evaluation is a dot product
+  duals    trace-form duals G^-1 * root, with G = c * B * B^T
+  center   the vector that is 0 on compact and 1 on noncompact roots
+  weyl     the compact Weyl group, closed from the compact reflections
+           s_a(x) = x - 2<x, dual_a>/<a, dual_a> a (identity first, then
+           sorted)
 
-The invariant form is the trace form of the defining representation. It
-fixes the compact-root dual vectors and the wall polynomial up to one
-positive scalar per family; every check downstream is scale-free.
+and checks every structural invariant. An orbit's lambda is given in
+ambient coordinates and measured as B * lambda. The trace form fixes the
+compact-root duals and the wall polynomial up to one positive scalar per
+family; every check downstream is scale-free.
 
 The orbit machinery: fixed points of the torus action on an elliptic orbit
 are the compact-Weyl translates w*lam; the weights there are w*roots. The
 full-torus measure comes from localize.dh_measure; the reduced measure keeps
 only noncompact convolution factors and multiplies by the product of the
-compact-root wall functionals. Its transform is computed symbolically in an
-exponential-rational algebra with exact Gaussian-rational coefficients.
+compact-root wall functionals. Its transform is derived symbolically, with
+exact Gaussian-rational coefficients, and compiled to float terms.
 
 Exact data is derived once and evaluated many times: build_pair caches the
 root data per family, and an OrbitSpec builds its orbit model and compiles
@@ -31,6 +34,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -45,7 +50,7 @@ from .conespline import (
     _certify_proper,
     spline_term,
 )
-from .rational import ZERO, det, mat_vec, rat, rat_str, vdot, vec
+from .rational import ONE, ZERO, det, mat_vec, rat, rat_str, solve, vdot, vec
 
 WEYL_CAP = 5000
 
@@ -93,51 +98,62 @@ def weyl_det(matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# family constructions
+# families as data
 
 
-def _aiii_root(i, j, d):
-    """e_i - e_j in coroot-basis coordinates (1-based ambient indices)."""
-    out = []
-    for a in range(1, d + 1):
-        v = ZERO
-        if i == a:
-            v += 1
-        if i == a + 1:
-            v -= 1
-        if j == a:
-            v -= 1
-        if j == a + 1:
-            v += 1
-        out.append(v)
-    return tuple(out)
+@dataclass(frozen=True)
+class Family:
+    """What a family supplies; build_pair derives the rest.
+
+    The torus basis B is given by rows in ambient coordinates, and the
+    positive roots as ambient vectors, so a root's torus coordinates are its
+    values on the basis, B * root. The trace form on the torus is
+    scale * B * B^T.
+    """
+
+    arity: int
+    caps: str  # the supported parameters, in words
+    fits: Callable  # (*params) -> bool
+    scale: int
+    basis: Callable  # (*params) -> rows of B
+    roots: Callable  # (*params) -> ((ambient root, compact?), ...) in order
 
 
-def _aiii_dual(i, j, d):
-    """Trace-form dual of e_i - e_j: coefficients on {h_a}."""
-    return tuple(rat(1) if i <= a < j else ZERO for a in range(1, d + 1))
+def _ambient(n, i, j, sign):
+    """e_i + sign * e_j in n ambient coordinates."""
+    v = [0] * n
+    v[i] += 1
+    v[j] += sign
+    return v
 
 
-def _aiii_transposition_matrix(a, d):
-    """Action on coordinates of swapping ambient diagonal slots a, a+1."""
-    cols = []
-    for b in range(1, d + 1):
-        w = [rat(1) if idx <= b else ZERO for idx in range(1, d + 2)]
-        w[a - 1], w[a] = w[a], w[a - 1]
-        cols.append(tuple(w[c] - w[c + 1] for c in range(d)))
-    return tuple(tuple(cols[b][r] for b in range(d)) for r in range(d))
-
-
-def _ci_transposition_matrix(a, d):
-    rows = []
-    for r in range(d):
-        src = r
-        if r == a - 1:
-            src = a
-        elif r == a:
-            src = a - 1
-        rows.append(tuple(rat(1) if c == src else ZERO for c in range(d)))
-    return tuple(rows)
+FAMILIES = {
+    # su(p, q): the torus is the trace-zero diagonal, with basis
+    # h_a = E_aa - E_{a+1,a+1}; e_i - e_j is compact when i, j share a block
+    "AIII": Family(
+        2,
+        "p,q >= 1 with p+q <= 5",
+        lambda p, q: p >= 1 and q >= 1 and p + q <= 5,
+        1,
+        lambda p, q: [_ambient(p + q, a, a + 1, -1) for a in range(p + q - 1)],
+        lambda p, q: [
+            (_ambient(p + q, i, j, -1), (i < p) == (j < p))
+            for i in range(p + q)
+            for j in range(i + 1, p + q)
+        ],
+    ),
+    # sp(r, R): standard coordinates e_i; compact roots e_i - e_j, noncompact
+    # positive roots e_i + e_j (i <= j)
+    "CI": Family(
+        1,
+        "1 <= r <= 3",
+        lambda r: 1 <= r <= 3,
+        2,
+        lambda r: [_ambient(r, i, i, 0) for i in range(r)],
+        lambda r: [(_ambient(r, i, j, -1), True) for i in range(r) for j in range(i + 1, r)]
+        + [(_ambient(r, i, j, 1), False) for i in range(r) for j in range(i, r)],
+    ),
+}
 
 
 def _mat_mul(A, B):
@@ -170,89 +186,57 @@ def _weyl_closure(dim, generators):
     return (ident,) + tuple(rest)
 
 
+def _reflection(root, dual):
+    """s(x) = x - 2<x, dual>/<root, dual> root, as a matrix by rows."""
+    f = 2 / vdot(root, dual)
+    n = len(root)
+    return tuple(
+        tuple((ONE if r == c else ZERO) - f * root[r] * dual[c] for c in range(n))
+        for r in range(n)
+    )
+
+
 def build_pair(family, params) -> HermitianPairData:
     """Construct the root data and verify every structural invariant.
 
     The data is immutable, so it is built and verified once per
-    (family, params) and shared afterwards."""
-    return _build_pair(family, tuple(params))
+    (family, params) and shared afterwards. A parameter is an integer: a
+    boolean or a non-integral number is rejected."""
+    for x in params:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1 != 0:
+            raise UnsupportedFamilyError(f"{family} parameters are integers, not {x!r}")
+    return _build_pair(family, tuple(int(x) for x in params))
 
 
 @lru_cache(maxsize=16)
 def _build_pair(family, params) -> HermitianPairData:
-    if family == "AIII":
-        p, q = (int(x) for x in params)
-        if p < 1 or q < 1 or p + q > 5:
-            raise UnsupportedFamilyError("AIII supports p,q >= 1 with p+q <= 5")
-        amb = p + q
-        d = amb - 1
-        compact, duals_c = [], []
-        for i in range(1, amb + 1):
-            for j in range(i + 1, amb + 1):
-                same = (j <= p) or (i > p)
-                if same:
-                    compact.append(_aiii_root(i, j, d))
-                    duals_c.append(_aiii_dual(i, j, d))
-        noncompact, duals_n = [], []
-        for i in range(1, p + 1):
-            for j in range(p + 1, amb + 1):
-                noncompact.append(_aiii_root(i, j, d))
-                duals_n.append(_aiii_dual(i, j, d))
-        z = [rat(q, amb)] * p + [rat(-p, amb)] * q
-        # partial sums of the trace-zero diagonal give the coefficients
-        xi0 = tuple(_cumsum(z)[:d])
-        gens = [
-            _aiii_transposition_matrix(a, d)
-            for a in range(1, amb)
-            if a != p
-        ]
-    elif family == "CI":
-        (r,) = (int(x) for x in params)
-        if r < 1 or r > 3:
-            raise UnsupportedFamilyError("CI supports 1 <= r <= 3")
-        d = r
-        compact, duals_c = [], []
-        for i in range(r):
-            for j in range(i + 1, r):
-                root = [ZERO] * r
-                root[i], root[j] = rat(1), rat(-1)
-                compact.append(tuple(root))
-                duals_c.append(tuple(x / 2 for x in root))
-        noncompact, duals_n = [], []
-        for i in range(r):
-            for j in range(i, r):
-                root = [ZERO] * r
-                root[i] += 1
-                root[j] += 1
-                noncompact.append(tuple(root))
-                duals_n.append(tuple(x / 2 for x in root))
-        xi0 = tuple(rat(1, 2) for _ in range(r))
-        gens = [_ci_transposition_matrix(a, d) for a in range(1, r)]
-    else:
+    spec = FAMILIES.get(family)
+    if spec is None:
         raise UnsupportedFamilyError(f"unknown family {family!r}")
-
-    weyl = _weyl_closure(d, gens)
-    pair = HermitianPairData(
-        family,
-        tuple(int(x) for x in params),
-        d,
-        tuple(compact) + tuple(noncompact),
-        len(compact),
-        tuple(duals_c) + tuple(duals_n),
-        weyl,
-        xi0,
-    )
+    if len(params) != spec.arity or not spec.fits(*params):
+        raise UnsupportedFamilyError(f"{family} supports {spec.caps}")
+    basis, inverse = _coordinates(family, params)
+    flagged = [(mat_vec(basis, a), compact) for a, compact in spec.roots(*params)]
+    compact = tuple(a for a, c in flagged if c)
+    roots = compact + tuple(a for a, c in flagged if not c)
+    k = len(compact)
+    # G = scale * B * B^T, so G^-1 * root = (B * B^T)^-1 * root / scale
+    duals = tuple(tuple(x / spec.scale for x in mat_vec(inverse, a)) for a in roots)
+    center = solve(roots, [0] * k + [1] * (len(roots) - k))
+    weyl = _weyl_closure(len(basis), [_reflection(a, b) for a, b in zip(compact, duals)])
+    pair = HermitianPairData(family, params, len(basis), roots, k, duals, weyl, center)
     _verify_pair(pair)
     return pair
 
 
-def _cumsum(values):
-    out = []
-    acc = ZERO
-    for v in values:
-        acc += v
-        out.append(acc)
-    return out
+@lru_cache(maxsize=16)
+def _coordinates(family, params) -> tuple:
+    """The torus basis B of a supported pair by exact rows, and the inverse
+    of B * B^T (the Euclidean form on ambient coordinates) by rows."""
+    basis = tuple(vec(row) for row in FAMILIES[family].basis(*params))
+    d = len(basis)
+    ident = [[ONE if i == j else ZERO for j in range(d)] for i in range(d)]
+    return basis, solve([[vdot(u, v) for v in basis] for u in basis], ident)
 
 
 def _verify_pair(pair):
@@ -306,8 +290,8 @@ def _verify_pair(pair):
 @dataclass(frozen=True)
 class OrbitSpec:
     pair: HermitianPairData
-    lam: tuple  # in measure coordinates
-    lam_native: tuple  # as supplied (diagonal entries for AIII)
+    lam: tuple  # in measure coordinates: B * lam_native
+    lam_native: tuple  # as supplied, in ambient coordinates
 
     @cached_property
     def model(self) -> "OrbitModel":
@@ -322,22 +306,13 @@ class OrbitSpec:
 
 def orbit_spec(pair: HermitianPairData, lam_native) -> OrbitSpec:
     lam_native = vec(lam_native)
-    if pair.family == "AIII":
-        amb = pair.rank + 1
-        if len(lam_native) != amb:
-            raise OrbitValidationError(
-                f"AIII{pair.params} expects {amb} diagonal entries"
-            )
-        lam = tuple(
-            lam_native[a] - lam_native[a + 1] for a in range(pair.rank)
+    basis, _ = _coordinates(pair.family, pair.params)
+    if len(lam_native) != len(basis[0]):
+        raise OrbitValidationError(
+            f"{pair.family}({', '.join(map(str, pair.params))}) expects "
+            f"{len(basis[0])} entries of lambda"
         )
-    else:
-        if len(lam_native) != pair.rank:
-            raise OrbitValidationError(
-                f"CI({pair.params[0]}) expects {pair.rank} entries"
-            )
-        lam = lam_native
-    O = OrbitSpec(pair, lam, lam_native)
+    O = OrbitSpec(pair, mat_vec(basis, lam_native), lam_native)
     _validate_orbit(O)
     return O
 
@@ -364,14 +339,11 @@ def wall_polynomial(pair: HermitianPairData) -> Polynomial:
 
 
 def orbit_chamber(O: OrbitSpec) -> tuple:
-    """The trace-form dual of lambda: the canonical chamber point."""
-    pair = O.pair
-    if pair.family == "AIII":
-        amb = pair.rank + 1
-        total = sum(O.lam_native, ZERO)
-        shifted = [x - total / amb for x in O.lam_native]
-        return tuple(_cumsum(shifted)[: pair.rank])
-    return O.lam
+    """The dual of lambda, (B B^T)^-1 lambda: the canonical chamber point.
+
+    It is the trace-form dual up to the family's positive scale."""
+    _, inverse = _coordinates(O.pair.family, O.pair.params)
+    return mat_vec(inverse, O.lam)
 
 
 @dataclass(frozen=True)
@@ -491,89 +463,7 @@ def k_type_measure(O: OrbitSpec) -> SignedConeSpline:
 
 
 # ---------------------------------------------------------------------------
-# exponential-rational algebra (exact Gaussian-rational coefficients)
-
-
-def _gadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-@dataclass(frozen=True)
-class ExpRationalSum:
-    """Sum of c * e^{i<mu, zeta>} / prod ell_j(zeta)^{m_j} terms.
-
-    Coefficients are exact Gaussian rationals (re, im); exponents mu and
-    denominator forms ell are rational covectors. Terms with equal
-    (exponent, denominator multiset) merge on construction and exact-zero
-    coefficients are pruned, which keeps repeated differentiation compact.
-    """
-
-    dim: int
-    terms: tuple  # of (coeff (re, im), exponent tuple, denom tuple of (form, mult))
-
-    @staticmethod
-    def build(dim, raw_terms) -> "ExpRationalSum":
-        acc = {}
-        for coeff, expo, denom in raw_terms:
-            coeff = (rat(coeff[0]), rat(coeff[1]))
-            expo = vec(expo)
-            denom = tuple(sorted((vec(f), int(m)) for f, m in denom))
-            key = (expo, denom)
-            acc[key] = _gadd(acc.get(key, (ZERO, ZERO)), coeff)
-        terms = tuple(
-            (c, e, dnm)
-            for (e, dnm), c in sorted(acc.items())
-            if not (c[0] == 0 and c[1] == 0)
-        )
-        return ExpRationalSum(dim, terms)
-
-    def __add__(self, other: "ExpRationalSum") -> "ExpRationalSum":
-        return ExpRationalSum.build(self.dim, self.terms + other.terms)
-
-    def scale(self, re, im=0) -> "ExpRationalSum":
-        c = (rat(re), rat(im))
-        return ExpRationalSum.build(
-            self.dim, tuple((_gmul(c, t[0]), t[1], t[2]) for t in self.terms)
-        )
-
-    def d_dir(self, xi) -> "ExpRationalSum":
-        """Plain directional derivative in zeta along xi."""
-        xi = vec(xi)
-        out = []
-        for coeff, expo, denom in self.terms:
-            pairing = vdot(expo, xi)  # d/dt e^{i<mu, zeta + t xi>} = i<mu,xi> e
-            out.append((_gmul(coeff, (ZERO, pairing)), expo, denom))
-            for j, (form, mult) in enumerate(denom):
-                fxi = vdot(form, xi)
-                if fxi == 0:
-                    continue
-                bumped = list(denom)
-                bumped[j] = (form, mult + 1)
-                out.append(
-                    ((coeff[0] * (-mult) * fxi, coeff[1] * (-mult) * fxi),
-                     expo,
-                     tuple(bumped))
-                )
-        return ExpRationalSum.build(self.dim, out)
-
-    @cached_property
-    def _float_terms(self) -> tuple:
-        out = []
-        for coeff, expo, denom in self.terms:
-            forms = _float_forms(form for form, _ in denom)
-            out.append((
-                complex(float(coeff[0]), float(coeff[1])),
-                tuple(float(x) for x in expo),
-                tuple((f, n, mult) for (f, n), (_, mult) in zip(forms, denom)),
-            ))
-        return tuple(out)
-
-    def evaluate(self, zeta) -> complex:
-        return _evaluate(self._float_terms, zeta)
+# the reduced transform, compiled to float terms
 
 
 def _float_forms(forms) -> list:
@@ -625,10 +515,10 @@ def _compile_transform(O: OrbitSpec) -> tuple:
     tuples, so the chain runs per point on {multiplicities: coefficient}.
     A phase derivative multiplies by i, so every term of multiplicity sum
     n_c + j took k - j of them: its exact coefficient is a rational times
-    i^(k - j), kept rational until the end. Terms come out as
-    ExpRationalSum would give them: sorted by (exponent, denominator), with
-    exact zeros pruned. The images w*lam are distinct (lam is off every
-    compact wall), so no two points share an exponent.
+    i^(k - j), kept rational until the end. Terms come out sorted by
+    (exponent, denominator), with exact zeros pruned. The images w*lam are
+    distinct (lam is off every compact wall), so no two points share an
+    exponent.
     """
     pair = O.pair
     n_c = len(pair.noncompact)

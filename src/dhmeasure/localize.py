@@ -294,8 +294,11 @@ def localization_sum(M: FixedPointModel, zeta, xi=None, strict: bool = True) -> 
     """
     zeta = tuple(complex(z) for z in zeta)
     if strict:
-        g = gamma_region(M, xi)
-        if not g.contains_im([z.imag for z in zeta]):
+        # the tube of gamma_region(M, xi), without renormalize's properness
+        # check: xi certifies the flipped weights whenever it is regular
+        R = _renormalize_unchecked(M, default_chamber(M) if xi is None else xi)
+        region = GammaRegion(M.dim, R.chamber_point, _distinct_factors(R))
+        if not region.contains_im([z.imag for z in zeta]):
             raise NonRegularXiError("Im(zeta) is outside the convergence tube")
     total = 0.0 + 0.0j
     for p in M.points:

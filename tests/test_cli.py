@@ -251,3 +251,39 @@ def test_parse_grid_and_vector():
     with pytest.raises(argparse.ArgumentTypeError):
         cli.parse_grid("-1:1")
     assert cli.parse_vector("3/2,-1") == (rat(3, 2), -1)
+
+
+@pytest.mark.parametrize("command", ["abelian", "orbit"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "-inf"])
+def test_tolerance_that_is_not_positive_and_finite_exits_two(
+    command, tol, sphere_input, orbit_input, capsys
+):
+    # inf would pass every check vacuously, nan and -1 fail every one
+    path = sphere_input if command == "abelian" else orbit_input
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--input", path, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "positive finite tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("AIII", [1.7, 1]),
+        ("AIII", [True, 1]),
+        ("AIII", [2, 0.5]),
+        ("AIII", ["2", 1]),
+        ("AIII", [3, 3]),
+        ("CI", [4]),
+        ("CI", [1, 1]),
+        ("EVII", [3]),
+    ],
+)
+def test_orbit_unsupported_params_exit_two(family, params, tmp_path, capsys):
+    # AIII [1.7, 1] used to run as AIII(1, 1) and exit 0
+    path = write(
+        tmp_path / "params.json", {"family": family, "params": params, "lambda": ["2", "-1"]}
+    )
+    assert cli.main(["orbit", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dhmeasure import conespline, hermitian, localize, oracle
 from dhmeasure.hermitian import (
+    HermitianPairData,
     OrbitValidationError,
     UnsupportedFamilyError,
     build_pair,
@@ -13,7 +16,8 @@ from dhmeasure.hermitian import (
     t_type_measure,
     weyl_det,
 )
-from dhmeasure.rational import mat_vec, rat, vdot
+from dhmeasure.rational import ZERO, mat_vec, rat, vdot, vec
+from exp_rational import ExpRationalSum
 
 
 def su11():
@@ -55,8 +59,30 @@ def test_sp2_pair_shape():
 
 
 def test_unsupported_family():
-    with pytest.raises(UnsupportedFamilyError):
-        build_pair("EVII", (3,))
+    # True == 1 and hashes alike: a cached AIII(1, 1) must not answer (True, 1)
+    build_pair("AIII", (1, 1))
+    for family, params in [
+        ("EVII", (3,)),
+        ("BDI", (3, 2)),
+        ("AIII", (3, 3)),
+        ("AIII", (1, 5)),
+        ("AIII", (0, 2)),
+        ("CI", (4,)),
+        ("CI", (0,)),
+        ("CI", (1, 1)),
+        ("AIII", (2,)),
+        ("AIII", (1.7, 1)),
+        ("AIII", (True, 1)),
+        ("CI", (2.5,)),
+        ("CI", ("2",)),
+        ("CI", (float("nan"),)),
+    ]:
+        with pytest.raises(UnsupportedFamilyError):
+            build_pair(family, params)
+
+
+def test_integral_float_params_are_integers():
+    assert build_pair("AIII", (2.0, 1)) is build_pair("AIII", (2, 1))
 
 
 def test_fixed_points_are_weyl_orbit_of_lambda():
@@ -250,7 +276,7 @@ def _derive_from_scratch(spec):
         sign = hermitian._compact_match_sign(pair, m)
         denom = tuple((mat_vec(m, b), 1) for b in pair.noncompact)
         raw.append(((sign, 0), pt.image, denom))
-    expr = hermitian.ExpRationalSum.build(pair.rank, raw)
+    expr = ExpRationalSum.build(pair.rank, raw)
     for dual in pair.killing_duals:
         expr = expr.d_dir(dual)
     return expr
@@ -292,3 +318,151 @@ def test_compiled_transform_equals_from_scratch_route(family, params, lam):
         # bit for bit, not approximately
         assert expr.evaluate(zeta) == scratch
         assert laplace_nu_symbolic(spec, zeta) == (1j**power) * scratch
+
+
+# ---------------------------------------------------------------------------
+# the per-family construction that the family table replaced, kept as the
+# reference: each family in its own coordinates
+
+
+def _ref_aiii_root(i, j, d):
+    """e_i - e_j in coroot-basis coordinates (1-based ambient indices)."""
+    out = []
+    for a in range(1, d + 1):
+        v = ZERO
+        if i == a:
+            v += 1
+        if i == a + 1:
+            v -= 1
+        if j == a:
+            v -= 1
+        if j == a + 1:
+            v += 1
+        out.append(v)
+    return tuple(out)
+
+
+def _ref_aiii_dual(i, j, d):
+    """Trace-form dual of e_i - e_j: coefficients on {h_a}."""
+    return tuple(rat(1) if i <= a < j else ZERO for a in range(1, d + 1))
+
+
+def _ref_aiii_transposition_matrix(a, d):
+    """Action on coordinates of swapping ambient diagonal slots a, a+1."""
+    cols = []
+    for b in range(1, d + 1):
+        w = [rat(1) if idx <= b else ZERO for idx in range(1, d + 2)]
+        w[a - 1], w[a] = w[a], w[a - 1]
+        cols.append(tuple(w[c] - w[c + 1] for c in range(d)))
+    return tuple(tuple(cols[b][r] for b in range(d)) for r in range(d))
+
+
+def _ref_ci_transposition_matrix(a, d):
+    rows = []
+    for r in range(d):
+        src = r
+        if r == a - 1:
+            src = a
+        elif r == a:
+            src = a - 1
+        rows.append(tuple(rat(1) if c == src else ZERO for c in range(d)))
+    return tuple(rows)
+
+
+def _ref_cumsum(values):
+    out = []
+    acc = ZERO
+    for v in values:
+        acc += v
+        out.append(acc)
+    return out
+
+
+def _ref_pair(family, params):
+    if family == "AIII":
+        p, q = params
+        amb = p + q
+        d = amb - 1
+        compact, duals_c = [], []
+        for i in range(1, amb + 1):
+            for j in range(i + 1, amb + 1):
+                if (j <= p) or (i > p):
+                    compact.append(_ref_aiii_root(i, j, d))
+                    duals_c.append(_ref_aiii_dual(i, j, d))
+        noncompact, duals_n = [], []
+        for i in range(1, p + 1):
+            for j in range(p + 1, amb + 1):
+                noncompact.append(_ref_aiii_root(i, j, d))
+                duals_n.append(_ref_aiii_dual(i, j, d))
+        z = [rat(q, amb)] * p + [rat(-p, amb)] * q
+        # partial sums of the trace-zero diagonal give the coefficients
+        xi0 = tuple(_ref_cumsum(z)[:d])
+        gens = [_ref_aiii_transposition_matrix(a, d) for a in range(1, amb) if a != p]
+    else:
+        (r,) = params
+        d = r
+        compact, duals_c = [], []
+        for i in range(r):
+            for j in range(i + 1, r):
+                root = [ZERO] * r
+                root[i], root[j] = rat(1), rat(-1)
+                compact.append(tuple(root))
+                duals_c.append(tuple(x / 2 for x in root))
+        noncompact, duals_n = [], []
+        for i in range(r):
+            for j in range(i, r):
+                root = [ZERO] * r
+                root[i] += 1
+                root[j] += 1
+                noncompact.append(tuple(root))
+                duals_n.append(tuple(x / 2 for x in root))
+        xi0 = tuple(rat(1, 2) for _ in range(r))
+        gens = [_ref_ci_transposition_matrix(a, d) for a in range(1, r)]
+    return HermitianPairData(
+        family,
+        tuple(params),
+        d,
+        tuple(compact) + tuple(noncompact),
+        len(compact),
+        tuple(duals_c) + tuple(duals_n),
+        hermitian._weyl_closure(d, gens),
+        xi0,
+    )
+
+
+def _ref_lam(pair, lam_native):
+    if pair.family == "AIII":
+        return tuple(lam_native[a] - lam_native[a + 1] for a in range(pair.rank))
+    return lam_native
+
+
+def _ref_chamber(pair, lam_native):
+    if pair.family == "AIII":
+        amb = pair.rank + 1
+        total = sum(lam_native, ZERO)
+        return tuple(_ref_cumsum([x - total / amb for x in lam_native])[: pair.rank])
+    return lam_native
+
+
+@pytest.mark.parametrize("family,params", SUPPORTED_PAIRS)
+def test_family_table_reproduces_the_per_family_construction(family, params):
+    pair = build_pair(family, params)
+    assert pair == _ref_pair(family, params)
+    assert all(type(x) is Fraction for m in pair.weyl for row in m for x in row)
+    rng = np.random.default_rng(sum(params) + 10 * len(family))
+    if family == "AIII":
+        p, q = params
+    else:
+        p, q = params[0], 0
+    for _ in range(30):
+        # top block positive, bottom block nonpositive, distinct within each
+        top = rng.choice(np.arange(1, 60), size=p, replace=False)
+        low = rng.choice(np.arange(-60, 1), size=q, replace=False)
+        lam_native = vec(
+            Fraction(int(x), int(rng.integers(1, 5))) for x in list(top) + list(low)
+        )
+        if len(set(lam_native)) < p + q:
+            continue
+        spec = orbit_spec(pair, lam_native)
+        assert spec.lam == _ref_lam(pair, lam_native)
+        assert hermitian.orbit_chamber(spec) == _ref_chamber(pair, lam_native)

@@ -91,6 +91,37 @@ def test_localization_rejects_zeta_outside_tube():
         localize.localization_sum(M, (0.5 - 1.0j,), (1,))
 
 
+def test_strict_localization_sum_decides_the_tube_without_renormalizing(monkeypatch):
+    cases = [
+        (M, xi, localize.gamma_region(M, xi))
+        for _, M, chambers in verify.model_library()
+        for xi in chambers
+    ]
+    calls = []
+    real = localize.renormalize
+    monkeypatch.setattr(
+        localize, "renormalize", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    rng = np.random.default_rng(17)
+    inside = outside = 0
+    for M, xi, region in cases:
+        for _ in range(12):
+            # small integers put some draws exactly on a tube wall
+            eta = rng.integers(-2, 3, size=M.dim) * rng.choice([1.0, 0.3])
+            zeta = tuple(complex(r, i) for r, i in zip(rng.uniform(-1, 1, M.dim), eta))
+            if region.contains_im(eta):
+                localize.localization_sum(M, zeta, xi)
+                inside += 1
+            else:
+                with pytest.raises(localize.NonRegularXiError, match="tube"):
+                    localize.localization_sum(M, zeta, xi)
+                outside += 1
+    with pytest.raises(localize.NonRegularXiError, match="pairs to zero"):
+        localize.localization_sum(sphere(2), (0.5 + 1.0j,), (0,))
+    assert calls == []
+    assert inside > 10 and outside > 10
+
+
 def test_gamma_region_membership():
     M = sphere(2)
     region = localize.gamma_region(M, (1,))

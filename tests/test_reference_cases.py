@@ -5,6 +5,7 @@ import pytest
 
 from dhmeasure import conespline, hermitian, localize, polycone
 from dhmeasure.rational import rat, vdot
+from exp_rational import ExpRationalSum
 
 
 def test_equality_strip_is_feasible():
@@ -217,7 +218,7 @@ def test_symbolic_derivative_one_step():
     mu = (3, 1)
     ell = (1, 2)
     xi = (1, 0)
-    E = hermitian.ExpRationalSum.build(2, [(((1, 0)), mu, ((ell, 1),))])
+    E = ExpRationalSum.build(2, [(((1, 0)), mu, ((ell, 1),))])
     D = E.d_dir(xi)
     want = {
         (tuple(rat(x) for x in mu), ((tuple(rat(x) for x in ell), 1),)): (0, 3),

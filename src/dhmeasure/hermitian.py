@@ -1,14 +1,15 @@
 """Root data of Hermitian symmetric pairs and their elliptic orbit measures.
 
-A family is data (FAMILIES): its parameter caps, a torus basis B by rows in
-ambient coordinates, the scale c of the trace form, and its positive ambient
-roots with compact flags. Supported: AIII(p, q) = su(p, q) with p + q <= 5,
-and CI(r) = sp(r, R) with r <= 3. One function, build_pair, derives the rest:
+A family is data (FAMILIES): its supported parameters, a torus basis B by
+rows in ambient coordinates, the scale c of the trace form, and its positive
+ambient roots with compact flags. Supported: AIII(p, q) = su(p, q) with
+p, q >= 1 and p + q <= 5, and CI(r) = sp(r, R) with r <= 3. One function,
+build_pair, derives the rest:
 
   roots    B * root, compact first; weight evaluation is a dot product
   duals    trace-form duals G^-1 * root, with G = c * B * B^T
   center   the vector that is 0 on compact and 1 on noncompact roots
-  weyl     the compact Weyl group, closed from the compact reflections
+  weyl     the compact Weyl group, closed from the simple compact reflections
            s_a(x) = x - 2<x, dual_a>/<a, dual_a> a (identity first, then
            sorted)
 
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -111,9 +111,7 @@ class Family:
     scale * B * B^T.
     """
 
-    arity: int
-    caps: str  # the supported parameters, in words
-    fits: Callable  # (*params) -> bool
+    supported: tuple  # the parameter tuples build_pair accepts
     scale: int
     basis: Callable  # (*params) -> rows of B
     roots: Callable  # (*params) -> ((ambient root, compact?), ...) in order
@@ -131,9 +129,7 @@ FAMILIES = {
     # su(p, q): the torus is the trace-zero diagonal, with basis
     # h_a = E_aa - E_{a+1,a+1}; e_i - e_j is compact when i, j share a block
     "AIII": Family(
-        2,
-        "p,q >= 1 with p+q <= 5",
-        lambda p, q: p >= 1 and q >= 1 and p + q <= 5,
+        ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)),
         1,
         lambda p, q: [_ambient(p + q, a, a + 1, -1) for a in range(p + q - 1)],
         lambda p, q: [
@@ -145,9 +141,7 @@ FAMILIES = {
     # sp(r, R): standard coordinates e_i; compact roots e_i - e_j, noncompact
     # positive roots e_i + e_j (i <= j)
     "CI": Family(
-        1,
-        "1 <= r <= 3",
-        lambda r: 1 <= r <= 3,
+        ((1,), (2,), (3,)),
         2,
         lambda r: [_ambient(r, i, i, 0) for i in range(r)],
         lambda r: [(_ambient(r, i, j, -1), True) for i in range(r) for j in range(i + 1, r)]
@@ -200,21 +194,23 @@ def build_pair(family, params) -> HermitianPairData:
     """Construct the root data and verify every structural invariant.
 
     The data is immutable, so it is built and verified once per
-    (family, params) and shared afterwards. A parameter is an integer: a
-    boolean or a non-integral number is rejected."""
-    for x in params:
-        if isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1 != 0:
-            raise UnsupportedFamilyError(f"{family} parameters are integers, not {x!r}")
-    return _build_pair(family, tuple(int(x) for x in params))
+    (family, params) and shared afterwards. The parameters are looked up
+    in the family's table by value, so 2.0 is read as 2 and 1.7 is rejected;
+    a boolean, which would equal 0 or 1, is rejected by type."""
+    spec = FAMILIES.get(family)
+    if spec is None:
+        raise UnsupportedFamilyError(f"unknown family {family!r}")
+    params = tuple(params)
+    if any(isinstance(x, bool) for x in params) or params not in spec.supported:
+        raise UnsupportedFamilyError(
+            f"{family} supports params {', '.join(map(str, spec.supported))}"
+        )
+    return _build_pair(family, spec.supported[spec.supported.index(params)])
 
 
 @lru_cache(maxsize=16)
 def _build_pair(family, params) -> HermitianPairData:
-    spec = FAMILIES.get(family)
-    if spec is None:
-        raise UnsupportedFamilyError(f"unknown family {family!r}")
-    if len(params) != spec.arity or not spec.fits(*params):
-        raise UnsupportedFamilyError(f"{family} supports {spec.caps}")
+    spec = FAMILIES[family]
     basis, inverse = _coordinates(family, params)
     flagged = [(mat_vec(basis, a), compact) for a, compact in spec.roots(*params)]
     compact = tuple(a for a, c in flagged if c)
@@ -223,7 +219,14 @@ def _build_pair(family, params) -> HermitianPairData:
     # G = scale * B * B^T, so G^-1 * root = (B * B^T)^-1 * root / scale
     duals = tuple(tuple(x / spec.scale for x in mat_vec(inverse, a)) for a in roots)
     center = solve(roots, [0] * k + [1] * (len(roots) - k))
-    weyl = _weyl_closure(len(basis), [_reflection(a, b) for a, b in zip(compact, duals)])
+    # the simple compact roots, those that are no sum of two compact roots,
+    # generate the group
+    simple = [
+        _reflection(a, b)
+        for a, b in zip(compact, duals)
+        if not any(tuple(x - y for x, y in zip(a, c)) in compact for c in compact)
+    ]
+    weyl = _weyl_closure(len(basis), simple)
     pair = HermitianPairData(family, params, len(basis), roots, k, duals, weyl, center)
     _verify_pair(pair)
     return pair

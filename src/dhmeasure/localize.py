@@ -281,7 +281,9 @@ class GammaRegion:
 
 
 def gamma_region(M: FixedPointModel, xi=None) -> GammaRegion:
-    R = renormalize(M, xi)
+    # no properness check: the flip makes every factor pair strictly
+    # positively with xi, so xi already certifies the cone
+    R = _renormalize_unchecked(M, default_chamber(M) if xi is None else xi)
     return GammaRegion(M.dim, R.chamber_point, _distinct_factors(R))
 
 
@@ -294,11 +296,8 @@ def localization_sum(M: FixedPointModel, zeta, xi=None, strict: bool = True) -> 
     """
     zeta = tuple(complex(z) for z in zeta)
     if strict:
-        # the tube of gamma_region(M, xi), without renormalize's properness
-        # check: xi certifies the flipped weights whenever it is regular
-        R = _renormalize_unchecked(M, default_chamber(M) if xi is None else xi)
-        region = GammaRegion(M.dim, R.chamber_point, _distinct_factors(R))
-        if not region.contains_im([z.imag for z in zeta]):
+        g = gamma_region(M, xi)
+        if not g.contains_im([z.imag for z in zeta]):
             raise NonRegularXiError("Im(zeta) is outside the convergence tube")
     total = 0.0 + 0.0j
     for p in M.points:

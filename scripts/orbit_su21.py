@@ -57,8 +57,9 @@ def main():
         print(f"  zeta={tuple(f'{z:.3f}' for z in zeta)}  "
               f"sym={sym:.6e}  rel diff={rel:.2e}")
 
+    region = localize.gamma_region(om.model, om.chamber)
     loc = hermitian.compact_orientation(spec.pair) * localize.localization_sum(
-        om.model, (0.3 + 1.2j, -0.2 + 1.5j), om.chamber
+        om.model, (0.3 + 1.2j, -0.2 + 1.5j), region
     )
     closed = conespline.spline_laplace(St, (0.3 + 1.2j, -0.2 + 1.5j))
     print(f"\nfull-measure transform vs fixed-point sum: "

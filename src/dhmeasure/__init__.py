@@ -63,7 +63,6 @@ from .oracle import (
     lattice_count,
     montecarlo_pushforward,
     numeric_laplace,
-    numeric_laplace_cone,
     numeric_laplace_spline,
     quadrature_convolution,
     truncated_circle_check,

@@ -13,12 +13,12 @@ Exit codes: 0 success, 1 a verification or tolerance check failed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -28,21 +28,6 @@ from .conespline import atomic_write_text
 from .rational import rat, rat_str, vec
 
 log = logging.getLogger("dhmeasure")
-
-
-@dataclass
-class RunConfig:
-    input_path: str | None = None
-    out: str | None = None
-    grid: tuple | None = None  # ((lo, hi, count) per axis)
-    zeta_samples: int = 5
-    seed: int = 0
-    chamber: tuple | None = None
-    measure: str = "both"
-    tol: float = 1e-6
-    xi_list: tuple = ()
-    suites: tuple = ()
-    samples: int | None = None
 
 
 def parse_vector(text: str):
@@ -56,6 +41,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a count of at least 1")
+    return value
+
+
+def seed_value(text: str) -> int:
+    """A draw seed keys a 64-bit counter-based generator: 0 <= seed < 2^64."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"{text} is not a seed in [0, 2^64)")
     return value
 
 
@@ -85,13 +78,8 @@ def parse_grid(text: str):
 
 
 def grid_points(axes):
-    lin = [np.linspace(lo, hi, count) for lo, hi, count in axes]
-    shape = tuple(len(a) for a in lin)
-    pts = []
-    for flat in range(int(np.prod(shape))):
-        idx = np.unravel_index(flat, shape)
-        pts.append(tuple(float(lin[k][idx[k]]) for k in range(len(lin))))
-    return pts
+    lin = [[float(x) for x in np.linspace(lo, hi, count)] for lo, hi, count in axes]
+    return list(itertools.product(*lin))
 
 
 def default_grid(images, dim, count=25):
@@ -135,9 +123,9 @@ def _emit(payload, out_path):
 # cones
 
 
-def cmd_cones(cfg: RunConfig) -> int:
-    data = _load_json(cfg.input_path)
-    report = {"input": cfg.input_path}
+def cmd_cones(args) -> int:
+    data = _load_json(args.input)
+    report = {"input": args.input}
     if "halfspaces" in data:
         P = polycone.polyhedron_from_json(data)
         report["kind"] = "polyhedron"
@@ -149,7 +137,7 @@ def cmd_cones(cfg: RunConfig) -> int:
             report["compact"] = polycone.is_compact(P)
             report["proper"] = polycone.is_proper(P)
             per_xi = []
-            for xi in cfg.xi_list:
+            for xi in args.xi:
                 per_xi.append(
                     {
                         "xi": [rat_str(x) for x in xi],
@@ -175,50 +163,73 @@ def cmd_cones(cfg: RunConfig) -> int:
             report["interior_point"] = None
         if C.normals is not None and C.generators is not None:
             report["representations_consistent"] = polycone.cone_consistency_check(C)
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     return 0
+
+
+# ---------------------------------------------------------------------------
+# transform checks and density grids, shared by abelian and orbit
+
+
+def _chamber(args, dim):
+    """--chamber if given (None otherwise), checked against the dimension."""
+    if args.chamber is not None and len(args.chamber) != dim:
+        raise ValueError(
+            f"--chamber has {len(args.chamber)} coordinates but the model "
+            f"has dimension {dim}"
+        )
+    return args.chamber
+
+
+def _localization_samples(S, M, region, rng, count, orient=1):
+    """Draw count zetas in the region's tube, around its interior direction,
+    and at each compare the spline's closed transform with the oriented
+    fixed-point sum, in that order."""
+    samples = []
+    direction = region.sample_interior()
+    for zeta in localize.tube_zetas(rng, direction, region.factors, count):
+        closed = conespline.spline_laplace(S, zeta)
+        loc = orient * localize.localization_sum(M, zeta, region)
+        samples.append(
+            {
+                "zeta": [[z.real, z.imag] for z in zeta],
+                "spline_transform": [closed.real, closed.imag],
+                "localization_sum": [loc.real, loc.imag],
+                "rel_difference": abs(closed - loc) / max(abs(loc), 1e-300),
+            }
+        )
+    return samples
+
+
+def _worst(samples):
+    return max((s["rel_difference"] for s in samples), default=0.0)
+
+
+def _write_density(path, S, points):
+    rows = []
+    for mu in points:
+        dv = conespline.spline_density(S, mu)
+        rows.append((mu, dv.value, dv.abs_error_bound))
+    conespline.write_density_csv(path, S.dim, rows)
 
 
 # ---------------------------------------------------------------------------
 # abelian models
 
 
-def _tube_zetas(region, rng, count):
-    """zeta draws with Im inside the tube, rescaled for quick decay."""
-    direction = np.array([float(x) for x in region.sample_interior()])
-    out = []
-    for _ in range(count):
-        im = direction * float(rng.uniform(0.8, 1.6)) + rng.uniform(
-            -0.2, 0.2, size=region.dim
-        )
-        if not region.contains_im(im):
-            im = direction
-        rates = [
-            sum(float(a) * b for a, b in zip(f, im))
-            / math.sqrt(sum(float(a) ** 2 for a in f))
-            for f in region.factors
-        ]
-        m = min(rates)
-        if m < 0.5:
-            im = im * (0.5 / m)
-        re = rng.uniform(-1.5, 1.5, size=region.dim)
-        out.append(tuple(complex(r, i) for r, i in zip(re, im)))
-    return out
-
-
-def cmd_abelian(cfg: RunConfig) -> int:
-    M = localize.model_from_json(_load_json(cfg.input_path))
+def cmd_abelian(args) -> int:
+    M = localize.model_from_json(_load_json(args.input))
     check = localize.validate_model(M)
     if not check.ok:
         log.error("model validation failed: %s", "; ".join(check.issues))
         return 2
-    xi = cfg.chamber if cfg.chamber is not None else localize.default_chamber(M)
+    xi = _chamber(args, M.dim) or localize.default_chamber(M)
     S = localize.dh_measure(M, xi)
     region = localize.gamma_region(M, xi)
-    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 101]))
+    rng = np.random.Generator(np.random.Philox(key=[args.seed, 101]))
 
     report = {
-        "input": cfg.input_path,
+        "input": args.input,
         "dim": M.dim,
         "halfdim": M.halfdim,
         "points": len(M.points),
@@ -230,39 +241,19 @@ def cmd_abelian(cfg: RunConfig) -> int:
         },
         "support_min": rat_str(localize.support_min(M, xi)),
     }
-
-    samples = []
-    worst = 0.0
-    for zeta in _tube_zetas(region, rng, cfg.zeta_samples):
-        closed = conespline.spline_laplace(S, zeta)
-        loc = localize.localization_sum(M, zeta, xi)
-        rel = abs(closed - loc) / max(abs(loc), 1e-300)
-        worst = max(worst, rel)
-        samples.append(
-            {
-                "zeta": [[z.real, z.imag] for z in zeta],
-                "spline_transform": [closed.real, closed.imag],
-                "localization_sum": [loc.real, loc.imag],
-                "rel_difference": rel,
-            }
-        )
+    samples = _localization_samples(S, M, region, rng, args.zeta_samples)
     report["laplace_samples"] = samples
-    report["laplace_worst_rel"] = worst
-    report["laplace_tol"] = cfg.tol
-    report["passed"] = worst <= cfg.tol
+    report["laplace_worst_rel"] = _worst(samples)
+    report["laplace_tol"] = args.tol
+    report["passed"] = report["laplace_worst_rel"] <= args.tol
 
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        axes = cfg.grid or default_grid([p.image for p in M.points], M.dim)
-        rows = []
-        for mu in grid_points(axes):
-            dv = conespline.spline_density(S, mu)
-            rows.append((mu, dv.value, dv.abs_error_bound))
-        csv_path = os.path.join(cfg.out, "density.csv")
-        conespline.write_density_csv(csv_path, M.dim, rows)
-        write_json(os.path.join(cfg.out, "spline.json"), conespline.spline_to_json(S))
-        write_json(os.path.join(cfg.out, "report.json"), report)
-        log.info("wrote %s", cfg.out)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        axes = args.grid or default_grid([p.image for p in M.points], M.dim)
+        _write_density(os.path.join(args.out, "density.csv"), S, grid_points(axes))
+        write_json(os.path.join(args.out, "spline.json"), conespline.spline_to_json(S))
+        write_json(os.path.join(args.out, "report.json"), report)
+        log.info("wrote %s", args.out)
     else:
         _emit(report, None)
     return 0 if report["passed"] else 1
@@ -272,15 +263,15 @@ def cmd_abelian(cfg: RunConfig) -> int:
 # orbits
 
 
-def cmd_orbit(cfg: RunConfig) -> int:
-    O = hermitian.orbit_from_json(_load_json(cfg.input_path))
+def cmd_orbit(args) -> int:
+    O = hermitian.orbit_from_json(_load_json(args.input))
     pair = O.pair
     om = O.model
     M = om.model
-    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 202]))
+    rng = np.random.Generator(np.random.Philox(key=[args.seed, 202]))
 
     report = {
-        "input": cfg.input_path,
+        "input": args.input,
         "family": pair.family,
         "params": list(pair.params),
         "rank": pair.rank,
@@ -293,95 +284,73 @@ def cmd_orbit(cfg: RunConfig) -> int:
         "wall_values": [(lbl, rat_str(v)) for lbl, v in om.wall_values],
     }
 
-    want_t = cfg.measure in ("t", "both")
-    want_k = cfg.measure in ("k", "both")
-    out_files = {}
+    want_t = args.measure in ("t", "both")
+    want_k = args.measure in ("k", "both")
     passed = True
 
     St = Sk = None
     if want_t:
-        xi = cfg.chamber if cfg.chamber is not None else om.chamber
+        xi = _chamber(args, pair.rank) or om.chamber
         St = hermitian.t_type_measure(O, xi)
         region = localize.gamma_region(M, xi)
-        worst = 0.0
         orient = hermitian.compact_orientation(pair)
-        for zeta in _tube_zetas(region, rng, cfg.zeta_samples):
-            closed = conespline.spline_laplace(St, zeta)
-            loc = orient * localize.localization_sum(M, zeta, xi)
-            worst = max(worst, abs(closed - loc) / max(abs(loc), 1e-300))
+        worst = _worst(
+            _localization_samples(St, M, region, rng, args.zeta_samples, orient)
+        )
         report["t_measure"] = {
             "chamber": [rat_str(x) for x in xi],
             "terms": len(St.terms),
             "localization_worst_rel": worst,
         }
-        passed = passed and worst <= cfg.tol
+        passed = passed and worst <= args.tol
 
     if want_k:
         Sk = hermitian.k_type_measure(O)
-        worst = 0.0
         zsamples = []
-        nfac = tuple(sorted(pair.noncompact))
-        for _ in range(cfg.zeta_samples):
-            im = np.array([float(x) for x in pair.center_vector]) * float(
-                rng.uniform(1.0, 1.8)
-            ) + rng.uniform(-0.15, 0.15, size=pair.rank)
-            rates = [
-                sum(float(a) * b for a, b in zip(f, im))
-                / math.sqrt(sum(float(a) ** 2 for a in f))
-                for f in nfac
-            ]
-            m = min(rates)
-            if m < 0.8:
-                im = im * (0.8 / m)
-            re = rng.uniform(-1.0, 1.0, size=pair.rank)
-            zeta = tuple(complex(r, i) for r, i in zip(re, im))
+        for zeta in localize.tube_zetas(
+            rng, pair.center_vector, pair.noncompact, args.zeta_samples
+        ):
             symbolic = hermitian.laplace_nu_symbolic(O, zeta)
             numeric, tail = oracle.numeric_laplace_spline(
                 Sk, zeta, method="mapped"
             )
-            rel = abs(symbolic - numeric) / max(abs(symbolic), 1e-300)
-            worst = max(worst, rel)
             zsamples.append(
                 {
                     "zeta": [[z.real, z.imag] for z in zeta],
                     "symbolic": [symbolic.real, symbolic.imag],
                     "numeric": [numeric.real, numeric.imag],
                     "numeric_tail_bound": tail,
-                    "rel_difference": rel,
+                    "rel_difference": abs(symbolic - numeric)
+                    / max(abs(symbolic), 1e-300),
                 }
             )
+        worst = _worst(zsamples)
         report["k_measure"] = {
             "terms": len(Sk.terms),
             "wall_polynomial": Sk.poly.to_json() if Sk.poly is not None else None,
             "symbolic_vs_numeric": zsamples,
             "worst_rel": worst,
         }
-        passed = passed and worst <= max(cfg.tol, 1e-3)
+        passed = passed and worst <= max(args.tol, 1e-3)
 
-    report["tol"] = cfg.tol
+    report["tol"] = args.tol
     report["passed"] = passed
 
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        axes = cfg.grid or default_grid([p.image for p in M.points], pair.rank)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        axes = args.grid or default_grid([p.image for p in M.points], pair.rank)
         pts = grid_points(axes)
-        write_json(os.path.join(cfg.out, "weyl.json"), hermitian.weyl_to_json(pair))
+        write_json(os.path.join(args.out, "weyl.json"), hermitian.weyl_to_json(pair))
         for tag, S in (("t", St), ("k", Sk)):
             if S is None:
                 continue
             write_json(
-                os.path.join(cfg.out, f"{tag}_spline.json"),
+                os.path.join(args.out, f"{tag}_spline.json"),
                 conespline.spline_to_json(S),
             )
-            rows = []
-            for mu in pts:
-                dv = conespline.spline_density(S, mu)
-                rows.append((mu, dv.value, dv.abs_error_bound))
-            conespline.write_density_csv(
-                os.path.join(cfg.out, f"{tag}_density.csv"), pair.rank, rows
-            )
-        write_json(os.path.join(cfg.out, "report.json"), report)
-        log.info("wrote %s", cfg.out)
+            _write_density(os.path.join(args.out, f"{tag}_density.csv"), S, pts)
+        write_json(os.path.join(args.out, "report.json"), report)
+        log.info("wrote %s", args.out)
     else:
         _emit(report, None)
     return 0 if passed else 1
@@ -391,18 +360,19 @@ def cmd_orbit(cfg: RunConfig) -> int:
 # verify
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     overrides = {}
-    if cfg.samples is not None:
-        overrides["montecarlo"] = {"samples": cfg.samples}
-    result = verify.run_suites(cfg.suites or None, seed=cfg.seed, **overrides)
+    if args.samples is not None:
+        overrides["montecarlo"] = {"samples": args.samples}
+    names = [s.strip() for s in args.suites.split(",")] if args.suites else None
+    result = verify.run_suites(names, seed=args.seed, **overrides)
     for rep in result["suites"]:
         status = "pass" if rep["passed"] else "FAIL"
         print(f"{rep['suite']:<12} {status}  checks={rep['checks']} "
               f"failed={rep['failed']} time={rep['elapsed_s']}s")
-    if cfg.out:
-        write_json(cfg.out, result)
-        log.info("wrote %s", cfg.out)
+    if args.out:
+        write_json(args.out, result)
+        log.info("wrote %s", args.out)
     return 0 if result["passed"] else 1
 
 
@@ -423,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--seed", type=int, default=0, help="draw seed (default 0)")
+        p.add_argument("--seed", type=seed_value, default=0,
+                       help="draw seed, 0 <= seed < 2^64 (default 0)")
 
     p = sub.add_parser("cones", help="polyhedral predicates and witnesses")
     common(p)
@@ -462,23 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo sample override")
 
     return top
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    cfg.input_path = getattr(args, "input", None)
-    cfg.out = args.out
-    cfg.seed = args.seed
-    cfg.grid = getattr(args, "grid", None)
-    cfg.zeta_samples = getattr(args, "zeta_samples", 5)
-    cfg.chamber = getattr(args, "chamber", None)
-    cfg.measure = getattr(args, "measure", "both")
-    cfg.tol = getattr(args, "tol", 1e-6)
-    cfg.xi_list = tuple(getattr(args, "xi", []) or [])
-    suites = getattr(args, "suites", None)
-    cfg.suites = tuple(s.strip() for s in suites.split(",")) if suites else ()
-    cfg.samples = getattr(args, "samples", None)
-    return cfg
 
 
 _COMMANDS = {
@@ -521,9 +475,8 @@ def main(argv=None) -> int:
     )
     argv = _merge_dash_values(sys.argv[1:] if argv is None else list(argv))
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](args)
     except (
         OSError,
         json.JSONDecodeError,

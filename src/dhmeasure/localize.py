@@ -15,6 +15,7 @@ exactly and runs no LP.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -287,23 +288,53 @@ def gamma_region(M: FixedPointModel, xi=None) -> GammaRegion:
     return GammaRegion(M.dim, R.chamber_point, _distinct_factors(R))
 
 
-def localization_sum(M: FixedPointModel, zeta, xi=None, strict: bool = True) -> complex:
-    """Oscillatory fixed-point sum with the raw weights.
-
-    strict=True insists Im(zeta) lies in the tube attached to the chamber;
-    strict=False evaluates the same expression at any regular zeta
-    (analytic continuation, e.g. real-limit experiments).
-    """
+def localization_sum(M: FixedPointModel, zeta, region: GammaRegion) -> complex:
+    """Oscillatory fixed-point sum with the raw weights, at a zeta whose
+    imaginary part lies in the given tube region."""
     zeta = tuple(complex(z) for z in zeta)
-    if strict:
-        g = gamma_region(M, xi)
-        if not g.contains_im([z.imag for z in zeta]):
-            raise NonRegularXiError("Im(zeta) is outside the convergence tube")
+    if not region.contains_im([z.imag for z in zeta]):
+        raise NonRegularXiError("Im(zeta) is outside the convergence tube")
     total = 0.0 + 0.0j
     for p in M.points:
         phase = 1j * sum(float(x) * z for x, z in zip(p.image, zeta))
         total += np.exp(phase) * laplace_factor(p.weights, zeta)
     return complex(total)
+
+
+def tube_zetas(rng, direction, factors, count):
+    """count zetas with Im strictly inside the tube of the factors.
+
+    Im is direction * U(1.0, 1.8) plus U(-0.15, 0.15) per coordinate, or the
+    direction itself where that leaves the tube, then scaled up so every
+    factor decays at unit-length rate at least 0.8: that keeps truncation
+    boxes and oscillation counts small. Re is U(-1, 1) per coordinate. Each
+    zeta draws 1 + 2 * dim uniforms.
+    """
+    direction = np.array([float(x) for x in direction])
+    norms = [math.sqrt(sum(float(a) ** 2 for a in f)) for f in factors]
+
+    def slowest_rate(im):
+        return min(
+            (sum(float(a) * b for a, b in zip(f, im)) / n for f, n in zip(factors, norms)),
+            default=math.inf,
+        )
+
+    if not slowest_rate(direction) > 0:
+        raise ValueError("the direction is not strictly inside the tube")
+    out = []
+    for _ in range(count):
+        im = direction * float(rng.uniform(1.0, 1.8)) + rng.uniform(
+            -0.15, 0.15, size=len(direction)
+        )
+        m = slowest_rate(im)
+        if not m > 0:
+            im = direction
+            m = slowest_rate(im)
+        if m < 0.8:
+            im = im * (0.8 / m)
+        re = rng.uniform(-1.0, 1.0, size=len(direction))
+        out.append(tuple(complex(r, i) for r, i in zip(re, im)))
+    return out
 
 
 def support_min(M: FixedPointModel, xi):

@@ -9,6 +9,7 @@ these agree with it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -438,37 +439,6 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
     return value, spline_tail_bound(S, im, decay_log)
 
 
-def numeric_laplace_cone(factors, base, zeta, decay_log: float = 34.0,
-                         cfg: QuadratureConfig | None = None) -> complex:
-    """Transform of one shifted factor cone, integrated in factor
-    coordinates.
-
-    Mapping the positive orthant through the factors splits the kernel
-    into independent one-dimensional oscillatory integrals, one per
-    factor, each truncated where its damping reaches e^(-decay_log). Used
-    where nested volume quadrature is impractical; valid for any factor
-    count since the split needs no invertibility."""
-    cfg = cfg or QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
-    zeta = tuple(complex(z) for z in zeta)
-    out = np.exp(1j * sum(float(b) * z for b, z in zip(base, zeta)))
-    for fvec in factors:
-        w = sum(float(x) * z for x, z in zip(fvec, zeta))
-        if w.imag <= 0:
-            raise ValueError("Im(zeta) does not damp every factor direction")
-        top = decay_log / w.imag
-        val, _ = integrate.quad(
-            lambda s: np.exp(1j * s * w),
-            0.0,
-            top,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=400,
-            complex_func=True,
-        )
-        out *= val
-    return complex(out)
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo pushforward on the model space
 
@@ -484,15 +454,11 @@ class DensityTable:
     seed: int
 
     def centers(self):
+        """Bin centres, in the C order of the flattened counts."""
         axes = [
             [(e[i] + e[i + 1]) / 2 for i in range(len(e) - 1)] for e in self.edges
         ]
-        shape = tuple(len(a) for a in axes)
-        out = []
-        for flat in range(int(np.prod(shape))):
-            idx = np.unravel_index(flat, shape)
-            out.append(tuple(axes[k][idx[k]] for k in range(self.dim)))
-        return out
+        return list(itertools.product(*axes))
 
     def to_json(self) -> dict:
         return {

@@ -129,31 +129,6 @@ def random_interior_mu(rng, factors):
     )
 
 
-def random_damping_zeta(rng, factors, eta):
-    """zeta with Im strictly positive on every factor direction.
-
-    Im is rescaled so each factor decays at unit rate per unit length at
-    least 1/2; that keeps truncation boxes and oscillation counts small
-    without restricting which tube directions get exercised.
-    """
-    d = len(factors[0])
-    base = np.array([float(x) for x in eta])
-    while True:
-        im = base * float(rng.uniform(0.5, 1.5)) + rng.uniform(-0.3, 0.3, size=d)
-        rates = [
-            sum(b * v for b, v in zip(f, im))
-            / math.sqrt(sum(float(b) ** 2 for b in f))
-            for f in factors
-        ]
-        m = min(rates)
-        if m <= 0.01:
-            continue
-        if m < 0.5:
-            im = im * (0.5 / m)
-        re = rng.uniform(-2.0, 2.0, size=d)
-        return tuple(complex(r, i) for r, i in zip(re, im))
-
-
 def random_model(rng, dim, halfdim_max, npts):
     """Random fixed-point data with a usable default chamber."""
     while True:
@@ -439,9 +414,9 @@ def convolution_suite(seed: int = 0, count: int = 50) -> dict:
 def laplace_suite(seed: int = 0, sets: int = 25, zetas: int = 5) -> dict:
     """Closed-form cone transforms against damped numeric integration.
 
-    One-dimensional draws go through the truncation-box route over the
-    compiled density; in higher dimension that route fights wall
-    discontinuities, so the draws use the factor-coordinate split instead.
+    numeric_laplace_spline picks the route: the truncation box over the
+    compiled density in one dimension, and in higher dimension, where that
+    route fights wall discontinuities, the factor-coordinate split.
     """
     rng = suite_rng(seed, "laplace")
     t0 = time.time()
@@ -457,15 +432,9 @@ def laplace_suite(seed: int = 0, sets: int = 25, zetas: int = 5) -> dict:
         S = conespline.spline(
             dim, [conespline.spline_term(+1, (0,) * dim, factors)]
         )
-        for k in range(zetas):
-            zeta = random_damping_zeta(rng, factors, eta)
+        for k, zeta in enumerate(localize.tube_zetas(rng, eta, factors, zetas)):
             closed = conespline.laplace_factor(factors, zeta)
-            if dim == 1:
-                num, _tail = oracle.numeric_laplace_spline(
-                    S, zeta, oracle.QuadratureConfig(1e-7, 1e-7), decay_log=22.0
-                )
-            else:
-                num = oracle.numeric_laplace_cone(factors, (0,) * dim, zeta)
+            num, _tail = oracle.numeric_laplace_spline(S, zeta)
             rel = abs(num - closed) / abs(closed)
             worst = max(worst, rel)
             if rel > 1e-3:

@@ -74,7 +74,7 @@ def test_criterion_3_synthesis_equals_localization():
             re = rng.uniform(-2.0, 2.0, dim)
             zeta = tuple(complex(a, b) for a, b in zip(re, im))
             closed = conespline.spline_laplace(S, zeta)
-            loc = localize.localization_sum(M, zeta, xi)
+            loc = localize.localization_sum(M, zeta, region)
             worst = max(worst, abs(closed - loc) / abs(loc))
             checks += 1
     elapsed = time.time() - t0
@@ -208,22 +208,7 @@ def test_criterion_8_orbit_families():
             neg_worst = min(neg_worst, v)
             for m in pair.weyl:
                 inv_worst = max(inv_worst, abs(ev(mat_vec(m, mu)) - v))
-        facs = [tuple(float(x) for x in f) for f in pair.noncompact]
-        for _ in range(10):
-            im = center * rng.uniform(1.0, 1.8) + rng.uniform(
-                -0.1, 0.1, pair.rank
-            )
-            rate = min(
-                sum(a * b for a, b in zip(f, im))
-                / math.sqrt(sum(a * a for a in f))
-                for f in facs
-            )
-            if rate < 0.8:
-                im = im * (0.8 / rate)
-            zeta = tuple(
-                complex(r, i)
-                for r, i in zip(rng.uniform(-1, 1, pair.rank), im)
-            )
+        for zeta in localize.tube_zetas(rng, pair.center_vector, pair.noncompact, 10):
             sym = hermitian.laplace_nu_symbolic(spec, zeta)
             num, _tail = oracle.numeric_laplace_spline(Sk, zeta, method="mapped")
             rel_worst = max(rel_worst, abs(num - sym) / abs(sym))

@@ -171,6 +171,35 @@ def test_zeta_samples_below_one_exits_two(command, count, sphere_input, orbit_in
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["cones", "abelian", "orbit", "verify"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+def test_seed_outside_64_bits_exits_two(
+    command, seed, cone_input, sphere_input, orbit_input, capsys
+):
+    # the draws key a 64-bit generator: 2^64 used to end in a traceback,
+    # -1 in a cast warning and a run
+    inputs = {"cones": cone_input, "abelian": sphere_input, "orbit": orbit_input}
+    argv = [command, "--seed", seed]
+    if command in inputs:
+        argv += ["--input", inputs[command]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,chamber,dim", [("abelian", "1,1", 1), ("orbit", "1,1,1", 2)])
+def test_chamber_of_the_wrong_length_exits_two(
+    command, chamber, dim, sphere_input, orbit_input, capsys
+):
+    path = sphere_input if command == "abelian" else orbit_input
+    assert cli.main([command, "--input", path, f"--chamber={chamber}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"--chamber has {len(chamber.split(','))} coordinates" in err
+    assert f"dimension {dim}" in err
+
+
 @pytest.mark.parametrize(
     "command,payload",
     [

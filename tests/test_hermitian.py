@@ -121,7 +121,7 @@ def test_t_measure_matches_localization():
         closed = conespline.spline_laplace(St, zeta)
         # the raw model orients compact weights the other way
         loc = hermitian.compact_orientation(spec.pair) * localize.localization_sum(
-            om.model, zeta, om.chamber
+            om.model, zeta, region
         )
         assert abs(closed - loc) <= 1e-10 * abs(loc)
 
@@ -158,22 +158,7 @@ def test_symbolic_transform_agrees_with_numeric():
         pair = spec.pair
         Sk = k_type_measure(spec)
         rng = np.random.default_rng(9)
-        facs = [tuple(float(x) for x in f) for f in pair.noncompact]
-        center = np.array([float(x) for x in pair.center_vector])
-        for _ in range(4):
-            im = center * rng.uniform(1.0, 1.8) + rng.uniform(
-                -0.1, 0.1, pair.rank
-            )
-            scale = min(
-                sum(a * b for a, b in zip(f, im))
-                / float(np.hypot(*f) if len(f) == 2 else abs(f[0]))
-                for f in facs
-            )
-            im = im * max(1.0, 0.8 / scale)
-            zeta = tuple(
-                complex(r, i)
-                for r, i in zip(rng.uniform(-1, 1, pair.rank), im)
-            )
+        for zeta in localize.tube_zetas(rng, pair.center_vector, pair.noncompact, 4):
             sym = laplace_nu_symbolic(spec, zeta)
             num, tail = oracle.numeric_laplace_spline(Sk, zeta, method="mapped")
             assert abs(num - sym) <= 1e-6 * abs(sym) + tail

@@ -81,45 +81,69 @@ def test_localization_sum_equals_spline_transform():
         re = rng.uniform(-2, 2, 2)
         zeta = tuple(complex(a, b) for a, b in zip(re, im))
         closed = conespline.spline_laplace(S, zeta)
-        loc = localize.localization_sum(M, zeta, (1, 2))
+        loc = localize.localization_sum(M, zeta, region)
         assert abs(closed - loc) <= 1e-10 * abs(loc)
 
 
 def test_localization_rejects_zeta_outside_tube():
     M = sphere(2)
     with pytest.raises(localize.NonRegularXiError):
-        localize.localization_sum(M, (0.5 - 1.0j,), (1,))
+        localize.localization_sum(M, (0.5 - 1.0j,), localize.gamma_region(M, (1,)))
 
 
 def test_strict_localization_sum_decides_the_tube_without_renormalizing(monkeypatch):
     cases = [
-        (M, xi, localize.gamma_region(M, xi))
+        (M, localize.gamma_region(M, xi))
         for _, M, chambers in verify.model_library()
         for xi in chambers
     ]
     calls = []
-    real = localize.renormalize
-    monkeypatch.setattr(
-        localize, "renormalize", lambda *a, **k: calls.append(a) or real(*a, **k)
-    )
+    for name in ("renormalize", "gamma_region"):
+        real = getattr(localize, name)
+        monkeypatch.setattr(
+            localize, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k)
+        )
     rng = np.random.default_rng(17)
     inside = outside = 0
-    for M, xi, region in cases:
+    for M, region in cases:
         for _ in range(12):
             # small integers put some draws exactly on a tube wall
             eta = rng.integers(-2, 3, size=M.dim) * rng.choice([1.0, 0.3])
             zeta = tuple(complex(r, i) for r, i in zip(rng.uniform(-1, 1, M.dim), eta))
             if region.contains_im(eta):
-                localize.localization_sum(M, zeta, xi)
+                localize.localization_sum(M, zeta, region)
                 inside += 1
             else:
                 with pytest.raises(localize.NonRegularXiError, match="tube"):
-                    localize.localization_sum(M, zeta, xi)
+                    localize.localization_sum(M, zeta, region)
                 outside += 1
-    with pytest.raises(localize.NonRegularXiError, match="pairs to zero"):
-        localize.localization_sum(sphere(2), (0.5 + 1.0j,), (0,))
     assert calls == []
+    with pytest.raises(localize.NonRegularXiError, match="pairs to zero"):
+        localize.gamma_region(sphere(2), (0,))
     assert inside > 10 and outside > 10
+
+
+def test_tube_zetas_land_in_tube():
+    rng = verify.suite_rng(4, "laplace")
+    cases = [verify.random_proper_factors(rng, dim, dim + 1) for dim in (1, 2, 3)]
+    # a direction near a wall, where the jitter often leaves the tube
+    cases.append(([(1, 0), (0, 1)], (0.01, 1)))
+    for factors, eta in cases:
+        d = len(eta)
+        draws = verify.suite_rng(5, "laplace")
+        zetas = localize.tube_zetas(draws, eta, factors, 20)
+        assert len(zetas) == 20
+        # 1 + 2d uniforms per zeta, so later draws stay aligned
+        spent = verify.suite_rng(5, "laplace")
+        spent.uniform(size=20 * (1 + 2 * d))
+        assert draws.uniform() == spent.uniform()
+        for zeta in zetas:
+            assert all(-1 <= z.real <= 1 for z in zeta)
+            for f in factors:
+                rate = sum(float(a) * z.imag for a, z in zip(f, zeta))
+                assert rate >= (0.8 - 1e-12) * np.linalg.norm(np.array(f, dtype=float))
+    with pytest.raises(ValueError, match="inside the tube"):
+        localize.tube_zetas(rng, (1, -1), [(1, 0), (0, 1)], 1)
 
 
 def test_gamma_region_membership():
@@ -194,7 +218,8 @@ def test_renormalisation_runs_no_lp(monkeypatch):
     xi = (1, 2)
     # term construction checks each factor tuple's cone once and caches it
     localize.dh_measure(M, xi)
-    eta = [float(x) for x in localize.gamma_region(M, xi).sample_interior()]
+    region = localize.gamma_region(M, xi)
+    eta = [float(x) for x in region.sample_interior()]
     zeta = tuple(complex(0.3 * (j + 1), e) for j, e in enumerate(eta))
     solves = []
     real = lp.solve_lp
@@ -204,7 +229,7 @@ def test_renormalisation_runs_no_lp(monkeypatch):
     localize.renormalize(M, xi)
     localize.dh_measure(M, xi)
     localize.gamma_region(M, xi)
-    localize.localization_sum(M, zeta, xi, strict=True)
+    localize.localization_sum(M, zeta, region)
     localize.support_min(M, xi)
     assert solves == []
 

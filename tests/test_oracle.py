@@ -13,7 +13,6 @@ from dhmeasure.oracle import (
     lattice_count,
     montecarlo_pushforward,
     numeric_laplace,
-    numeric_laplace_cone,
     numeric_laplace_spline,
     quadrature_convolution,
     truncated_circle_check,
@@ -90,7 +89,17 @@ def test_numeric_laplace_spline_box_route_one_dim():
     assert abs(val - closed) <= 1e-6 * abs(closed) + tail
 
 
+def test_numeric_laplace_cone_quadrant():
+    # one quadrant on the mapped route, against its transform written out by hand
+    zeta = (0.5 + 1.0j, -0.7 + 1.4j)
+    quadrant = spline(2, [spline_term(1, (0, 0), [(1, 0), (0, 1)])])
+    val, _tail = numeric_laplace_spline(quadrant, zeta, method="mapped")
+    want = (1j / zeta[0]) * (1j / zeta[1])
+    assert val == pytest.approx(want, abs=1e-8)
+
+
 def test_numeric_laplace_spline_mapped_matches_closed_form():
+    zeta = (0.5 + 1.0j, -0.7 + 1.4j)
     S = spline(
         2,
         [
@@ -98,10 +107,15 @@ def test_numeric_laplace_spline_mapped_matches_closed_form():
             spline_term(-1, (1, 1), [(1, 0), (0, 1)]),
         ],
     )
-    zeta = (0.5 + 1.0j, -0.7 + 1.4j)
     closed = conespline.spline_laplace(S, zeta)
     val, tail = numeric_laplace_spline(S, zeta, method="mapped")
     assert abs(val - closed) <= 1e-9 * abs(closed) + tail
+
+
+def test_mapped_route_requires_damping():
+    S = spline(2, [spline_term(1, (0, 0), [(1, 0), (0, -1)])])
+    with pytest.raises(ValueError, match="damp"):
+        numeric_laplace_spline(S, (1j, 1j), method="mapped")
 
 
 def test_mapped_route_handles_polynomial_multiplier():
@@ -128,18 +142,6 @@ def test_mapped_and_box_routes_agree():
         S, zeta, QuadratureConfig(1e-7, 1e-7), decay_log=14.0, method="box"
     )
     assert abs(mapped - box) <= 2e-3 * abs(mapped) + mtail + btail
-
-
-def test_numeric_laplace_cone_quadrant():
-    zeta = (0.5 + 1.0j, -0.7 + 1.4j)
-    val = numeric_laplace_cone([(1, 0), (0, 1)], (0, 0), zeta)
-    want = (1j / zeta[0]) * (1j / zeta[1])
-    assert val == pytest.approx(want, abs=1e-8)
-
-
-def test_numeric_laplace_cone_requires_damping():
-    with pytest.raises(ValueError):
-        numeric_laplace_cone([(1, 0), (0, -1)], (0, 0), (1j, 1j))
 
 
 def test_lattice_count_examples():

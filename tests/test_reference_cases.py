@@ -146,12 +146,12 @@ def test_localization_single_point_at_origin():
     M = localize.model(2, [localize.fixed_point((0, 0), [(1, 0), (0, 1)])])
     zeta = (0.5 + 1.0j, -0.3 + 0.7j)
     want = 1j**2 / (zeta[0] * zeta[1])
-    assert localize.localization_sum(M, zeta, (1, 1)) == pytest.approx(want)
+    assert localize.localization_sum(M, zeta, localize.gamma_region(M, (1, 1))) == pytest.approx(want)
 
 
 def test_localization_scaled_weight():
     M = localize.model(1, [localize.fixed_point((5,), [(2,)])])
-    got = localize.localization_sum(M, (1j,), (1,))
+    got = localize.localization_sum(M, (1j,), localize.gamma_region(M, (1,)))
     assert got == pytest.approx(np.exp(-5.0) / 2.0)
 
 

@@ -27,14 +27,6 @@ def test_random_proper_factors_are_proper():
         assert polycone.strict_positive_functional(factors) is not None
 
 
-def test_random_damping_zeta_lands_in_tube():
-    rng = verify.suite_rng(4, "laplace")
-    factors, eta = verify.random_proper_factors(rng, 2, 3)
-    zeta = verify.random_damping_zeta(rng, factors, eta)
-    for f in factors:
-        assert sum(float(a) * z.imag for a, z in zip(f, zeta)) > 0
-
-
 def test_model_library_entries_have_two_chambers():
     lib = verify.model_library()
     assert len(lib) == 10

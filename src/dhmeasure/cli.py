@@ -123,11 +123,21 @@ def _emit(payload, out_path):
 # cones
 
 
+def _check_directions(args, dim):
+    """Every --xi must have the input's dimension; checked before any LP."""
+    for xi in args.xi:
+        if len(xi) != dim:
+            raise ValueError(
+                f"--xi has {len(xi)} coordinates but the input has dimension {dim}"
+            )
+
+
 def cmd_cones(args) -> int:
     data = _load_json(args.input)
     report = {"input": args.input}
     if "halfspaces" in data:
         P = polycone.polyhedron_from_json(data)
+        _check_directions(args, P.dim)
         report["kind"] = "polyhedron"
         report["dim"] = P.dim
         feas = polycone.is_feasible(P)
@@ -149,6 +159,7 @@ def cmd_cones(args) -> int:
                 report["directions"] = per_xi
     else:
         C = polycone.cone_from_json(data)
+        _check_directions(args, C.dim)
         report["kind"] = "cone"
         report["dim"] = C.dim
         proper = polycone.cone_is_proper(C)
@@ -287,10 +298,11 @@ def cmd_orbit(args) -> int:
     want_t = args.measure in ("t", "both")
     want_k = args.measure in ("k", "both")
     passed = True
+    chamber = _chamber(args, pair.rank)
 
     St = Sk = None
     if want_t:
-        xi = _chamber(args, pair.rank) or om.chamber
+        xi = chamber or om.chamber
         St = hermitian.t_type_measure(O, xi)
         region = localize.gamma_region(M, xi)
         orient = hermitian.compact_orientation(pair)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, special
 
 from . import lp, polycone
-from .rational import rat, rat_str, vdot, vec
+from .rational import rat, vdot, vec
 
 
 class ImproperConeError(ValueError):

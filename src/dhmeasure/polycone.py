@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import lp
 from .lp import EQ, GE, LE, constraint
@@ -25,9 +25,7 @@ from .rational import (
     ONE,
     ZERO,
     is_zero_vec,
-    mat_vec,
     nullspace,
-    primitive,
     primitive_ray,
     rank,
     rat,
@@ -76,6 +74,11 @@ class PolyhedralSet:
     def constraints(self):
         return [constraint(h.normal, GE, h.offset) for h in self.halfspaces]
 
+    @cached_property
+    def _feasibility(self):
+        """The feasibility LP, solved once per set; every predicate reads it."""
+        return lp.feasibility(self.constraints(), dim=self.dim)
+
     def contains(self, x) -> bool:
         x = vec(x)
         return all(vdot(h.normal, x) >= h.offset for h in self.halfspaces)
@@ -109,15 +112,7 @@ class Cone:
         if self.normals is not None:
             return all(vdot(n, x) >= 0 for n in self.normals)
         # generator form: is x a nonnegative combination?
-        cons = []
-        k = len(self.generators)
-        for j in range(self.dim):
-            cons.append(constraint([g[j] for g in self.generators], EQ, x[j]))
-        for i in range(k):
-            e = [ZERO] * k
-            e[i] = ONE
-            cons.append(constraint(e, GE, 0))
-        return lp.feasibility(cons, dim=k).status == lp.OPTIMAL
+        return _combination(self.generators, x, 0) is not None
 
 
 def cone_from_normals(dim, normals) -> Cone:
@@ -129,12 +124,11 @@ def cone_from_generators(dim, generators) -> Cone:
 
 
 def is_feasible(P: PolyhedralSet) -> bool:
-    return lp.feasibility(P.constraints(), dim=P.dim).status == lp.OPTIMAL
+    return P._feasibility.status == lp.OPTIMAL
 
 
 def feasible_point(P: PolyhedralSet):
-    res = lp.feasibility(P.constraints(), dim=P.dim)
-    return res.x if res.status == lp.OPTIMAL else None
+    return P._feasibility.x
 
 
 def asymptotic_cone(P: PolyhedralSet) -> Cone:
@@ -162,32 +156,42 @@ def _cone_constraints(C: Cone):
     return [constraint(n, GE, 0) for n in C.normals]
 
 
+def _combination(vectors, target, lower, free=0):
+    """c with sum c_i v_i = target, c_i >= lower but for the last `free`, or
+    None, by one LP; lp checks a Farkas certificate, a c found is checked here."""
+    k = len(vectors)
+    cons = [constraint([v[j] for v in vectors], EQ, t) for j, t in enumerate(target)]
+    cons += [constraint([int(i == j) for j in range(k)], GE, lower)
+             for i in range(k - free)]
+    res = lp.feasibility(cons, dim=k)
+    if res.status != lp.OPTIMAL:
+        return None
+    c = res.x
+    sums = [vdot(r.coeffs, c) for r in cons[: len(target)]]
+    if min(c[: k - free], default=lower) < lower or sums != list(target):
+        raise AssertionError("combination certificate failed")  # pragma: no cover
+    return c
+
+
 def _cone_is_trivial(normals, dim, extra_eq=None) -> bool:
     """Is {x : <n,x> >= 0 for all n, extra_eq . x = 0} equal to {0}?
 
-    A nonzero member can be scaled so some coordinate is +-1, so 2*dim
-    feasibility LPs decide the question exactly.
+    Exactly when the normals and +-extra_eq positively span R^dim (Davis,
+    1954): they span, and sum y_i n_i + t extra_eq = 0 with every y_i >= 1
+    and t free. One exact rank and at most one LP decide it.
     """
-    base = [constraint(n, GE, 0) for n in normals]
-    if extra_eq is not None:
-        base.append(constraint(extra_eq, EQ, 0))
-    for j in range(dim):
-        for s in (ONE, -ONE):
-            e = [ZERO] * dim
-            e[j] = s
-            cons = base + [constraint(e, EQ, 1)]
-            if lp.feasibility(cons, dim=dim).status == lp.OPTIMAL:
-                return False
-    return True
+    vectors = list(normals) if extra_eq is None else [*normals, extra_eq]
+    if rank(vectors) < dim:
+        return False
+    free = len(vectors) - len(normals)
+    return _combination(vectors, [ZERO] * dim, 1, free) is not None
 
 
 def lineality_space(C: Cone):
     """Basis of the largest linear subspace inside a halfspace-form cone."""
     if C.normals is None:
         raise ValueError("halfspace form required")
-    if not C.normals:
-        return nullspace([], ncols=C.dim)
-    return nullspace([list(n) for n in C.normals])
+    return nullspace([list(n) for n in C.normals], ncols=C.dim)
 
 
 def cone_is_proper(C: Cone) -> bool:
@@ -231,18 +235,20 @@ def bounded_below(P: PolyhedralSet, xi) -> bool:
 def proper_projection_directions(P: PolyhedralSet, xi) -> bool:
     """Is x -> <xi, x> a proper map on P (preimages of compacts compact)?
 
-    Exactly when the asymptotic cone meets ker xi only at 0. For pointed
-    asymptotic cones this is the same as xi lying in +-Int of the dual cone.
+    Exactly when the asymptotic cone meets ker xi only at 0, that is when
+    P's normals and +-xi positively span R^dim: one rank and at most one LP
+    beside P's feasibility LP, which is solved once per set. For pointed
+    asymptotic cones this is xi lying in +-Int of the dual cone.
     """
     xi = vec(xi)
     if not is_feasible(P):
         raise InfeasibleSetError("projection properness is undefined for an empty set")
-    C = asymptotic_cone(P)
-    return _cone_is_trivial(C.normals, P.dim, extra_eq=xi)
+    return _cone_is_trivial(asymptotic_cone(P).normals, P.dim, extra_eq=xi)
 
 
 def is_compact(P: PolyhedralSet) -> bool:
-    """Compact iff feasible with trivial asymptotic cone."""
+    """Compact iff feasible with trivial asymptotic cone, i.e. positively
+    spanning normals: one rank and at most one LP beside P's feasibility LP."""
     if not is_feasible(P):
         raise InfeasibleSetError("compactness check on an empty set")
     return _cone_is_trivial(asymptotic_cone(P).normals, P.dim)
@@ -304,12 +310,6 @@ def extreme_rays(C: Cone, max_subsets: int = 20000):
     normals = [list(n) for n in C.normals]
     if d == 0:
         return []
-    if d == 1:
-        rays = []
-        for cand in ((ONE,), (-ONE,)):
-            if all(vdot(n, cand) >= 0 for n in normals):
-                rays.append(cand)
-        return rays
     count = 0
     seen = set()
     rays = []
@@ -317,7 +317,7 @@ def extreme_rays(C: Cone, max_subsets: int = 20000):
         count += 1
         if count > max_subsets:
             raise ValueError("too many subsets for extreme ray enumeration")
-        ker = nullspace([normals[i] for i in S])
+        ker = nullspace([normals[i] for i in S], ncols=d)
         if len(ker) != 1:
             continue
         for v in (ker[0], tuple(-x for x in ker[0])):

@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from . import conespline, hermitian, localize, oracle, polycone
 from .rational import rank as exact_rank
-from .rational import rat, vdot, vec
+from .rational import rat
 
 _SUITE_TAGS = {
     "cones": 11,

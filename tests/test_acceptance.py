@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from dhmeasure import conespline, hermitian, localize, oracle, verify
-from dhmeasure.rational import mat_vec, rat, vdot
+from dhmeasure.rational import mat_vec, rat
 
 
 def _gate(num, label, ok, detail, elapsed, budget):

@@ -193,11 +193,40 @@ def test_chamber_of_the_wrong_length_exits_two(
     command, chamber, dim, sphere_input, orbit_input, capsys
 ):
     path = sphere_input if command == "abelian" else orbit_input
-    assert cli.main([command, "--input", path, f"--chamber={chamber}"]) == 2
+    # the k-check reads no chamber, but a wrong-length one is still bad input
+    measures = [[]] if command == "abelian" else [["--measure", m] for m in ("t", "k", "both")]
+    for measure in measures:
+        assert cli.main([command, "--input", path, f"--chamber={chamber}", *measure]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"--chamber has {len(chamber.split(','))} coordinates" in err
+        assert f"dimension {dim}" in err
+
+
+@pytest.mark.parametrize(
+    "payload,xi",
+    [
+        ({"dim": 0, "halfspaces": []}, "1"),
+        ({"dim": 1, "halfspaces": []}, "1,1"),
+        ({"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": 1},
+                                   {"normal": [-1, 0], "offset": 0}]}, "1"),
+        ({"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": 0}]}, "1"),
+        ({"dim": 2, "halfspaces": [{"normal": [1, 0], "offset": 0}]}, "1,1,1"),
+        ({"dim": 2, "generators": [[1, 0], [0, 1]]}, "1"),
+    ],
+)
+def test_xi_of_the_wrong_length_exits_two(payload, xi, tmp_path, monkeypatch, capsys):
+    from dhmeasure import lp
+
+    calls = []
+    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append(a))
+    path = write(tmp_path / "set.json", payload)
+    assert cli.main(["cones", "--input", path, f"--xi={xi}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert f"--chamber has {len(chamber.split(','))} coordinates" in err
-    assert f"dimension {dim}" in err
+    assert f"--xi has {len(xi.split(','))} coordinates" in err
+    assert f"dimension {payload['dim']}" in err
+    assert calls == []
 
 
 @pytest.mark.parametrize(

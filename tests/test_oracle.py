@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dhmeasure import conespline, localize, oracle, verify
+from dhmeasure import conespline, oracle
 from dhmeasure.conespline import spline, spline_term
 from dhmeasure.oracle import (
     LatticeCountConfig,

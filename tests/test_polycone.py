@@ -1,8 +1,11 @@
+import json
+
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
-from dhmeasure import polycone
+from dhmeasure import cli, lp, polycone
 from dhmeasure.rational import rat, vdot
 
 
@@ -68,6 +71,15 @@ def test_halfplane_is_not_proper():
     C = polycone.cone_from_normals(2, [(1, 0)])
     assert not polycone.cone_is_proper(C)
     assert polycone.lineality_space(C) != ()
+
+
+def test_extreme_rays_in_dimensions_zero_and_one():
+    assert polycone.extreme_rays(polycone.cone_from_normals(0, [])) == []
+    assert polycone.extreme_rays(polycone.cone_from_normals(1, [(2,)])) == [(1,)]
+    assert polycone.extreme_rays(polycone.cone_from_normals(1, [(-3,), (-1,)])) == [(-1,)]
+    assert polycone.extreme_rays(polycone.cone_from_normals(1, [(1,), (-1,)])) == []
+    with pytest.raises(ValueError):
+        polycone.extreme_rays(polycone.cone_from_normals(1, []))
 
 
 def test_extreme_rays_keep_orientation():
@@ -196,3 +208,113 @@ def test_interior_point_solves_one_lp_per_cone(monkeypatch):
         with pytest.raises(polycone.NotFullDimensionalError):
             polycone.interior_point(flat)
         assert len(calls) == expected_calls
+
+
+def _trivial_by_coordinate_lps(normals, dim, extra_eq=None):
+    """The former decision: a nonzero member of the cone can be scaled so
+    some coordinate is +-1, so 2*dim feasibility LPs decide triviality."""
+    base = [lp.constraint(n, lp.GE, 0) for n in normals]
+    if extra_eq is not None:
+        base.append(lp.constraint(extra_eq, lp.EQ, 0))
+    for j in range(dim):
+        for s in (1, -1):
+            e = [0] * dim
+            e[j] = s
+            cons = base + [lp.constraint(e, lp.EQ, 1)]
+            if lp.feasibility(cons, dim=dim).status == lp.OPTIMAL:
+                return False
+    return True
+
+
+def _drawn_cones(rng, dim):
+    """Normal lists of one dimension: empty, random, positively spanning,
+    non-pointed (every normal orthogonal to one v) and lower-dimensional
+    (a normal and its negative)."""
+    def draw(k):
+        out = []
+        while len(out) < k:
+            n = tuple(int(x) for x in rng.integers(-2, 3, size=dim))
+            if any(n):
+                out.append(n)
+        return out
+
+    yield []
+    if dim == 0:
+        return
+    for k in (1, dim, dim + 1, dim + 3):
+        yield draw(k)
+    spanning = draw(dim + 1)
+    yield spanning + [tuple(-sum(c) for c in zip(*spanning))]
+    yield [tuple(int(i == j) for j in range(dim)) for i in range(dim)] + [(-1,) * dim]
+    v = draw(1)[0]
+    lineal = (tuple(vdot(v, v) * a - vdot(u, v) * b for a, b in zip(u, v))
+              for u in draw(dim + 1))
+    yield [n for n in lineal if any(n)]
+    n = draw(1)[0]
+    yield [n, tuple(-x for x in n)] + draw(dim - 1)
+
+
+def test_cone_is_trivial_equals_coordinate_enumeration():
+    rng = np.random.default_rng(14)
+    seen = set()
+    for dim in range(5):
+        for _ in range(3):
+            for normals in _drawn_cones(rng, dim):
+                extras = [None, tuple(int(x) for x in rng.integers(-2, 3, size=dim))]
+                if normals:
+                    extras.append(tuple(a - b for a, b in zip(normals[0], normals[-1])))
+                for extra in extras:
+                    got = polycone._cone_is_trivial(normals, dim, extra)
+                    assert got == _trivial_by_coordinate_lps(normals, dim, extra), (
+                        normals, dim, extra)
+                    seen.add((dim, extra is None, got))
+    # both answers occur, with and without the equation, in every dimension >= 1
+    assert {(d, e, g) for d in range(1, 5) for e in (True, False)
+            for g in (True, False)} <= seen
+    assert (0, True, True) in seen and (0, False, True) in seen
+
+
+def test_zero_dimensional_set_is_compact():
+    P = polycone.polyhedron(0, [])
+    assert polycone.is_compact(P)
+    assert polycone.is_proper(P)
+    assert polycone.proper_projection_directions(P, ())
+
+
+def test_cones_run_solves_feasibility_once_and_one_lp_per_question(tmp_path, monkeypatch):
+    box = polycone.polyhedron(4, [(tuple(s * int(i == j) for j in range(4)), -2)
+                                  for i in range(4) for s in (1, -1)])
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(polycone.polyhedron_to_json(box)))
+    calls = []
+    real = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append(a) or real(*a, **k))
+    argv = ["cones", "--input", str(path), "--out", str(tmp_path / "report.json"),
+            "--xi=1,2,3,4", "--xi=-1,0,0,0"]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["compact"] and report["proper"]
+    assert [d["proper_projection"] for d in report["directions"]] == [True, True]
+    # feasibility once, is_compact one, and per --xi bounded_below one and
+    # proper_projection_directions one; is_proper solves none
+    assert len(calls) == 6
+    feasibility = [c for c in calls if not any(c[0]) and list(c[1]) == box.constraints()]
+    assert len(feasibility) == 1
+
+
+def test_predicates_share_one_feasibility_solve(monkeypatch):
+    calls = []
+    real = lp.feasibility
+    monkeypatch.setattr(lp, "feasibility", lambda *a, **k: calls.append(a) or real(*a, **k))
+    P = quadrant_with_cap()
+    assert polycone.is_feasible(P) and polycone.feasible_point(P) is not None
+    assert not polycone.is_compact(P) and polycone.is_proper(P)
+    assert polycone.proper_projection_directions(P, (1, 1))
+    feasibility = [c for c in calls if list(c[0]) == P.constraints()]
+    assert len(feasibility) == 1
+    empty = polycone.polyhedron(1, [((1,), 3), ((-1,), -1)])
+    for predicate in (polycone.is_compact, polycone.is_proper):
+        with pytest.raises(polycone.InfeasibleSetError):
+            predicate(empty)
+    assert polycone.feasible_point(empty) is None
+    assert len([c for c in calls if list(c[0]) == empty.constraints()]) == 1

@@ -57,7 +57,6 @@ from .localize import (
 )
 from .oracle import (
     DensityTable,
-    LatticeCountConfig,
     MonteCarloConfig,
     QuadratureConfig,
     lattice_count,

@@ -62,7 +62,8 @@ def positive_tolerance(text: str) -> float:
 
 
 def parse_grid(text: str):
-    """--grid lo:hi:count per axis, comma separated."""
+    """--grid lo:hi:count per axis, comma separated; lo and hi are exact
+    rationals ("-1.5", "1/3") within the float range."""
     axes = []
     for part in text.split(","):
         pieces = part.split(":")
@@ -70,27 +71,33 @@ def parse_grid(text: str):
             raise argparse.ArgumentTypeError(
                 f"grid axis {part!r} is not lo:hi:count"
             )
-        lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
-        if count < 1 or not hi > lo or not math.isfinite(hi - lo):
+        lo, hi, count = rat(pieces[0]), rat(pieces[1]), int(pieces[2])
+        if count < 1 or not hi > lo or max(-lo, hi) > sys.float_info.max:
             raise argparse.ArgumentTypeError(f"bad grid axis {part!r}")
         axes.append((lo, hi, count))
     return tuple(axes)
 
 
 def grid_points(axes):
-    lin = [[float(x) for x in np.linspace(lo, hi, count)] for lo, hi, count in axes]
+    """The grid's points, exact: lo + k * (hi - lo) / (count - 1) per axis,
+    or lo alone when count is 1."""
+    lin = [
+        [lo + k * (hi - lo) / (count - 1) for k in range(count)] if count > 1 else [lo]
+        for lo, hi, count in axes
+    ]
     return list(itertools.product(*lin))
 
 
 def default_grid(images, dim, count=25):
-    arr = np.array([[float(x) for x in im] for im in images], dtype=float)
-    lo = arr.min(axis=0)
-    hi = arr.max(axis=0)
-    span = np.maximum(hi - lo, 1.0)
-    return tuple(
-        (float(lo[j] - 0.25 * span[j]), float(hi[j] + 0.75 * span[j]), count)
-        for j in range(dim)
-    )
+    """Per axis, from a quarter of the images' span (at least 1) below them
+    to three quarters above, exact."""
+    axes = []
+    for j in range(dim):
+        lo = min(im[j] for im in images)
+        hi = max(im[j] for im in images)
+        span = max(hi - lo, 1)
+        axes.append((lo - span / 4, hi + 3 * span / 4, count))
+    return tuple(axes)
 
 
 def write_json(path, payload):
@@ -306,12 +313,12 @@ def cmd_orbit(args) -> int:
         St = hermitian.t_type_measure(O, xi)
         region = localize.gamma_region(M, xi)
         orient = hermitian.compact_orientation(pair)
-        worst = _worst(
-            _localization_samples(St, M, region, rng, args.zeta_samples, orient)
-        )
+        samples = _localization_samples(St, M, region, rng, args.zeta_samples, orient)
+        worst = _worst(samples)
         report["t_measure"] = {
             "chamber": [rat_str(x) for x in xi],
             "terms": len(St.terms),
+            "localization_samples": samples,
             "localization_worst_rel": worst,
         }
         passed = passed and worst <= args.tol
@@ -401,15 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, draws=True):
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--seed", type=seed_value, default=0,
-                       help="draw seed, 0 <= seed < 2^64 (default 0)")
+        if draws:
+            p.add_argument("--seed", type=seed_value, default=0,
+                           help="draw seed, 0 <= seed < 2^64 (default 0)")
 
     p = sub.add_parser("cones", help="polyhedral predicates and witnesses")
-    common(p)
+    common(p, draws=False)
     p.add_argument(
         "--xi",
         action="append",

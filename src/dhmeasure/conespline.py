@@ -19,7 +19,7 @@ heaviside_density and spline_density put a rational point over one common
 denominator D and run the recursion on Python integers; the density is the
 integer result over (root denominator) * D^(n - d), normalized once per
 call, an exact rational with error bound 0. DensityEvaluator runs the same
-recursion on a float copy of the data, for quadrature and grids.
+integer recursion at float points, for quadrature.
 
 On a wall, where the density jumps, the value is the limit from inside the
 term's cone: along mu + eps*c + eps^2*e_1 + ... + eps^(d+1)*e_d for small
@@ -362,23 +362,11 @@ def _kernel(factors) -> tuple:
     return tuple(nodes), dens[-1]
 
 
-def _float_plan(plan) -> tuple:
-    return tuple(
-        (
-            float(scale),
-            tuple(tuple(float(a) for a in row) for row in rows),
-            children,
-            ties,
-        )
-        for scale, rows, children, ties in plan
-    )
-
-
 def _truncated_power(plan, x):
     """T(x) by the recursion (k - d) T_Y(x) = sum_p lambda_p(x) T_{Y - c_p}(x).
 
-    Runs on an integer kernel with integer x, on an exact plan with rational
-    x, or on a float plan with float x.
+    Runs on an integer kernel with integer or float x, or on an exact plan
+    with rational x.
     """
     values = []
     for scale, rows, children, ties in plan:
@@ -459,16 +447,10 @@ def _check_interior(factors, zeta):
             )
 
 
-def laplace_factor(factors, zeta, require_interior: bool = False) -> complex:
-    """(i)^n / prod <b_i, zeta>: the transform of H_{b1} * ... * H_{bn}.
-
-    With require_interior, Im(zeta) must pair strictly positively with every
-    factor (the open tube where the defining integral converges).
-    """
+def laplace_factor(factors, zeta) -> complex:
+    """(i)^n / prod <b_i, zeta>: the transform of H_{b1} * ... * H_{bn}."""
     factors = tuple(vec(f) for f in factors)
     zeta = tuple(complex(z) for z in zeta)
-    if require_interior:
-        _check_interior(factors, zeta)
     vals = _check_regular(factors, zeta)
     out = 1j ** len(factors)
     for p in vals:
@@ -499,38 +481,31 @@ def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# float front end (for quadrature, grids and Monte-Carlo binning)
+# float front end (for quadrature)
 
 
 class DensityEvaluator:
-    """Float evaluation of a spline's density: the recursion of
-    heaviside_density run on a float copy of each term's cached plan."""
+    """Float evaluation of a spline's density: the integer recursion of
+    heaviside_density run at float points, _truncated_power(nodes, x) / Q."""
 
     def __init__(self, S: SignedConeSpline):
         if S.nfactors == 0 and S.terms:
             raise PureDeltaError("point-mass spline has no density function")
         self.poly = S.poly
         self._terms = [
-            (
-                t.sign,
-                tuple(float(b) for b in t.base),
-                _float_plan(_plan(tuple(sorted(t.factors)))),
-            )
+            (t.sign, tuple(float(b) for b in t.base), *_kernel(t.factors))
             for t in S.terms
         ]
 
     def __call__(self, point) -> float:
         mu = [float(x) for x in point]
         total = 0.0
-        for sign, base, plan in self._terms:
-            total += sign * _truncated_power(plan, [m - b for m, b in zip(mu, base)])
+        for sign, base, nodes, den in self._terms:
+            x = [m - b for m, b in zip(mu, base)]
+            total += sign * (_truncated_power(nodes, x) / den)
         if self.poly is not None:
             total *= self.poly(mu)
         return total
-
-    def grid(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return np.array([self(p) for p in pts])
 
 
 # ---------------------------------------------------------------------------

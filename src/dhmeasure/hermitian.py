@@ -352,7 +352,6 @@ def orbit_chamber(O: OrbitSpec) -> tuple:
 @dataclass(frozen=True)
 class OrbitModel:
     model: localize.FixedPointModel
-    energy_direction: tuple  # xi0: value 1 on every noncompact weight
     chamber: tuple  # dual of lambda
     wall_values: tuple  # (label, exact P(w*lam)) per fixed point
 
@@ -375,7 +374,7 @@ def orbit_model(O: OrbitSpec) -> OrbitModel:
             )
         wall_values.append((label, pv))
     M = localize.model(pair.rank, pts)
-    return OrbitModel(M, pair.center_vector, orbit_chamber(O), tuple(wall_values))
+    return OrbitModel(M, orbit_chamber(O), tuple(wall_values))
 
 
 def _compact_match_sign(pair, m) -> int:
@@ -555,7 +554,7 @@ def _compile_transform(O: OrbitSpec) -> tuple:
     return tuple(terms)
 
 
-def laplace_nu_symbolic(O: OrbitSpec, zeta, strict: bool = True) -> complex:
+def laplace_nu_symbolic(O: OrbitSpec, zeta) -> complex:
     """Transform of the reduced measure, computed symbolically.
 
     The fixed-point sum with noncompact denominators only, differentiated
@@ -566,16 +565,16 @@ def laplace_nu_symbolic(O: OrbitSpec, zeta, strict: bool = True) -> complex:
     underlying convolution carries i^(n_c); each wall functional pulls one
     factor of 1/i out of a plain zeta-derivative. Net prefactor i^(n_c - k),
     which keeps the result conjugate-symmetric as the transform of a real
-    measure must be.
+    measure must be. Im(zeta) must lie strictly inside the noncompact dual
+    cone, where the transform converges.
     """
     pair = O.pair
     zeta = tuple(complex(z) for z in zeta)
-    if strict:
-        for b in pair.noncompact:
-            if sum(float(x) * z.imag for x, z in zip(b, zeta)) <= 0:
-                raise NonRegularZetaError(
-                    "Im(zeta) is not strictly inside the noncompact dual cone"
-                )
+    for b in pair.noncompact:
+        if sum(float(x) * z.imag for x, z in zip(b, zeta)) <= 0:
+            raise NonRegularZetaError(
+                "Im(zeta) is not strictly inside the noncompact dual cone"
+            )
     power = (len(pair.noncompact) - pair.k) % 4
     return (1j**power) * _evaluate(O.transform, zeta)
 

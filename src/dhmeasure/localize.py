@@ -23,7 +23,7 @@ import numpy as np
 
 from . import polycone
 from .conespline import SignedConeSpline, _certify_proper, laplace_factor, spline_term
-from .rational import is_zero_vec, primitive, rat_str, vdot, vec
+from .rational import is_zero_vec, rat_str, vdot, vec
 
 MAX_MOMENT_CURVE_TRIES = 1000
 
@@ -84,8 +84,6 @@ def model(dim, points, energy_direction=None) -> FixedPointModel:
 class ModelValidation:
     ok: bool
     issues: tuple
-    chamber_cone: object = None  # dual cone of the renormalized weights
-    hyperplanes: tuple = ()  # deduplicated weight normals (sign-canonical)
 
 
 def validate_model(M: FixedPointModel) -> ModelValidation:
@@ -126,14 +124,7 @@ def validate_model(M: FixedPointModel) -> ModelValidation:
     factors = _distinct_factors(R)
     if not _certifies_proper(factors, R.chamber_point):
         return ModelValidation(False, ("renormalized weight cone is not proper",))
-    chamber = polycone.cone_from_normals(M.dim, factors) if factors else None
-    hyper = []
-    for p in M.points:
-        for w in p.weights:
-            cw = primitive(w)
-            if cw not in hyper:
-                hyper.append(cw)
-    return ModelValidation(True, (), chamber, tuple(hyper))
+    return ModelValidation(True, ())
 
 
 def is_regular(M: FixedPointModel, xi) -> bool:

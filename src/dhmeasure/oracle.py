@@ -25,11 +25,15 @@ class ImproperConeError(ValueError):
     pass
 
 
+QUADRATURE_MAX_DEPTH = 8  # most factors folded by nested quadrature
+MONTECARLO_CHUNKS = 8  # generator streams per Monte-Carlo run, keyed (seed, chunk)
+LATTICE_MAX_NODES = 20_000_000  # enumeration bound of lattice_count
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_depth: int = 8
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -42,24 +46,12 @@ class MonteCarloConfig:
     samples: int = 100_000
     cutoff_radius: float = 4.0
     bins: int = 24
-    chunks: int = 8
-    stratified: bool = False
 
     def __post_init__(self):
         if self.samples < 10_000:
             raise ValueError("need at least 10^4 samples")
-        if self.cutoff_radius <= 0 or self.bins < 2 or self.chunks < 1:
+        if self.cutoff_radius <= 0 or self.bins < 2:
             raise ValueError("bad Monte Carlo configuration")
-
-
-@dataclass(frozen=True)
-class LatticeCountConfig:
-    scale: int = 1
-    max_nodes: int = 20_000_000
-
-    def __post_init__(self):
-        if self.scale < 1:
-            raise ValueError("scale must be a positive integer")
 
 
 def _positive_functional(factors):
@@ -106,7 +98,7 @@ def quadrature_convolution(factors, mu, cfg: QuadratureConfig | None = None):
     if len(base_idx) < d:
         raise ValueError("quadrature needs factors spanning the space")
     rest_idx = [i for i in range(len(factors)) if i not in base_idx]
-    if len(rest_idx) > cfg.max_depth:
+    if len(rest_idx) > QUADRATURE_MAX_DEPTH:
         raise ValueError("convolution recursion depth exceeded")
 
     B = np.array([[float(factors[j][r]) for j in base_idx] for r in range(d)])
@@ -227,7 +219,7 @@ def numeric_laplace(f, zeta, box, cfg: QuadratureConfig | None = None) -> comple
     return complex(out * np.exp(1j * sum(c * z for c, z in zip(corner, zeta))))
 
 
-def spline_truncation_box(S, im_zeta, decay_log: float = 34.0):
+def spline_truncation_box(S, im_zeta, decay_log: float):
     """Axis box containing the support mass up to e^(-decay_log) damping.
 
     Exact per-coordinate linear programs over each term's translated cone
@@ -510,9 +502,9 @@ def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable
 
     shape = (cfg.bins,) * d
     counts = np.zeros(shape, dtype=np.int64)
-    per = cfg.samples // cfg.chunks
-    sizes = [per] * cfg.chunks
-    sizes[-1] += cfg.samples - per * cfg.chunks
+    per = cfg.samples // MONTECARLO_CHUNKS
+    sizes = [per] * MONTECARLO_CHUNKS
+    sizes[-1] += cfg.samples - per * MONTECARLO_CHUNKS
     for c, m in enumerate(sizes):
         if m == 0:
             continue
@@ -520,8 +512,6 @@ def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable
         g = rng.standard_normal((m, 2 * n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         u = rng.random(m)
-        if cfg.stratified:
-            u = (c + u) / cfg.chunks  # radial shell per chunk
         radii = R * u ** (1.0 / (2 * n))
         pts = g * radii[:, None]
         t = (pts[:, 0::2] ** 2 + pts[:, 1::2] ** 2) / 2.0
@@ -550,10 +540,8 @@ def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable
 # lattice vector-partition counts
 
 
-def lattice_count(weights, mu, t: int = 1,
-                  cfg: LatticeCountConfig | None = None) -> int:
+def lattice_count(weights, mu, t: int = 1) -> int:
     """#{s in Z^n_{>=0} : sum s_i b_i = t mu} by bounded recursion."""
-    cfg = cfg or LatticeCountConfig()
     weights = [vec(w) for w in weights]
     for w in weights:
         if any(x.denominator != 1 for x in w):
@@ -567,7 +555,7 @@ def lattice_count(weights, mu, t: int = 1,
 
     def rec(idx, residual):
         nodes[0] += 1
-        if nodes[0] > cfg.max_nodes:
+        if nodes[0] > LATTICE_MAX_NODES:
             raise ValueError("lattice enumeration bound exceeded")
         if idx == len(weights) - 1:
             b = weights[idx]
@@ -597,8 +585,7 @@ def lattice_count(weights, mu, t: int = 1,
 # truncated one-dimensional check
 
 
-def truncated_circle_check(alpha: int, z: complex, a: float,
-                           cfg: QuadratureConfig | None = None) -> dict:
+def truncated_circle_check(alpha: int, z: complex, a: float) -> dict:
     """Sublevel transform of the rank-one quadratic flow energy.
 
     Integrates e^{izt} against the pushforward density (1/alpha on [0, inf))
@@ -606,7 +593,6 @@ def truncated_circle_check(alpha: int, z: complex, a: float,
     coefficient make the closed two-term expression (fixed-point term plus
     reduced-level boundary term) reproduce it.
     """
-    cfg = cfg or QuadratureConfig(abs_tol=1e-12, rel_tol=1e-11)
     alpha = int(alpha)
     if alpha <= 0:
         raise ValueError("weight must be a positive integer")
@@ -618,8 +604,8 @@ def truncated_circle_check(alpha: int, z: complex, a: float,
         lambda t: np.exp(1j * z * t) / alpha,
         0.0,
         a,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
+        epsabs=1e-12,
+        epsrel=1e-11,
         limit=400,
         complex_func=True,
     )

@@ -35,6 +35,9 @@ from .rational import (
 )
 
 
+EXTREME_RAY_MAX_SUBSETS = 20000  # active sets extreme_rays may try
+
+
 class InfeasibleSetError(ValueError):
     pass
 
@@ -78,6 +81,12 @@ class PolyhedralSet:
     def _feasibility(self):
         """The feasibility LP, solved once per set; every predicate reads it."""
         return lp.feasibility(self.constraints(), dim=self.dim)
+
+    @cached_property
+    def _trivial_recession(self):
+        """Is the asymptotic cone {0}? Decided once per set, for is_compact
+        and proper_projection_directions."""
+        return _cone_is_trivial([h.normal for h in self.halfspaces], self.dim)
 
     def contains(self, x) -> bool:
         x = vec(x)
@@ -136,16 +145,16 @@ def asymptotic_cone(P: PolyhedralSet) -> Cone:
     return Cone(P.dim, normals=tuple(h.normal for h in P.halfspaces))
 
 
-def dual_cone(C: Cone, verify: bool = True) -> Cone:
+def dual_cone(C: Cone) -> Cone:
     """Dual of a halfspace-form cone is generated by its normals (and the
-    dual of a generator-form cone is cut out by its generators)."""
+    dual of a generator-form cone is cut out by its generators). Each dual
+    generator is checked by LP to be nonnegative on C."""
     if C.normals is not None:
         out = Cone(C.dim, generators=C.normals)
-        if verify:
-            for g in out.generators:
-                res = lp.solve_lp(g, _cone_constraints(C))
-                if res.status != lp.OPTIMAL or res.objective != 0:
-                    raise AssertionError("dual generator fails <g, C> >= 0")
+        for g in out.generators:
+            res = lp.solve_lp(g, _cone_constraints(C))
+            if res.status != lp.OPTIMAL or res.objective != 0:
+                raise AssertionError("dual generator fails <g, C> >= 0")
         return out
     return Cone(C.dim, normals=C.generators)
 
@@ -236,22 +245,26 @@ def proper_projection_directions(P: PolyhedralSet, xi) -> bool:
     """Is x -> <xi, x> a proper map on P (preimages of compacts compact)?
 
     Exactly when the asymptotic cone meets ker xi only at 0, that is when
-    P's normals and +-xi positively span R^dim: one rank and at most one LP
-    beside P's feasibility LP, which is solved once per set. For pointed
-    asymptotic cones this is xi lying in +-Int of the dual cone.
+    P's normals and +-xi positively span R^dim. A trivial asymptotic cone
+    (the set's cached compactness answer) settles it; otherwise one rank and
+    at most one LP decide it. For pointed asymptotic cones this is xi lying
+    in +-Int of the dual cone.
     """
     xi = vec(xi)
     if not is_feasible(P):
         raise InfeasibleSetError("projection properness is undefined for an empty set")
+    if P._trivial_recession:
+        return True
     return _cone_is_trivial(asymptotic_cone(P).normals, P.dim, extra_eq=xi)
 
 
 def is_compact(P: PolyhedralSet) -> bool:
     """Compact iff feasible with trivial asymptotic cone, i.e. positively
-    spanning normals: one rank and at most one LP beside P's feasibility LP."""
+    spanning normals: one rank and at most one LP beside P's feasibility LP,
+    each solved once per set."""
     if not is_feasible(P):
         raise InfeasibleSetError("compactness check on an empty set")
-    return _cone_is_trivial(asymptotic_cone(P).normals, P.dim)
+    return P._trivial_recession
 
 
 def interior_point(C: Cone):
@@ -296,11 +309,11 @@ def _slack_interior_point(d, normals):
     return x
 
 
-def extreme_rays(C: Cone, max_subsets: int = 20000):
+def extreme_rays(C: Cone):
     """Extreme rays of a pointed halfspace-form cone by active-set search.
 
-    Exponential in principle; guarded by max_subsets and meant for test-size
-    instances and cross-representation consistency checks.
+    Exponential in principle; guarded by EXTREME_RAY_MAX_SUBSETS and meant
+    for test-size instances and cross-representation consistency checks.
     """
     if C.normals is None:
         raise ValueError("halfspace form required")
@@ -315,7 +328,7 @@ def extreme_rays(C: Cone, max_subsets: int = 20000):
     rays = []
     for S in itertools.combinations(range(len(normals)), d - 1):
         count += 1
-        if count > max_subsets:
+        if count > EXTREME_RAY_MAX_SUBSETS:
             raise ValueError("too many subsets for extreme ray enumeration")
         ker = nullspace([normals[i] for i in S], ncols=d)
         if len(ker) != 1:

@@ -15,7 +15,7 @@ try:
 
     _MPQ = gmpy2.mpq
     _RAT_SCALAR = type(_MPQ(0))
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:  # gmpy2 is optional (the `fast` extra)
     _MPQ = None
     _RAT_SCALAR = Fraction
 

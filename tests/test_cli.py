@@ -1,9 +1,11 @@
 import json
 import os
+import time
 
 import pytest
 
-from dhmeasure import cli, hermitian
+from dhmeasure import cli, conespline, hermitian, localize, verify
+from dhmeasure.rational import rat
 
 
 def write(path, payload):
@@ -171,14 +173,12 @@ def test_zeta_samples_below_one_exits_two(command, count, sphere_input, orbit_in
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["cones", "abelian", "orbit", "verify"])
+@pytest.mark.parametrize("command", ["abelian", "orbit", "verify"])
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
-def test_seed_outside_64_bits_exits_two(
-    command, seed, cone_input, sphere_input, orbit_input, capsys
-):
+def test_seed_outside_64_bits_exits_two(command, seed, sphere_input, orbit_input, capsys):
     # the draws key a 64-bit generator: 2^64 used to end in a traceback,
     # -1 in a cast warning and a run
-    inputs = {"cones": cone_input, "abelian": sphere_input, "orbit": orbit_input}
+    inputs = {"abelian": sphere_input, "orbit": orbit_input}
     argv = [command, "--seed", seed]
     if command in inputs:
         argv += ["--input", inputs[command]]
@@ -186,6 +186,14 @@ def test_seed_outside_64_bits_exits_two(
         cli.main(argv)
     assert exc.value.code == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_cones_takes_no_seed(cone_input, capsys):
+    # cones draws nothing, so a seed is bad usage
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cones", "--input", cone_input, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,chamber,dim", [("abelian", "1,1", 1), ("orbit", "1,1,1", 2)])
@@ -290,22 +298,89 @@ def test_verify_subcommand(capsys):
     assert "pass" in out
 
 
-def test_tolerance_failure_exit_code(sphere_input, capsys):
-    # an absurd tolerance forces the pass/fail line to fail
-    rc = cli.main(
-        ["abelian", "--input", sphere_input, "--zeta-samples", "2", "--tol", "1e-30"]
-    )
-    assert rc in (0, 1)
+def _flip_first_term(S):
+    """S with its first term's sign flipped: a planted defect."""
+    first, *rest = S.terms
+    flipped = conespline.spline_term(-first.sign, first.base, first.factors)
+    return conespline.SignedConeSpline(S.dim, (flipped, *rest), S.poly)
+
+
+def _failing(rates):
+    return [r for r in rates if r > 1e-3]
+
+
+def test_tolerance_failure_exit_code(sphere_input, tmp_path, monkeypatch):
+    # a sign flipped in the synthesized spline must fail the transform check
+    real = localize.dh_measure
+    monkeypatch.setattr(localize, "dh_measure", lambda *a: _flip_first_term(real(*a)))
+    out = tmp_path / "out"
+    rc = cli.main(["abelian", "--input", sphere_input, "--out", str(out), "--zeta-samples", "2"])
+    assert rc == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    assert _failing(s["rel_difference"] for s in rep["laplace_samples"])
+
+
+def test_orbit_t_check_failure_exits_one(orbit_input, tmp_path, monkeypatch):
+    real = hermitian.t_type_measure
+    monkeypatch.setattr(hermitian, "t_type_measure", lambda *a: _flip_first_term(real(*a)))
+    out = tmp_path / "out"
+    rc = cli.main(["orbit", "--input", orbit_input, "--out", str(out), "--measure", "t",
+                   "--zeta-samples", "2"])
+    assert rc == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    t_rep = rep["t_measure"]
+    assert _failing(s["rel_difference"] for s in t_rep["localization_samples"])
+    assert t_rep["localization_worst_rel"] > rep["tol"]
+
+
+def test_orbit_k_check_failure_exits_one(orbit_input, tmp_path, monkeypatch):
+    real = hermitian.laplace_nu_symbolic
+    monkeypatch.setattr(hermitian, "laplace_nu_symbolic", lambda *a: 1.01 * real(*a))
+    out = tmp_path / "out"
+    rc = cli.main(["orbit", "--input", orbit_input, "--out", str(out), "--measure", "k",
+                   "--zeta-samples", "2"])
+    assert rc == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    samples = rep["k_measure"]["symbolic_vs_numeric"]
+    assert len(_failing(s["rel_difference"] for s in samples)) == 2
+
+
+def test_verify_suite_failure_exits_one(tmp_path, monkeypatch, capsys):
+    def planted():
+        return verify._report("circle", 0, 1, [{"case": "planted"}], time.time())
+
+    monkeypatch.setitem(verify.SUITES, "circle", planted)
+    out = tmp_path / "verify.json"
+    rc = cli.main(["verify", "--suites", "circle", "--out", str(out)])
+    assert rc == 1
+    assert "circle       FAIL" in capsys.readouterr().out
+    result = json.loads(out.read_text())
+    assert result["passed"] is False
+    assert result["suites"][0]["failures"] == [{"case": "planted"}]
+
+
+def test_grid_points_are_exact(sphere_input, tmp_path, monkeypatch):
+    seen = []
+    real = conespline.spline_density
+    monkeypatch.setattr(conespline, "spline_density",
+                        lambda S, mu: seen.append(tuple(mu)) or real(S, mu))
+    out = tmp_path / "out"
+    assert cli.main(["abelian", "--input", sphere_input, "--out", str(out), "--grid=0:1:4"]) == 0
+    assert seen == [(0,), (rat(1, 3),), (rat(2, 3),), (1,)]
+    rows = (out / "density.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == [repr(x) for x in (0.0, 1 / 3, 2 / 3, 1.0)]
 
 
 import argparse
-
-from dhmeasure.rational import rat
 
 
 def test_parse_grid_and_vector():
     axes = cli.parse_grid("-1:1:5,0:2:3")
     assert axes == ((-1.0, 1.0, 5), (0.0, 2.0, 3))
+    assert cli.parse_grid("0.1:1/3:2") == ((rat(1, 10), rat(1, 3), 2),)
     with pytest.raises(argparse.ArgumentTypeError):
         cli.parse_grid("-1:1")
     assert cli.parse_vector("3/2,-1") == (rat(3, 2), -1)

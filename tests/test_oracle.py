@@ -7,7 +7,6 @@ import pytest
 from dhmeasure import conespline, oracle
 from dhmeasure.conespline import spline, spline_term
 from dhmeasure.oracle import (
-    LatticeCountConfig,
     MonteCarloConfig,
     QuadratureConfig,
     lattice_count,
@@ -152,9 +151,8 @@ def test_lattice_count_examples():
 
 
 def test_lattice_count_scaling():
-    cfg = LatticeCountConfig()
-    base = lattice_count([(1,), (1,)], (4,), t=1, cfg=cfg)
-    scaled = lattice_count([(1,), (1,)], (4,), t=3, cfg=cfg)
+    base = lattice_count([(1,), (1,)], (4,), t=1)
+    scaled = lattice_count([(1,), (1,)], (4,), t=3)
     assert base == 5
     assert scaled == 13
 

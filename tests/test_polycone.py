@@ -295,9 +295,10 @@ def test_cones_run_solves_feasibility_once_and_one_lp_per_question(tmp_path, mon
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["compact"] and report["proper"]
     assert [d["proper_projection"] for d in report["directions"]] == [True, True]
-    # feasibility once, is_compact one, and per --xi bounded_below one and
-    # proper_projection_directions one; is_proper solves none
-    assert len(calls) == 6
+    # feasibility once, is_compact one, and per --xi bounded_below one;
+    # proper_projection_directions reads the set's compactness answer and
+    # is_proper solves none
+    assert len(calls) == 4
     feasibility = [c for c in calls if not any(c[0]) and list(c[1]) == box.constraints()]
     assert len(feasibility) == 1
 

@@ -3,7 +3,9 @@
 
 Builds the (2,1) pair, runs the orbit through both measure syntheses,
 and prints the fixed-point data, the reduced density on a small grid,
-and the symbolic transform against its numeric re-integration.
+and the symbolic transform against its numeric re-integration. Exits 1
+if the symbolic and mapped transforms, or the full-measure transform and
+the fixed-point sum, differ by more than TOL relative.
 """
 
 import os
@@ -16,6 +18,8 @@ sys.path.insert(
 import numpy as np
 
 from dhmeasure import conespline, hermitian, localize, oracle
+
+TOL = 1e-9
 
 
 def main():
@@ -46,24 +50,31 @@ def main():
     rng = np.random.default_rng(0)
     center = np.array([float(x) for x in pair.center_vector])
     print("\nsymbolic vs numeric transform:")
+    worst = 0.0
     for _ in range(4):
         im = center * rng.uniform(1.1, 1.7)
         zeta = tuple(
             complex(r, i) for r, i in zip(rng.uniform(-1, 1, 2), im)
         )
         sym = hermitian.laplace_nu_symbolic(spec, zeta)
-        num, tail = oracle.numeric_laplace_spline(Sk, zeta, method="mapped")
+        num, _ = oracle.numeric_laplace_spline(Sk, zeta, method="mapped")
         rel = abs(num - sym) / abs(sym)
+        worst = max(worst, rel)
         print(f"  zeta={tuple(f'{z:.3f}' for z in zeta)}  "
               f"sym={sym:.6e}  rel diff={rel:.2e}")
 
     region = localize.gamma_region(om.model, om.chamber)
+    zeta = (0.3 + 1.2j, -0.2 + 1.5j)
     loc = hermitian.compact_orientation(spec.pair) * localize.localization_sum(
-        om.model, (0.3 + 1.2j, -0.2 + 1.5j), region
+        om.model, zeta, region
     )
-    closed = conespline.spline_laplace(St, (0.3 + 1.2j, -0.2 + 1.5j))
+    closed = conespline.spline_laplace(St, zeta)
+    full_rel = abs(loc - closed) / abs(loc)
     print(f"\nfull-measure transform vs fixed-point sum: "
-          f"|diff| = {abs(loc - closed):.2e}")
+          f"|diff| = {abs(loc - closed):.2e}, rel {full_rel:.2e}")
+    if worst > TOL or full_rel > TOL:
+        print(f"FAIL: a transform check exceeds {TOL:g} relative")
+        return 1
     return 0
 
 

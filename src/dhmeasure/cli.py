@@ -237,10 +237,6 @@ def _write_density(path, S, points):
 
 def cmd_abelian(args) -> int:
     M = localize.model_from_json(_load_json(args.input))
-    check = localize.validate_model(M)
-    if not check.ok:
-        log.error("model validation failed: %s", "; ".join(check.issues))
-        return 2
     xi = _chamber(args, M.dim) or localize.default_chamber(M)
     S = localize.dh_measure(M, xi)
     region = localize.gamma_region(M, xi)
@@ -330,15 +326,12 @@ def cmd_orbit(args) -> int:
             rng, pair.center_vector, pair.noncompact, args.zeta_samples
         ):
             symbolic = hermitian.laplace_nu_symbolic(O, zeta)
-            numeric, tail = oracle.numeric_laplace_spline(
-                Sk, zeta, method="mapped"
-            )
+            numeric, _ = oracle.numeric_laplace_spline(Sk, zeta, method="mapped")
             zsamples.append(
                 {
                     "zeta": [[z.real, z.imag] for z in zeta],
                     "symbolic": [symbolic.real, symbolic.imag],
                     "numeric": [numeric.real, numeric.imag],
-                    "numeric_tail_bound": tail,
                     "rel_difference": abs(symbolic - numeric)
                     / max(abs(symbolic), 1e-300),
                 }
@@ -350,7 +343,7 @@ def cmd_orbit(args) -> int:
             "symbolic_vs_numeric": zsamples,
             "worst_rel": worst,
         }
-        passed = passed and worst <= max(args.tol, 1e-3)
+        passed = passed and worst <= args.tol
 
     report["tol"] = args.tol
     report["passed"] = passed

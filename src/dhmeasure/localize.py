@@ -7,9 +7,9 @@ becomes the sign of the point's Heaviside-convolution term. The resulting
 signed cone spline is the pushforward measure, and its closed-form transform
 matches the oscillatory fixed-point sum on the tube where both converge.
 
-The flipped weights span a proper cone, and xi is the certificate: it pairs
-strictly positively with every one of them. Renormalization checks that
-exactly and runs no LP.
+The flipped weights span a proper cone, and xi is the certificate: the flip
+makes it pair strictly positively with every one of them, so renormalization
+needs no properness check and runs no LP.
 """
 
 from __future__ import annotations
@@ -117,13 +117,9 @@ def validate_model(M: FixedPointModel) -> ModelValidation:
         )
 
     try:
-        xi = _seed_direction(M)
-        R = _renormalize_unchecked(M, xi)
+        _seed_direction(M)
     except NonRegularXiError as e:
         return ModelValidation(False, (str(e),))
-    factors = _distinct_factors(R)
-    if not _certifies_proper(factors, R.chamber_point):
-        return ModelValidation(False, ("renormalized weight cone is not proper",))
     return ModelValidation(True, ())
 
 
@@ -150,8 +146,7 @@ def default_chamber(M: FixedPointModel):
     then take a rational interior point of the dual cone. The result pairs
     strictly positively with every renormalized weight, hence is regular."""
     xi = _seed_direction(M)
-    R = _renormalize_unchecked(M, xi)
-    factors = _distinct_factors(R)
+    factors = _distinct_factors(renormalize(M, xi))
     if not factors:
         return xi
     cone = polycone.cone_from_normals(M.dim, factors)
@@ -177,8 +172,15 @@ class RenormalizedModel:
     points: tuple
 
 
-def _renormalize_unchecked(M: FixedPointModel, xi) -> RenormalizedModel:
-    xi = vec(xi)
+def renormalize(M: FixedPointModel, xi=None) -> RenormalizedModel:
+    """Flip every weight to pair positively with xi (default: the canonical
+    chamber point) and record the flip signs.
+
+    Raises NonRegularXiError if xi pairs to zero with a weight. Otherwise
+    xi pairs strictly positively with every flipped weight, which certifies
+    that they span a proper cone.
+    """
+    xi = vec(default_chamber(M) if xi is None else xi)
     pts = []
     for p in M.points:
         sign = 1
@@ -198,12 +200,6 @@ def _renormalize_unchecked(M: FixedPointModel, xi) -> RenormalizedModel:
     return RenormalizedModel(M.dim, xi, tuple(pts))
 
 
-def _certifies_proper(factors, xi) -> bool:
-    """Does xi pair strictly positively with every factor? Then the factors
-    span a proper cone, with xi as the exact certificate."""
-    return all(vdot(f, xi) > 0 for f in factors)
-
-
 def _distinct_factors(R: RenormalizedModel):
     seen = []
     for p in R.points:
@@ -211,21 +207,6 @@ def _distinct_factors(R: RenormalizedModel):
             if f not in seen:
                 seen.append(f)
     return tuple(seen)
-
-
-def renormalize(M: FixedPointModel, xi=None) -> RenormalizedModel:
-    """Flip every weight to pair positively with xi (default: the canonical
-    chamber point) and record the flip signs.
-
-    xi is the certificate that the flipped weights span a proper cone; it is
-    checked exactly, and no LP is run.
-    """
-    if xi is None:
-        xi = default_chamber(M)
-    R = _renormalize_unchecked(M, xi)
-    if not _certifies_proper(_distinct_factors(R), R.chamber_point):
-        raise ModelValidationError("renormalized weight cone is not proper")
-    return R
 
 
 def dh_measure(M: FixedPointModel, xi=None) -> SignedConeSpline:
@@ -273,9 +254,7 @@ class GammaRegion:
 
 
 def gamma_region(M: FixedPointModel, xi=None) -> GammaRegion:
-    # no properness check: the flip makes every factor pair strictly
-    # positively with xi, so xi already certifies the cone
-    R = _renormalize_unchecked(M, default_chamber(M) if xi is None else xi)
+    R = renormalize(M, xi)
     return GammaRegion(M.dim, R.chamber_point, _distinct_factors(R))
 
 

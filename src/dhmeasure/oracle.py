@@ -1,10 +1,17 @@
-"""Brute-force verifiers, independent of the closed-form engine paths.
+"""Brute-force verifiers, each independent of the engine path it checks.
 
-Nothing here reuses the fiber-volume evaluator or the closed-form transform
-formulas: densities are recomputed by recursive quadrature, transforms by
-damped numeric integration, pushforwards by Monte Carlo on the model space,
-and partition counts by direct enumeration. The engine is trusted only after
-these agree with it.
+Densities are recomputed by recursive quadrature, independent of the
+exact density recursion. Pushforwards are sampled by Monte Carlo on the
+model space and partition counts enumerated directly; neither uses the
+engine. Transforms have two routes. The box route integrates the engine's
+own compiled density (DensityEvaluator) by quadrature, so it checks the
+closed-form transform formulas against the density, not the density
+itself. The mapped route expands each term's multiplier in orthant
+coordinates and sums closed-form one-dimensional moments: it reads only
+the spline's terms and multiplier, shares no code with the closed-form or
+symbolic transforms, and calls no scipy function. Without a multiplier it
+reduces, by Fubini, to the same product of factor transforms as
+conespline.laplace_factor.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate
 
 from . import lp, polycone
 from .rational import rat, vdot, vec
@@ -259,20 +266,13 @@ def spline_truncation_box(S, im_zeta, decay_log: float):
 
 
 def spline_tail_bound(S, im_zeta, decay_log: float) -> float:
-    """Upper estimate of the transform mass beyond the damping slab.
+    """Upper bound of the transform mass beyond the damping slab.
 
     Per term, in factor coordinates the discarded mass is the tail of a
     Gamma(n) law: (prod_j c_j)^(-1) e^(-L) sum_{k<n} L^k / k! with
-    c_j = <factor_j, Im zeta>. A polynomial multiplier of degree D is
-    majorized by extending the sum to k < n + D and scaling by the largest
-    coefficient magnitude; that part is an estimate, not a certificate.
+    c_j = <factor_j, Im zeta>. The spline carries no polynomial multiplier.
     """
     L = float(decay_log)
-    deg = 0
-    coeff_scale = 1.0
-    if S.poly is not None:
-        deg = max((sum(e) for e, _ in S.poly.coeffs), default=0)
-        coeff_scale = 1.0 + sum(abs(float(c)) for _, c in S.poly.coeffs)
     total = 0.0
     for t in S.terms:
         n = len(t.factors)
@@ -280,12 +280,12 @@ def spline_tail_bound(S, im_zeta, decay_log: float) -> float:
         for f in t.factors:
             c = sum(float(x) * v for x, v in zip(f, im_zeta))
             prod_c *= c
-        gam = sum(L**k / math.factorial(k) for k in range(n + deg))
+        gam = sum(L**k / math.factorial(k) for k in range(n))
         base_damp = math.exp(
             -sum(float(b) * v for b, v in zip(t.base, im_zeta))
         )
         total += base_damp * math.exp(-L) * gam / prod_c
-    return coeff_scale * total
+    return total
 
 
 @lru_cache(maxsize=512)
@@ -331,97 +331,71 @@ def _orthant_poly(poly, base, factors):
     return tuple((e, c) for e, c in out.items() if c != 0.0)
 
 
-def _moment_quad(k, w, decay_log, cfg):
-    """Truncated integral of s^k e^{isw} over [0, inf) plus its tail bound."""
-    r = w.imag
-    top = (decay_log + 4.0 * max(k, 1)) / r
-    if k:
-        top = (decay_log + k * math.log(max(top, 2.0))) / r
-    val, _ = integrate.quad(
-        lambda s: s**k * np.exp(1j * s * w) if k else np.exp(1j * s * w),
-        0.0,
-        top,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=400,
-        complex_func=True,
-    )
-    tail = special.gammaincc(k + 1, r * top) * math.gamma(k + 1) / r ** (k + 1)
-    return complex(val), float(tail)
-
-
-def _mapped_term_transform(term, poly, zeta, decay_log, cfg, moments):
+def _mapped_term_transform(term, poly, zeta):
     """Transform of one signed term via orthant-coordinate factorization.
 
-    Splits the kernel into independent one-dimensional moment integrals,
-    one per factor, after expanding the multiplier in orthant coordinates.
-    moments maps (k, w) to _moment_quad(k, w, decay_log, cfg) and the
-    undamped bound k!/Im(w)^(k+1); it is filled as needed, so terms sharing
-    a factor pairing w = <f, zeta> integrate each moment once. Returns
-    (value, tail_bound).
+    With mu = base + sum_j s_j f_j over the orthant s >= 0, the kernel splits
+    into one factor e^{i s_j w_j} per factor, w_j = <f_j, zeta>, and each
+    orthant monomial of the multiplier into a product of one-dimensional
+    moments, exact when Im w > 0:
+
+        int_0^inf s^k e^{isw} ds = k! (i/w)^{k+1}.
+
+    Nothing is truncated, so no tail bound arises.
     """
-    n = len(term.factors)
     phase = np.exp(1j * sum(float(b) * z for b, z in zip(term.base, zeta)))
-    if n == 0:
+    if not term.factors:
         pval = float(poly.eval_exact(term.base)) if poly is not None else 1.0
-        return term.sign * pval * complex(phase), 0.0
-    ws = []
-    for f in term.factors:
+        return term.sign * pval * complex(phase)
+    expansion = _orthant_poly(poly, term.base, term.factors)
+    tables = []
+    for j, f in enumerate(term.factors):
         w = complex(sum(float(x) * z for x, z in zip(f, zeta)))
         if w.imag <= 0:
             raise ValueError("Im(zeta) does not damp every factor direction")
-        ws.append(w)
+        # moments[k] = k! (i/w)^(k+1), up to the top degree of this factor
+        ratio = 1j / w
+        moments = [ratio]
+        top = max((es[j] for es, _ in expansion), default=0)
+        for k in range(1, top + 1):
+            moments.append(moments[-1] * k * ratio)
+        tables.append(moments)
     value = 0.0 + 0.0j
-    tail = 0.0
-    for es, c in _orthant_poly(poly, term.base, term.factors):
-        vals, tails, fulls = [], [], []
-        for j, k in enumerate(es):
-            key = (k, ws[j])
-            if key not in moments:
-                moments[key] = (*_moment_quad(k, ws[j], decay_log, cfg),
-                                math.gamma(k + 1) / ws[j].imag ** (k + 1))
-            v, t, full = moments[key]
-            vals.append(v)
-            tails.append(t)
-            fulls.append(full)
-        value += c * np.prod(vals)
-        for j in range(n):
-            bound = tails[j]
-            for l in range(n):
-                if l != j:
-                    bound *= fulls[l]
-            tail += abs(c) * bound
-    scale = abs(phase)
-    return term.sign * complex(value * phase), tail * scale
+    for es, c in expansion:
+        m = c
+        for moments, k in zip(tables, es):
+            m *= moments[k]
+        value += m
+    return term.sign * complex(value * phase)
 
 
 def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
                            decay_log: float = 30.0, method: str = "auto"):
-    """Transform of a spline's density by truncated numeric integration.
+    """Transform of a spline's density by one of two numeric routes.
 
     Returns (value, tail_bound). method="box" runs iterated quadrature of
     the compiled density times the oscillating kernel over a truncation
-    box holding all but e^(-decay_log) of the damped mass; method="mapped"
-    integrates each term in orthant coordinates, where the kernel splits
-    into one-dimensional moment integrals (fast and jump-free in any
-    volume dimension). "auto" picks box for one-dimensional volumes and
-    mapped otherwise.
+    box holding all but e^(-decay_log) of the damped mass, and bounds the
+    rest; it takes no polynomial multiplier. cfg and decay_log set only
+    this route. method="mapped" writes each term in orthant coordinates,
+    where the kernel splits into closed-form one-dimensional moments (any
+    volume dimension, polynomial multipliers included); it truncates
+    nothing, so its tail bound is 0.0. "auto" picks box for
+    one-dimensional volumes and mapped otherwise.
     """
     zeta = tuple(complex(z) for z in zeta)
     if method == "auto":
         method = "box" if S.dim == 1 else "mapped"
     if method == "mapped":
-        mcfg = cfg or QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
-        value = 0.0 + 0.0j
-        tail = 0.0
-        moments = {}
-        for term in S.terms:
-            v, t = _mapped_term_transform(term, S.poly, zeta, decay_log, mcfg, moments)
-            value += v
-            tail += t
-        return complex(value), tail
+        value = sum(
+            (_mapped_term_transform(term, S.poly, zeta) for term in S.terms),
+            0.0 + 0.0j,
+        )
+        return complex(value), 0.0
     if method != "box":
         raise ValueError("method must be 'auto', 'box', or 'mapped'")
+    if S.poly is not None:
+        raise ValueError("the box route takes no polynomial multiplier")
     from .conespline import DensityEvaluator
 
     im = [z.imag for z in zeta]

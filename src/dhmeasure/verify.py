@@ -412,11 +412,14 @@ def convolution_suite(seed: int = 0, count: int = 50) -> dict:
 
 
 def laplace_suite(seed: int = 0, sets: int = 25, zetas: int = 5) -> dict:
-    """Closed-form cone transforms against damped numeric integration.
+    """Closed-form cone transforms against numeric routes.
 
-    numeric_laplace_spline picks the route: the truncation box over the
-    compiled density in one dimension, and in higher dimension, where that
-    route fights wall discontinuities, the factor-coordinate split.
+    numeric_laplace_spline picks the route. In one dimension the box route
+    integrates the compiled density by quadrature: that is the part that
+    checks the transform against the density. In higher dimension the
+    mapped route sums closed-form orthant moments; for these single cones
+    without a multiplier that is laplace_factor again by Fubini, so those
+    sets check only its factorisation into per-factor transforms.
     """
     rng = suite_rng(seed, "laplace")
     t0 = time.time()

@@ -116,7 +116,7 @@ def test_orbit_subcommand(orbit_input, tmp_path):
     rep = json.loads((out / "report.json").read_text())
     assert rep["passed"] is True
     assert rep["t_measure"]["localization_worst_rel"] <= 1e-6
-    assert rep["k_measure"]["worst_rel"] <= 1e-3
+    assert rep["k_measure"]["worst_rel"] <= 1e-9
     for name in (
         "weyl.json",
         "t_spline.json",
@@ -346,6 +346,37 @@ def test_orbit_k_check_failure_exits_one(orbit_input, tmp_path, monkeypatch):
     assert rep["passed"] is False
     samples = rep["k_measure"]["symbolic_vs_numeric"]
     assert len(_failing(s["rel_difference"] for s in samples)) == 2
+
+
+def test_orbit_k_check_honours_a_tolerance_below_1e_3(orbit_input, tmp_path, monkeypatch):
+    # a 5e-4 relative defect in the symbolic transform, under --tol 1e-9
+    real = hermitian.laplace_nu_symbolic
+    monkeypatch.setattr(hermitian, "laplace_nu_symbolic", lambda *a: 1.0005 * real(*a))
+    out = tmp_path / "out"
+    rc = cli.main(["orbit", "--input", orbit_input, "--out", str(out), "--measure", "k",
+                   "--zeta-samples", "2", "--tol", "1e-9"])
+    assert rc == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["passed"] is False
+    samples = rep["k_measure"]["symbolic_vs_numeric"]
+    assert all(s["rel_difference"] > rep["tol"] for s in samples)
+    assert len(samples) == 2
+
+
+@pytest.mark.parametrize(
+    "weights,message",
+    [([["0"]], "zero weight"), ([["1", "2"]], "wrong dimension")],
+)
+def test_invalid_model_exits_two(weights, message, tmp_path, capsys):
+    bad = write(tmp_path / "bad.json", {"dim": 1, "points": [
+        {"image": ["2"], "weights": [["-1"]]},
+        {"image": ["-2"], "weights": weights},
+    ]})
+    rc = cli.main(["abelian", "--input", bad])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_suite_failure_exits_one(tmp_path, monkeypatch, capsys):

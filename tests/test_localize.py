@@ -249,21 +249,3 @@ def test_renormalized_factors_pair_positively_with_regular_xi():
             R = localize.renormalize(M, xi)
             for p in R.points:
                 assert all(vdot(f, xi) > 0 for f in p.factors)
-
-
-def test_renormalize_rejects_a_factor_xi_does_not_certify(monkeypatch):
-    M = sphere(2)
-    real = localize._renormalize_unchecked
-
-    def one_unflipped(M, xi):
-        R = real(M, xi)
-        p = R.points[0]
-        bad = localize.RenormalizedPoint(
-            p.label, p.image, tuple(tuple(-x for x in f) for f in p.factors), -p.sign
-        )
-        return localize.RenormalizedModel(R.dim, R.chamber_point, (bad,) + R.points[1:])
-
-    monkeypatch.setattr(localize, "_renormalize_unchecked", one_unflipped)
-    with pytest.raises(localize.ModelValidationError):
-        localize.renormalize(M, (1,))
-    assert not localize.validate_model(M).ok

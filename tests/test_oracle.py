@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from dhmeasure import conespline, oracle
 from dhmeasure.conespline import spline, spline_term
@@ -213,36 +214,20 @@ def test_spline_tail_bound_shrinks():
     assert tight < loose
 
 
-def _term_by_term_mapped(S, zeta, decay_log=30.0):
-    """The mapped route without sharing: every term expands its multiplier
-    afresh and integrates its own moments, keyed by factor position."""
-    cfg = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
-    value, tail = 0.0 + 0.0j, 0.0
+def _term_by_term_mapped(S, zeta):
+    """The mapped route written out per term and per monomial: every moment
+    k! (i/w)^(k+1) is evaluated afresh from its own power."""
+    value = 0.0 + 0.0j
     for term in S.terms:
         phase = np.exp(1j * sum(float(b) * z for b, z in zip(term.base, zeta)))
         ws = [complex(sum(float(x) * z for x, z in zip(f, zeta))) for f in term.factors]
-        n = len(ws)
-        cache = {}
-        term_value, term_tail = 0.0 + 0.0j, 0.0
+        term_value = 0.0 + 0.0j
         for es, c in oracle._orthant_poly.__wrapped__(S.poly, term.base, term.factors):
-            vals, tails, fulls = [], [], []
-            for j, k in enumerate(es):
-                if (j, k) not in cache:
-                    cache[(j, k)] = oracle._moment_quad(k, ws[j], decay_log, cfg)
-                v, t = cache[(j, k)]
-                vals.append(v)
-                tails.append(t)
-                fulls.append(math.gamma(k + 1) / ws[j].imag ** (k + 1))
-            term_value += c * np.prod(vals)
-            for j in range(n):
-                bound = tails[j]
-                for l in range(n):
-                    if l != j:
-                        bound *= fulls[l]
-                term_tail += abs(c) * bound
+            term_value += c * math.prod(
+                math.factorial(k) * (1j / w) ** (k + 1) for k, w in zip(es, ws)
+            )
         value += term.sign * complex(term_value * phase)
-        tail += term_tail * abs(phase)
-    return complex(value), tail
+    return complex(value)
 
 
 @pytest.mark.parametrize(
@@ -259,5 +244,56 @@ def test_shared_mapped_oracle_equals_term_by_term_sum(family, params, lam):
     for _ in range(3):
         im = center * rng.uniform(1.0, 1.8)
         zeta = tuple(complex(r, i) for r, i in zip(rng.uniform(-1, 1, spec.pair.rank), im))
-        # value and tail bound, bit for bit
-        assert numeric_laplace_spline(Sk, zeta, method="mapped") == _term_by_term_mapped(Sk, zeta)
+        value, tail = numeric_laplace_spline(Sk, zeta, method="mapped")
+        want = _term_by_term_mapped(Sk, zeta)
+        assert abs(value - want) <= 1e-13 * abs(want)
+        assert tail == 0.0
+
+
+def _moment_quad(k, w, decay_log=36.0):
+    """Reference moment: s^k e^{isw} integrated over [0, T] by oscillatory
+    quadrature, T past where the damped integrand falls below e^(-decay_log)."""
+    a, r = w.real, w.imag
+    top = (decay_log + 4.0 * max(k, 1)) / r
+    if k:
+        top = (decay_log + k * math.log(max(top, 2.0))) / r
+    parts = [
+        integrate.quad(lambda s: s**k * math.exp(-r * s), 0.0, top, weight=weight,
+                       wvar=a, epsabs=0.0, epsrel=1e-10, limit=400)[0]
+        for weight in ("cos", "sin")
+    ]
+    return complex(*parts)
+
+
+@pytest.mark.parametrize("w", [0.5 + 1.0j, -0.7 + 1.4j, 0.03 + 0.05j, 0.3j, -25 + 2j, 40 + 3j])
+def test_mapped_moments_equal_truncated_quadrature(w):
+    # one factor (1,) at base 0 with multiplier x^k: the route's value is
+    # exactly its k-th moment
+    for k in range(5):
+        P = conespline.Polynomial.from_dict(1, {(k,): 1})
+        S = spline(1, [spline_term(1, (0,), [(1,)])], poly=P)
+        value, tail = numeric_laplace_spline(S, (w,), method="mapped")
+        want = _moment_quad(k, w)
+        assert abs(value - want) <= 1e-9 * abs(want)
+        assert tail == 0.0
+
+
+def test_mapped_route_calls_no_quadrature(monkeypatch):
+    def refuse(*a, **k):
+        raise AssertionError("the mapped route integrated numerically")
+
+    monkeypatch.setattr(oracle.integrate, "quad", refuse)
+    P = conespline.Polynomial.linear((1, 2))
+    S = spline(2, [spline_term(1, (1, 0), [(1, 0), (1, 1)]),
+                   spline_term(-1, (0, 2), [(0, 1), (1, 1)])], poly=P)
+    zeta = (0.3 + 1.1j, -0.2 + 0.9j)
+    value, tail = numeric_laplace_spline(S, zeta, method="mapped")
+    assert value == pytest.approx(_term_by_term_mapped(S, zeta), rel=1e-13)
+    assert tail == 0.0
+
+
+def test_box_route_refuses_polynomial_multiplier():
+    P = conespline.Polynomial.linear((1,))
+    S = spline(1, [spline_term(1, (0,), [(1,)])], poly=P)
+    with pytest.raises(ValueError, match="polynomial"):
+        numeric_laplace_spline(S, (0.5 + 1.0j,), method="box")

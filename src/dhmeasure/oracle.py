@@ -2,15 +2,16 @@
 
 Densities are recomputed by recursive quadrature, independent of the
 exact density recursion. Pushforwards are sampled by Monte Carlo on the
-model space and partition counts enumerated directly; neither uses the
-engine. Transforms have two routes. The box route integrates the engine's
-own compiled density (DensityEvaluator) by quadrature, so it checks the
-closed-form transform formulas against the density, not the density
-itself. The mapped route expands each term's multiplier in orthant
-coordinates and sums closed-form one-dimensional moments: it reads only
-the spline's terms and multiplier, shares no code with the closed-form or
-symbolic transforms, and calls no scipy function. Without a multiplier it
-reduces, by Fubini, to the same product of factor transforms as
+model space, and partition counts are found by fiber enumeration over a
+weight basis, in integer arithmetic; neither uses the engine. Transforms
+have two routes. The box route integrates the engine's own compiled
+density (DensityEvaluator) by quadrature, so it checks the closed-form
+transform formulas against the density, not the density itself. The
+mapped route expands each term's multiplier in orthant coordinates and
+sums closed-form one-dimensional moments: it reads only the spline's
+terms and multiplier, shares no code with the closed-form or symbolic
+transforms, and calls no scipy function. Without a multiplier it reduces,
+by Fubini, to the same product of factor transforms as
 conespline.laplace_factor.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +27,7 @@ import numpy as np
 from scipy import integrate
 
 from . import lp, polycone
-from .rational import rat, vdot, vec
+from .rational import det, rank, rat, solve, vdot, vec
 
 
 class ImproperConeError(ValueError):
@@ -94,8 +96,6 @@ def quadrature_convolution(factors, mu, cfg: QuadratureConfig | None = None):
     eta = np.asarray([float(x) for x in eta_r], dtype=float)
 
     # greedy independent subset for the exact base case
-    from .rational import rank
-
     base_idx = []
     for i in range(len(factors)):
         if rank([list(f) for f in (factors[j] for j in (*base_idx, i))]) == len(base_idx) + 1:
@@ -515,44 +515,83 @@ def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable
 
 
 def lattice_count(weights, mu, t: int = 1) -> int:
-    """#{s in Z^n_{>=0} : sum s_i b_i = t mu} by bounded recursion."""
+    """#{s in Z^n_{>=0} : sum s_i b_i = t mu}, by enumerating the fiber.
+
+    A basis B of the weights' span is fixed, taking the weights that pair
+    least with a strictly positive functional eta first. The other coordinates are
+    enumerated inside the bound eta puts on them, and at each leaf the
+    basis coordinates are solved from B's integer adjugate and determinant
+    and kept when integral and nonnegative. Integer arithmetic throughout.
+    """
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+        raise ValueError(f"lattice counting needs an integer scale t, got {t!r}")
     weights = [vec(w) for w in weights]
+    mu = vec(mu)
     for w in weights:
+        if len(w) != len(mu):
+            raise ValueError(
+                f"target has length {len(mu)} but a weight has length {len(w)}")
         if any(x.denominator != 1 for x in w):
             raise ValueError("lattice counting needs integer weights")
-    target = tuple(x * t for x in vec(mu))
+    target = [x * int(t) for x in mu]
     if any(x.denominator != 1 for x in target):
         raise ValueError("lattice counting needs an integer target")
     eta = _positive_functional(weights)
-    pair = [vdot(w, eta) for w in weights]
-    nodes = [0]
+    scale = math.lcm(*(x.denominator for x in eta))
+    eta = [int(x * scale) for x in eta]
+    W = [[int(x) for x in w] for w in weights]
+    target = [int(x) for x in target]
 
-    def rec(idx, residual):
-        nodes[0] += 1
-        if nodes[0] > LATTICE_MAX_NODES:
-            raise ValueError("lattice enumeration bound exceeded")
-        if idx == len(weights) - 1:
-            b = weights[idx]
-            # residual must be a nonneg integer multiple of the last weight
-            s = None
-            for rcomp, bcomp in zip(residual, b):
-                if bcomp != 0:
-                    s = rcomp / bcomp
-                    break
-            if s is None or s.denominator != 1 or s < 0:
-                return 0
-            return 1 if all(rc == s * bc for rc, bc in zip(residual, b)) else 0
-        level = vdot(residual, eta)
-        if level < 0:
+    def pairing(v):
+        return sum(a * b for a, b in zip(v, eta))
+
+    order = sorted(range(len(W)), key=lambda i: pairing(W[i]))
+    basis = []
+    for i in order:
+        if rank([W[j] for j in (*basis, i)]) == len(basis) + 1:
+            basis.append(i)
+    free = [i for i in order if i not in basis]
+    # coordinates on which B has a nonsingular square minor M
+    rows = []
+    for k in range(len(mu)):
+        if rank([[W[j][r] for j in basis] for r in (*rows, k)]) == len(rows) + 1:
+            rows.append(k)
+    M = [[W[j][r] for j in basis] for r in rows]
+    det_m = int(det(M))
+    inv = solve(M, [[int(r == c) for c in range(len(M))] for r in range(len(M))])
+    adj = [[int(x * det_m) for x in row] for row in inv]
+    if det_m < 0:
+        det_m, adj = -det_m, [[-x for x in row] for row in adj]
+
+    def numerators(v):
+        # det(M) times the basis coordinates solving M s_B = v on the rows
+        return [sum(a * v[r] for a, r in zip(row, rows)) for row in adj]
+
+    # Every weight lies in B's span, so a leaf satisfies the rows outside M
+    # exactly when the target does: det(M) x = B adj(M) x there.
+    num = numerators(target)
+    for k in range(len(mu)):
+        if k not in rows and det_m * target[k] != sum(
+                W[j][k] * v for j, v in zip(basis, num)):
             return 0
-        top = int(level / pair[idx])
-        total = 0
-        b = weights[idx]
-        for s in range(top + 1):
-            total += rec(idx + 1, tuple(rc - s * bc for rc, bc in zip(residual, b)))
-        return total
+    steps = [(pairing(W[j]), numerators(W[j])) for j in free]
+    nodes = 0
 
-    return rec(0, target)
+    def rec(depth, level, num):
+        nonlocal nodes
+        if depth == len(steps):
+            return int(all(v >= 0 and v % det_m == 0 for v in num))
+        pair, step = steps[depth]
+        top = level // pair
+        nodes += top + 1
+        if nodes > LATTICE_MAX_NODES:
+            raise ValueError("lattice enumeration bound exceeded")
+        return sum(
+            rec(depth + 1, level - s * pair, [v - s * dv for v, dv in zip(num, step)])
+            for s in range(top + 1)
+        )
+
+    return rec(0, pairing(target), num)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ the deterministic suite generators, so failures reproduce exactly.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,11 +44,13 @@ def test_criterion_2_transform_duality():
     t0 = time.time()
     rep = verify.laplace_suite(seed=0, sets=25, zetas=5)
     elapsed = time.time() - t0
+    worst = rep["worst_rel_by_route"]
     _gate(
         2,
         "transform duality",
-        rep["failed"] == 0 and rep["worst_rel"] <= 1e-3,
-        f"125 transforms, worst rel {rep['worst_rel']:.2e} <= 1e-3",
+        rep["failed"] == 0 and worst["box"] <= 1e-6 and worst["mapped"] <= 1e-12,
+        f"125 transforms, worst rel {worst['box']:.2e} <= 1e-6 on the box route,"
+        f" {worst['mapped']:.2e} <= 1e-12 on the mapped route",
         elapsed,
         120.0,
     )
@@ -233,13 +236,19 @@ def test_criterion_9_lattice_asymptotics():
     rep = verify.lattice_suite(t=100)
     elapsed = time.time() - t0
     worst = max(max(s["deviations"]) for s in rep["systems"])
+    # the exact leading coefficient over the density is the lattice index
+    exact = all(
+        {Fraction(c) for c in s["exact_constants"]} == {s["lattice_index"]}
+        for s in rep["systems"]
+    )
     _gate(
         9,
         "lattice asymptotics",
-        rep["failed"] == 0 and worst <= 0.05,
-        f"two weight systems at t=100, worst deviation {100 * worst:.2f}% <= 5%",
+        rep["failed"] == 0 and exact and worst <= 0.05,
+        f"{len(rep['systems'])} weight systems, leading coefficient == lattice index"
+        f" x density exactly; at t=100 worst deviation {100 * worst:.2f}% <= 5%",
         elapsed,
-        60.0,
+        5.0,
     )
 
 

@@ -1,11 +1,12 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from dhmeasure import conespline, oracle
+from dhmeasure import conespline, oracle, verify
 from dhmeasure.conespline import spline, spline_term
 from dhmeasure.oracle import (
     MonteCarloConfig,
@@ -17,6 +18,7 @@ from dhmeasure.oracle import (
     quadrature_convolution,
     truncated_circle_check,
 )
+from dhmeasure.rational import vdot, vec
 
 
 def test_quadrature_single_weight():
@@ -161,6 +163,115 @@ def test_lattice_count_scaling():
 def test_lattice_count_rejects_non_integer():
     with pytest.raises(ValueError):
         lattice_count([(1.5,)], (3,))
+
+
+def _reference_lattice_count(weights, mu, t=1):
+    """Recursion over the first n - 1 orthant coordinates, the last one solved.
+
+    The counter lattice_count used before it enumerated only the fiber; kept
+    as the reference its counts must equal.
+    """
+    weights = [vec(w) for w in weights]
+    target = tuple(x * t for x in vec(mu))
+    eta = oracle._positive_functional(weights)
+    pair = [vdot(w, eta) for w in weights]
+
+    def rec(idx, residual):
+        if idx == len(weights) - 1:
+            b = weights[idx]
+            s = None
+            for rcomp, bcomp in zip(residual, b):
+                if bcomp != 0:
+                    s = rcomp / bcomp
+                    break
+            if s is None or s.denominator != 1 or s < 0:
+                return 0
+            return 1 if all(rc == s * bc for rc, bc in zip(residual, b)) else 0
+        level = vdot(residual, eta)
+        if level < 0:
+            return 0
+        top = int(level / pair[idx])
+        b = weights[idx]
+        return sum(
+            rec(idx + 1, tuple(rc - s * bc for rc, bc in zip(residual, b)))
+            for s in range(top + 1)
+        )
+
+    return rec(0, target)
+
+
+# non-unimodular, index 2, rank-deficient, repeated weights, three dimensions
+_NAMED_LATTICE_SYSTEMS = (
+    ((2, 1), (1, 3), (1, 1)),
+    ((2, 0), (0, 2), (1, 1)),
+    ((1, 1), (2, 2), (3, 3)),
+    ((1, 0), (1, 0), (0, 1), (1, 1)),
+    ((1,), (1,), (2,)),
+    ((2,), (3,)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+    ((1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 2, 0)),
+)
+
+
+def _lattice_systems():
+    """Named and seeded weight systems, each with targets on the lattice,
+    off it, outside the cone and at 0."""
+    rng = np.random.default_rng(18)
+    systems = list(_NAMED_LATTICE_SYSTEMS)
+    for _ in range(30):
+        dim = int(rng.integers(1, 4))
+        n = int(rng.integers(dim, min(dim + 2, 4) + 1))
+        factors, _ = verify.random_proper_factors(rng, dim, n, spanning=False)
+        systems.append(tuple(factors))
+    for weights in systems:
+        dim = len(weights[0])
+        inside = [sum(int(c) * w[j] for c, w in zip(rng.integers(0, 3, size=len(weights)),
+                                                      weights)) for j in range(dim)]
+        anywhere = [int(x) for x in rng.integers(-2, 5, size=dim)]
+        outside = [-x for x in weights[0]]
+        yield weights, [inside, anywhere, outside, [0] * dim]
+
+
+def test_lattice_count_equals_reference_recursion():
+    checked = 0
+    for weights, targets in _lattice_systems():
+        for mu in targets:
+            for t in (0, 1, 2, 3):
+                assert lattice_count(weights, mu, t=t) == _reference_lattice_count(
+                    weights, mu, t), (weights, mu, t)
+                checked += 1
+    assert checked == 4 * 4 * (len(_NAMED_LATTICE_SYSTEMS) + 30)
+    # a rational target that the scale makes integral, and one it does not
+    assert lattice_count([(1,), (2,)], (Fraction(5, 2),), t=2) == 3
+    with pytest.raises(ValueError, match="integer target"):
+        lattice_count([(1,), (2,)], (Fraction(5, 2),), t=3)
+
+
+def test_lattice_count_enumeration_bound(monkeypatch):
+    assert lattice_count([(1, 0), (0, 1), (1, 1)], (40, 40)) == 41
+    monkeypatch.setattr(oracle, "LATTICE_MAX_NODES", 30)
+    with pytest.raises(ValueError, match="enumeration bound"):
+        lattice_count([(1, 0), (0, 1), (1, 1)], (40, 40))
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0, True, "2"])
+def test_lattice_count_rejects_a_non_integer_scale(t):
+    with pytest.raises(ValueError, match="integer scale"):
+        lattice_count([(1,), (1,)], (4,), t=t)
+
+
+def test_lattice_count_dimension_mismatch_names_both_lengths():
+    with pytest.raises(ValueError, match="length 3 but a weight has length 2"):
+        lattice_count([(1, 0), (0, 1)], (1, 2, 3))
+    with pytest.raises(ValueError, match="length 1 but a weight has length 2"):
+        lattice_count([(1, 0), (0, 1)], (1,))
+
+
+def test_lattice_count_negative_scale_and_improper_cone():
+    assert lattice_count([(1, 0), (0, 1), (1, 1)], (2, 3), t=-1) == 0
+    assert lattice_count([(1,), (2,)], (0,), t=-2) == 1
+    with pytest.raises(oracle.ImproperConeError):
+        lattice_count([(1,), (-1,)], (2,))
 
 
 def test_montecarlo_deterministic():

@@ -1,6 +1,9 @@
-import numpy as np
+from fractions import Fraction
 
-from dhmeasure import conespline, localize, polycone, verify
+import numpy as np
+import pytest
+
+from dhmeasure import conespline, localize, oracle, polycone, verify
 
 
 def test_suite_rng_is_stable():
@@ -60,6 +63,35 @@ def test_montecarlo_suite_reduced_samples():
 def test_lattice_suite_reduced_scale():
     rep = verify.lattice_suite(t=40)
     assert rep["failed"] == 0
+
+
+@pytest.mark.parametrize("name", [c[0] for c in verify._LATTICE_CASES])
+def test_lattice_suite_fails_on_one_count_off_by_one(name, monkeypatch):
+    weights = next(w for n, w, _ in verify._LATTICE_CASES if n == name)
+    real = oracle.lattice_count
+    hit = []
+
+    def off_by_one(w, mu, t=1):
+        count = real(w, mu, t=t)
+        # one count of the exact path, which runs at t != 100
+        if tuple(w) == weights and t != 100 and not hit:
+            hit.append((mu, t))
+            return count + 1
+        return count
+
+    monkeypatch.setattr(oracle, "lattice_count", off_by_one)
+    rep = verify.lattice_suite(t=100)
+    assert hit and [f["system"] for f in rep["failures"]] == [name]
+
+
+def test_leading_coefficient_of_a_partition_count():
+    # partitions of t into parts 1, 2, 3: degree 2, period 6, t^2 / 12 + ...
+    def count(t):
+        return oracle.lattice_count([(1,), (2,), (3,)], (1,), t=t)
+
+    assert verify.maximal_minors([(1,), (2,), (3,)]) == [1, 2, 3]
+    assert verify.leading_coefficient(count, 6, 2) == Fraction(1, 12)
+    assert verify.maximal_minors([(2, 0), (0, 2), (1, 1)]) == [4, 2, 2]
 
 
 def test_circle_suite():

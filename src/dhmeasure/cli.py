@@ -21,8 +21,6 @@ import os
 import sys
 from functools import cache
 
-import numpy as np
-
 from . import conespline, hermitian, localize, oracle, polycone, verify
 from .conespline import atomic_write_text
 from .rational import rat, rat_str, vec
@@ -142,7 +140,7 @@ def _check_directions(args, dim):
 def cmd_cones(args) -> int:
     data = _load_json(args.input)
     report = {"input": args.input}
-    if "halfspaces" in data:
+    if "halfspaces" in data and "generators" not in data:
         P = polycone.polyhedron_from_json(data)
         _check_directions(args, P.dim)
         report["kind"] = "polyhedron"
@@ -240,7 +238,7 @@ def cmd_abelian(args) -> int:
     xi = _chamber(args, M.dim) or localize.default_chamber(M)
     S = localize.dh_measure(M, xi)
     region = localize.gamma_region(M, xi)
-    rng = np.random.Generator(np.random.Philox(key=[args.seed, 101]))
+    rng = verify.suite_rng(args.seed, 101)
 
     report = {
         "input": args.input,
@@ -282,7 +280,7 @@ def cmd_orbit(args) -> int:
     pair = O.pair
     om = O.model
     M = om.model
-    rng = np.random.Generator(np.random.Philox(key=[args.seed, 202]))
+    rng = verify.suite_rng(args.seed, 202)
 
     report = {
         "input": args.input,

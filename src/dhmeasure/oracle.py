@@ -4,15 +4,16 @@ Densities are recomputed by recursive quadrature, independent of the
 exact density recursion. Pushforwards are sampled by Monte Carlo on the
 model space, and partition counts are found by fiber enumeration over a
 weight basis, in integer arithmetic; neither uses the engine. Transforms
-have two routes. The box route integrates the engine's own compiled
-density (DensityEvaluator) by quadrature, so it checks the closed-form
-transform formulas against the density, not the density itself. The
-mapped route expands each term's multiplier in orthant coordinates and
-sums closed-form one-dimensional moments: it reads only the spline's
-terms and multiplier, shares no code with the closed-form or symbolic
-transforms, and calls no scipy function. Without a multiplier it reduces,
-by Fubini, to the same product of factor transforms as
-conespline.laplace_factor.
+have two routes, and the caller names one. The box route integrates the
+engine's own compiled density (DensityEvaluator) by quadrature, so it
+checks the closed-form transform formulas against the density, not the
+density itself; its truncation box and tail bound are closed forms over
+each term's damped simplex, with no LP. The mapped route expands each
+term's multiplier in orthant coordinates and sums closed-form
+one-dimensional moments: it reads only the spline's terms and multiplier,
+shares no code with the closed-form or symbolic transforms, and calls no
+scipy function. Without a multiplier it reduces, by Fubini, to the same
+product of factor transforms as conespline.laplace_factor.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from . import lp, polycone
+from . import polycone
 from .rational import det, rank, rat, solve, vdot, vec
 
 
@@ -61,6 +62,8 @@ class MonteCarloConfig:
             raise ValueError("need at least 10^4 samples")
         if self.cutoff_radius <= 0 or self.bins < 2:
             raise ValueError("bad Monte Carlo configuration")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed {self.seed!r} is not an integer in [0, 2^64)")
 
 
 def _positive_functional(factors):
@@ -226,66 +229,42 @@ def numeric_laplace(f, zeta, box, cfg: QuadratureConfig | None = None) -> comple
     return complex(out * np.exp(1j * sum(c * z for c, z in zip(corner, zeta))))
 
 
-def spline_truncation_box(S, im_zeta, decay_log: float):
-    """Axis box containing the support mass up to e^(-decay_log) damping.
+def spline_truncation(S, im_zeta, decay_log: float):
+    """Truncation box and tail bound of the box route, in one pass over terms.
 
-    Exact per-coordinate linear programs over each term's translated cone
-    intersected with the damping slab <mu - base, Im zeta> <= decay_log.
+    With c_j = <f_j, Im zeta> > 0, checked exactly, a term's mass inside the
+    damping slab <mu - base, Im zeta> <= L lies on the simplex with vertices
+    base and base + (L / c_j) f_j. The box is the exact coordinate range of
+    every term's vertices, padded outward in floats. Outside the slab, in
+    factor coordinates, a term discards the tail of a Gamma(n) law:
+    (prod_j c_j)^(-1) e^(-L) sum_{k<n} L^k / k!, damped at its base. The
+    tail bound sums these; the spline carries no polynomial multiplier.
+
+    Returns (box, tail_bound), box a list of (lo, hi) per coordinate.
     """
     im = vec([rat(float(v)) for v in im_zeta])
-    lo = [None] * S.dim
-    hi = [None] * S.dim
     L = rat(float(decay_log))
+    Lf = float(decay_log)
+    vertices = []
+    tail = 0.0
     for t in S.terms:
-        n = len(t.factors)
         pair_im = [vdot(f, im) for f in t.factors]
         if any(p <= 0 for p in pair_im):
             raise ValueError("Im(zeta) does not damp every factor direction")
-        cons = [
-            lp.constraint([rat(1) if j == i else rat(0) for j in range(n)], lp.GE, 0)
-            for i in range(n)
-        ]
-        cons.append(lp.constraint(pair_im, lp.LE, L))
-        for j in range(S.dim):
-            obj = [f[j] for f in t.factors]
-            for maximize in (False, True):
-                res = lp.solve_lp(obj, cons, maximize=maximize)
-                if res.status != lp.OPTIMAL:
-                    raise ValueError("truncation region is unbounded")
-                v = t.base[j] + res.objective
-                if maximize:
-                    hi[j] = v if hi[j] is None or v > hi[j] else hi[j]
-                else:
-                    lo[j] = v if lo[j] is None or v < lo[j] else lo[j]
-    out = []
-    for a, b in zip(lo, hi):
-        fa, fb = float(a), float(b)
+        vertices.append(t.base)
+        vertices.extend([b + L / p * x for b, x in zip(t.base, f)]
+                        for p, f in zip(pair_im, t.factors))
+        prod_c = math.prod(sum(float(x) * v for x, v in zip(f, im_zeta))
+                           for f in t.factors)
+        gam = sum(Lf**k / math.factorial(k) for k in range(len(t.factors)))
+        base_damp = math.exp(-sum(float(b) * v for b, v in zip(t.base, im_zeta)))
+        tail += base_damp * math.exp(-Lf) * gam / prod_c
+    box = []
+    for values in zip(*vertices):
+        fa, fb = float(min(values)), float(max(values))
         pad = 1e-9 * (1.0 + abs(fa) + abs(fb))
-        out.append((fa - pad, fb + pad))
-    return out
-
-
-def spline_tail_bound(S, im_zeta, decay_log: float) -> float:
-    """Upper bound of the transform mass beyond the damping slab.
-
-    Per term, in factor coordinates the discarded mass is the tail of a
-    Gamma(n) law: (prod_j c_j)^(-1) e^(-L) sum_{k<n} L^k / k! with
-    c_j = <factor_j, Im zeta>. The spline carries no polynomial multiplier.
-    """
-    L = float(decay_log)
-    total = 0.0
-    for t in S.terms:
-        n = len(t.factors)
-        prod_c = 1.0
-        for f in t.factors:
-            c = sum(float(x) * v for x, v in zip(f, im_zeta))
-            prod_c *= c
-        gam = sum(L**k / math.factorial(k) for k in range(n))
-        base_damp = math.exp(
-            -sum(float(b) * v for b, v in zip(t.base, im_zeta))
-        )
-        total += base_damp * math.exp(-L) * gam / prod_c
-    return total
+        box.append((fa - pad, fb + pad))
+    return box, tail
 
 
 @lru_cache(maxsize=512)
@@ -370,22 +349,19 @@ def _mapped_term_transform(term, poly, zeta):
 
 
 def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
-                           decay_log: float = 30.0, method: str = "auto"):
-    """Transform of a spline's density by one of two numeric routes.
+                           decay_log: float = 30.0, *, method: str):
+    """Transform of a spline's density by the named numeric route.
 
     Returns (value, tail_bound). method="box" runs iterated quadrature of
     the compiled density times the oscillating kernel over a truncation
     box holding all but e^(-decay_log) of the damped mass, and bounds the
-    rest; it takes no polynomial multiplier. cfg and decay_log set only
-    this route. method="mapped" writes each term in orthant coordinates,
-    where the kernel splits into closed-form one-dimensional moments (any
-    volume dimension, polynomial multipliers included); it truncates
-    nothing, so its tail bound is 0.0. "auto" picks box for
-    one-dimensional volumes and mapped otherwise.
+    rest (spline_truncation, closed form, no LP); it takes no polynomial
+    multiplier. cfg and decay_log set only this route. method="mapped"
+    writes each term in orthant coordinates, where the kernel splits into
+    closed-form one-dimensional moments (any volume dimension, polynomial
+    multipliers included); it truncates nothing, so its tail bound is 0.0.
     """
     zeta = tuple(complex(z) for z in zeta)
-    if method == "auto":
-        method = "box" if S.dim == 1 else "mapped"
     if method == "mapped":
         value = sum(
             (_mapped_term_transform(term, S.poly, zeta) for term in S.terms),
@@ -393,16 +369,13 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
         )
         return complex(value), 0.0
     if method != "box":
-        raise ValueError("method must be 'auto', 'box', or 'mapped'")
+        raise ValueError("method must be 'box' or 'mapped'")
     if S.poly is not None:
         raise ValueError("the box route takes no polynomial multiplier")
     from .conespline import DensityEvaluator
 
-    im = [z.imag for z in zeta]
-    box = spline_truncation_box(S, im, decay_log)
-    ev = DensityEvaluator(S)
-    value = numeric_laplace(lambda pt: ev(pt), zeta, box, cfg)
-    return value, spline_tail_bound(S, im, decay_log)
+    box, tail = spline_truncation(S, [z.imag for z in zeta], decay_log)
+    return numeric_laplace(DensityEvaluator(S), zeta, box, cfg), tail
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +455,8 @@ def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable
     for c, m in enumerate(sizes):
         if m == 0:
             continue
-        rng = np.random.Generator(np.random.Philox(key=[int(cfg.seed), int(c)]))
+        key = np.array([int(cfg.seed), c], dtype=np.uint64)  # a list goes via float64
+        rng = np.random.Generator(np.random.Philox(key=key))
         g = rng.standard_normal((m, 2 * n))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         u = rng.random(m)

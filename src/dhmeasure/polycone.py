@@ -150,19 +150,13 @@ def dual_cone(C: Cone) -> Cone:
     dual of a generator-form cone is cut out by its generators). Each dual
     generator is checked by LP to be nonnegative on C."""
     if C.normals is not None:
-        out = Cone(C.dim, generators=C.normals)
-        for g in out.generators:
-            res = lp.solve_lp(g, _cone_constraints(C))
+        cons = [constraint(n, GE, 0) for n in C.normals]
+        for g in C.normals:
+            res = lp.solve_lp(g, cons)
             if res.status != lp.OPTIMAL or res.objective != 0:
                 raise AssertionError("dual generator fails <g, C> >= 0")
-        return out
+        return Cone(C.dim, generators=C.normals)
     return Cone(C.dim, normals=C.generators)
-
-
-def _cone_constraints(C: Cone):
-    if C.normals is None:
-        raise ValueError("halfspace form required")
-    return [constraint(n, GE, 0) for n in C.normals]
 
 
 def _combination(vectors, target, lower, free=0):
@@ -343,28 +337,23 @@ def extreme_rays(C: Cone):
 
 
 def cone_consistency_check(C: Cone) -> bool:
-    """When both representations are present, do they describe the same set?"""
+    """When both representations are present, do they describe the same set?
+
+    The halfspace cone H is its lineality space L plus the pointed cone
+    H meet L-perp, cut out by H's normals and +-each basis vector of L. So
+    H equals the generated cone G exactly when every generator lies in H,
+    +-each basis vector of L lies in G, and so does every extreme ray of
+    H meet L-perp.
+    """
     if C.normals is None or C.generators is None:
         return True
     H = Cone(C.dim, normals=C.normals)
-    for g in C.generators:
-        if not H.contains(g):
-            return False
+    if not all(H.contains(g) for g in C.generators):
+        return False
     G = Cone(C.dim, generators=C.generators)
-    if cone_is_proper(H):
-        for r in extreme_rays(H):
-            if not G.contains(r):
-                return False
-        return True
-    # non-pointed: sample the lineality space plus LP witnesses
-    for v in lineality_space(H):
-        if not G.contains(v) or not G.contains(tuple(-x for x in v)):
-            return False
-    for n in C.normals:
-        res = lp.solve_lp(n, _cone_constraints(H))
-        if res.status == lp.OPTIMAL and res.x is not None and not G.contains(res.x):
-            return False
-    return True
+    lines = [w for v in lineality_space(H) for w in (v, tuple(-x for x in v))]
+    pointed = Cone(C.dim, normals=(*C.normals, *lines))
+    return all(G.contains(v) for v in (*lines, *extreme_rays(pointed)))
 
 
 # ---------------------------------------------------------------------------

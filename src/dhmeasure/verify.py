@@ -34,9 +34,13 @@ _SUITE_TAGS = {
 
 
 def suite_rng(seed: int, tag) -> np.random.Generator:
+    """Philox generator keyed by (seed, tag), 0 <= seed < 2^64. The key is a
+    uint64 array: a list key goes through float64 above 2^63, where nearby
+    seeds collide."""
     if isinstance(tag, str):
         tag = _SUITE_TAGS[tag]
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(tag)]))
+    key = np.array([int(seed), int(tag)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # ---------------------------------------------------------------------------

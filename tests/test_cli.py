@@ -1,6 +1,7 @@
 import json
 import os
 import time
+import warnings
 
 import pytest
 
@@ -60,6 +61,42 @@ def test_cones_subcommand(cone_input, capsys):
     by_xi = {tuple(d["xi"]): d for d in rep["directions"]}
     assert by_xi[("1", "1")]["bounded_below"] is True
     assert by_xi[("-1", "0")]["bounded_below"] is False
+
+
+@pytest.mark.parametrize("generators,consistent", [
+    ([[0, 1], [0, -1]], False),  # the line through e2 is not the half-plane
+    ([[0, 1], [0, -1], [1, 0]], True),
+])
+def test_cones_with_both_keys_is_a_cone(generators, consistent, tmp_path, capsys):
+    path = write(tmp_path / "cone.json", {
+        "dim": 2, "halfspaces": [{"normal": [1, 0], "offset": 0}],
+        "generators": generators})
+    assert cli.main(["cones", "--input", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["kind"] == "cone"
+    assert rep["pointed"] is False
+    assert "extreme_rays" not in rep
+    assert rep["representations_consistent"] is consistent
+
+
+def test_cones_reports_extreme_rays_of_a_pointed_cone_with_both_keys(tmp_path, capsys):
+    path = write(tmp_path / "cone.json", {
+        "dim": 2,
+        "halfspaces": [{"normal": [1, 0], "offset": 0}, {"normal": [-1, 2], "offset": 0}],
+        "generators": [[0, 1], [2, 1]]})
+    assert cli.main(["cones", "--input", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["kind"] == "cone" and rep["pointed"] is True
+    assert sorted(rep["extreme_rays"]) == [["0", "1"], ["2", "1"]]
+    assert rep["representations_consistent"] is True
+
+
+def test_cones_with_generators_and_an_offset_exits_two(tmp_path, capsys):
+    path = write(tmp_path / "cone.json", {
+        "dim": 2, "halfspaces": [{"normal": [1, 0], "offset": -1}],
+        "generators": [[1, 0]]})
+    assert cli.main(["cones", "--input", path]) == 2
+    assert "origin" in capsys.readouterr().err
 
 
 def test_cones_accepts_space_separated_dash_values(cone_input, capsys):
@@ -186,6 +223,26 @@ def test_seed_outside_64_bits_exits_two(command, seed, sphere_input, orbit_input
         cli.main(argv)
     assert exc.value.code == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_seeds_above_two_to_the_63_draw_distinct_zetas(sphere_input, capsys):
+    first = []
+    for seed in (2**63, 2**63 + 5):
+        argv = ["abelian", "--input", sphere_input, "--seed", str(seed), "--zeta-samples", "1"]
+        assert cli.main(argv) == 0
+        first.append(json.loads(capsys.readouterr().out)["laplace_samples"][0]["zeta"])
+    assert first[0] != first[1]
+
+
+@pytest.mark.parametrize("command", ["abelian", "orbit"])
+def test_largest_seed_runs_with_warnings_as_errors(command, sphere_input, orbit_input, capsys):
+    path = sphere_input if command == "abelian" else orbit_input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--input", path, "--seed", str(2**64 - 1),
+                       "--zeta-samples", "1"])
+    assert rc == 0
+    json.loads(capsys.readouterr().out)
 
 
 def test_cones_takes_no_seed(cone_input, capsys):

@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from dhmeasure import conespline, oracle, verify
+from dhmeasure import conespline, lp, oracle, verify
 from dhmeasure.conespline import spline, spline_term
 from dhmeasure.oracle import (
     MonteCarloConfig,
@@ -18,7 +19,7 @@ from dhmeasure.oracle import (
     quadrature_convolution,
     truncated_circle_check,
 )
-from dhmeasure.rational import vdot, vec
+from dhmeasure.rational import rat, vdot, vec
 
 
 def test_quadrature_single_weight():
@@ -81,8 +82,18 @@ def test_numeric_laplace_sphere_real_limit():
     assert val == pytest.approx(want, abs=2e-6)
 
 
-def test_numeric_laplace_spline_box_route_one_dim():
+def _refuse_lp(monkeypatch):
+    # building a spline checks each term's cone by LP; the box route itself
+    # must solve none
+    def refuse(*a, **k):
+        raise AssertionError("the box route solved an LP")
+
+    monkeypatch.setattr(lp, "solve_lp", refuse)
+
+
+def test_numeric_laplace_spline_box_route_one_dim(monkeypatch):
     S = spline(1, [spline_term(1, (2,), [(1,)])])
+    _refuse_lp(monkeypatch)
     z = 0.6 + 1.2j
     closed = conespline.spline_laplace(S, (z,))
     val, tail = numeric_laplace_spline(
@@ -131,13 +142,14 @@ def test_mapped_route_handles_polynomial_multiplier():
     assert abs(val - want) <= 1e-9 * abs(want) + tail
 
 
-def test_mapped_and_box_routes_agree():
+def test_mapped_and_box_routes_agree(monkeypatch):
     S = spline(
         2,
         [
             spline_term(1, (0, 0), [(1, 0), (0, 1), (1, 1)]),
         ],
     )
+    _refuse_lp(monkeypatch)
     zeta = (0.4 + 1.3j, -0.2 + 1.5j)
     mapped, mtail = numeric_laplace_spline(S, zeta, method="mapped")
     box, btail = numeric_laplace_spline(
@@ -282,6 +294,25 @@ def test_montecarlo_deterministic():
     assert a.density == b.density
 
 
+def test_montecarlo_seed_keys_a_64_bit_stream():
+    for bad in (-1, 2**64, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            MonteCarloConfig(seed=bad)
+
+    def counts(seed):
+        cfg = MonteCarloConfig(seed=seed, samples=10_000, bins=4)
+        return montecarlo_pushforward([(1,)], (0,), cfg).counts
+
+    # below 2^63 the streams are those of the earlier list key
+    assert counts(0) == (2547, 2499, 2479, 2475)
+    assert counts(5) == (2472, 2523, 2489, 2516)
+    assert counts(2**63 - 1) == (2461, 2442, 2547, 2550)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        high = [counts(s) for s in (2**63, 2**63 + 5, 2**64 - 1)]
+    assert high[0] != high[1]
+
+
 def test_montecarlo_flat_on_halfline():
     cfg = MonteCarloConfig(seed=3, samples=400_000, bins=10, cutoff_radius=3.0)
     table = montecarlo_pushforward([(1,)], (0,), cfg)
@@ -320,9 +351,102 @@ def test_circle_check_boundary_decay():
 
 def test_spline_tail_bound_shrinks():
     S = spline(1, [spline_term(1, (0,), [(1,)])])
-    loose = oracle.spline_tail_bound(S, (1.0,), 10.0)
-    tight = oracle.spline_tail_bound(S, (1.0,), 30.0)
+    _box, loose = oracle.spline_truncation(S, (1.0,), 10.0)
+    _box, tight = oracle.spline_truncation(S, (1.0,), 30.0)
     assert tight < loose
+
+
+def _reference_truncation_box(S, im_zeta, decay_log):
+    """The box by exact LPs: per coordinate, the least and greatest value
+    over each term's cone cut by the damping slab <mu - base, Im zeta> <= L."""
+    im = vec([rat(float(v)) for v in im_zeta])
+    lo = [None] * S.dim
+    hi = [None] * S.dim
+    L = rat(float(decay_log))
+    for t in S.terms:
+        n = len(t.factors)
+        pair_im = [vdot(f, im) for f in t.factors]
+        if any(p <= 0 for p in pair_im):
+            raise ValueError("Im(zeta) does not damp every factor direction")
+        cons = [lp.constraint([rat(int(j == i)) for j in range(n)], lp.GE, 0)
+                for i in range(n)]
+        cons.append(lp.constraint(pair_im, lp.LE, L))
+        for j in range(S.dim):
+            obj = [f[j] for f in t.factors]
+            for maximize in (False, True):
+                res = lp.solve_lp(obj, cons, maximize=maximize)
+                assert res.status == lp.OPTIMAL
+                v = t.base[j] + res.objective
+                if maximize:
+                    hi[j] = v if hi[j] is None or v > hi[j] else hi[j]
+                else:
+                    lo[j] = v if lo[j] is None or v < lo[j] else lo[j]
+    out = []
+    for a, b in zip(lo, hi):
+        fa, fb = float(a), float(b)
+        pad = 1e-9 * (1.0 + abs(fa) + abs(fb))
+        out.append((fa - pad, fb + pad))
+    return out
+
+
+def _reference_tail_bound(S, im_zeta, decay_log):
+    """The Gamma(n) tail per term, summed in a separate float pass."""
+    L = float(decay_log)
+    total = 0.0
+    for t in S.terms:
+        n = len(t.factors)
+        prod_c = 1.0
+        for f in t.factors:
+            c = sum(float(x) * v for x, v in zip(f, im_zeta))
+            prod_c *= c
+        gam = sum(L**k / math.factorial(k) for k in range(n))
+        base_damp = math.exp(-sum(float(b) * v for b, v in zip(t.base, im_zeta)))
+        total += base_damp * math.exp(-L) * gam / prod_c
+    return total
+
+
+def _damped_splines(count, seed=19):
+    """Seeded splines in dimensions 1-3 with 1-3 terms, rational bases and
+    1 to d+1 factors per term (one count per spline), each factor damped by
+    the drawn Im zeta."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        dim = 1 + i % 3
+        im = tuple(float(x) for x in rng.uniform(0.2, 2.0, dim))
+        n = int(rng.integers(1, dim + 2))
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            factors = []
+            while len(factors) < n:
+                f = tuple(int(x) for x in rng.integers(-3, 4, dim))
+                if vdot(f, [rat(x) for x in im]) > 0:
+                    factors.append(f)
+            base = tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+                         for _ in range(dim))
+            terms.append(spline_term(int(rng.choice([-1, 1])), base, factors))
+        yield spline(dim, terms), im, float(rng.choice([0.0, 3.5, 14.0, 22.0, 30.0]))
+
+
+def test_spline_truncation_equals_lp_box_and_float_tail():
+    for S, im, decay_log in _damped_splines(210):
+        box, tail = oracle.spline_truncation(S, im, decay_log)
+        assert box == _reference_truncation_box(S, im, decay_log)
+        assert tail == _reference_tail_bound(S, im, decay_log)
+
+
+def test_spline_truncation_requires_damping():
+    S = spline(2, [spline_term(1, (0, 0), [(1, 0), (0, 1)]),
+                   spline_term(1, (1, 0), [(1, 1), (1, -2)])])
+    with pytest.raises(ValueError, match="Im\\(zeta\\) does not damp every factor direction"):
+        oracle.spline_truncation(S, (1.0, 1.0), 10.0)
+
+
+def test_numeric_laplace_spline_names_its_route():
+    S = spline(1, [spline_term(1, (0,), [(1,)])])
+    with pytest.raises(TypeError):
+        numeric_laplace_spline(S, (1j,))
+    with pytest.raises(ValueError, match="method"):
+        numeric_laplace_spline(S, (1j,), method="auto")
 
 
 def _term_by_term_mapped(S, zeta):

@@ -119,6 +119,40 @@ def test_representation_consistency():
     assert polycone.cone_consistency_check(C)
 
 
+def _both(dim, normals, generators):
+    return polycone.cone_from_json({
+        "dim": dim,
+        "halfspaces": [{"normal": list(n), "offset": 0} for n in normals],
+        "generators": [list(g) for g in generators],
+    })
+
+
+@pytest.mark.parametrize("dim,normals,generators,same", [
+    # the half-plane x1 >= 0 against the line through e2
+    (2, [(1, 0)], [(0, 1), (0, -1)], False),
+    (2, [(1, 0)], [(0, 1), (0, -1), (1, 0)], True),
+    (2, [(1, 0)], [(0, 1), (1, -1), (1, 0)], False),
+    (2, [(1, 0)], [(0, 1), (1, -1), (0, -3)], True),
+    # the whole plane, cut out by no normal
+    (2, [], [(1, 0), (0, 1), (-1, -1)], True),
+    (2, [], [(1, 0), (0, 1), (-1, 0)], False),
+    # a wedge times the line through e3
+    (3, [(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)], True),
+    (3, [(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], False),
+    (3, [(1, 0, 0), (0, 1, 0)], [(1, 0, 1), (0, 1, 1), (0, 0, -1)], False),
+    (3, [(1, 0, 0), (0, 1, 0)], [(1, 0, 1), (0, 1, 1), (0, 0, -1), (0, 0, 2)], True),
+    # a half-plane inside R^3 with a line through e2
+    (3, [(1, 0, 0), (0, 0, 1), (0, 0, -1)], [(1, 0, 0), (0, 1, 0), (0, -1, 0)], True),
+    (3, [(1, 0, 0), (0, 0, 1), (0, 0, -1)], [(1, 0, 0), (0, 1, 0)], False),
+    # pointed: a quadrant, and the same normals against too few generators
+    (2, [(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)], True),
+    (2, [(1, 0), (0, 1)], [(1, 0), (1, 1)], False),
+    (2, [(1, 0), (0, 1)], [(1, 0), (0, 1), (-1, 1)], False),
+])
+def test_consistency_decides_pointed_and_non_pointed_cones(dim, normals, generators, same):
+    assert polycone.cone_consistency_check(_both(dim, normals, generators)) is same
+
+
 def test_json_round_trip():
     P = quadrant_with_cap()
     Q = polycone.polyhedron_from_json(polycone.polyhedron_to_json(P))

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,22 @@ def test_suite_rng_is_stable():
     assert list(a) == list(b)
     c = verify.suite_rng(1, "cones").integers(0, 100, 5)
     assert list(a) != list(c)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+def test_suite_rng_keeps_the_list_key_streams_below_two_to_the_63(seed):
+    old = np.random.Generator(np.random.Philox(key=[seed, 13]))
+    assert list(verify.suite_rng(seed, "laplace").random(6)) == list(old.random(6))
+
+
+def test_suite_rng_keys_every_64_bit_seed_apart():
+    # a list key goes through float64, so 2^63 and 2^63 + 5 were one stream
+    # and 2^64 - 1 a cast warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [list(verify.suite_rng(s, 101).random(4))
+                 for s in (2**63, 2**63 + 5, 2**64 - 1)]
+    assert draws[0] != draws[1] != draws[2] != draws[0]
 
 
 def test_random_polyhedron_dimensions():

@@ -65,9 +65,7 @@ def main():
 
     region = localize.gamma_region(om.model, om.chamber)
     zeta = (0.3 + 1.2j, -0.2 + 1.5j)
-    loc = hermitian.compact_orientation(spec.pair) * localize.localization_sum(
-        om.model, zeta, region
-    )
+    loc = localize.localization_sum(om.model, zeta, region)
     closed = conespline.spline_laplace(St, zeta)
     full_rel = abs(loc - closed) / abs(loc)
     print(f"\nfull-measure transform vs fixed-point sum: "

@@ -28,7 +28,6 @@ from .hermitian import (
     OrbitValidationError,
     UnsupportedFamilyError,
     build_pair,
-    compact_orientation,
     k_type_measure,
     laplace_nu_symbolic,
     orbit_from_json,

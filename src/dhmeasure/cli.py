@@ -19,6 +19,7 @@ import logging
 import math
 import os
 import sys
+from decimal import Decimal
 from functools import cache
 
 from . import conespline, hermitian, localize, oracle, polycone, verify
@@ -110,6 +111,20 @@ def _finite_number(text):
     return value
 
 
+def _check_float_range(what, vectors):
+    """Transforms and tube draws read the input's coordinates as floats: each
+    must lie within the float range and, unless 0, not round to 0."""
+    for v in vectors:
+        for x in v:
+            try:
+                f = float(x)
+            except OverflowError:
+                f = math.inf
+            if math.isinf(f) or (f == 0 and x != 0):
+                value = (Decimal(x.numerator) / x.denominator).normalize()
+                raise ValueError(f"{what} coordinate {value:.6g} does not fit a float")
+
+
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
@@ -197,15 +212,15 @@ def _chamber(args, dim):
     return args.chamber
 
 
-def _localization_samples(S, M, region, rng, count, orient=1):
+def _localization_samples(S, M, region, rng, count):
     """Draw count zetas in the region's tube, around its interior direction,
-    and at each compare the spline's closed transform with the oriented
-    fixed-point sum, in that order."""
+    and at each compare the spline's closed transform with the fixed-point
+    sum, in that order."""
     samples = []
     direction = region.sample_interior()
     for zeta in localize.tube_zetas(rng, direction, region.factors, count):
         closed = conespline.spline_laplace(S, zeta)
-        loc = orient * localize.localization_sum(M, zeta, region)
+        loc = localize.localization_sum(M, zeta, region)
         samples.append(
             {
                 "zeta": [[z.real, z.imag] for z in zeta],
@@ -235,6 +250,7 @@ def _write_density(path, S, points):
 
 def cmd_abelian(args) -> int:
     M = localize.model_from_json(_load_json(args.input))
+    _check_float_range("model", [v for p in M.points for v in (p.image, *p.weights)])
     xi = _chamber(args, M.dim) or localize.default_chamber(M)
     S = localize.dh_measure(M, xi)
     region = localize.gamma_region(M, xi)
@@ -277,6 +293,7 @@ def cmd_abelian(args) -> int:
 
 def cmd_orbit(args) -> int:
     O = hermitian.orbit_from_json(_load_json(args.input))
+    _check_float_range("lambda", [O.lam_native])
     pair = O.pair
     om = O.model
     M = om.model
@@ -306,8 +323,7 @@ def cmd_orbit(args) -> int:
         xi = chamber or om.chamber
         St = hermitian.t_type_measure(O, xi)
         region = localize.gamma_region(M, xi)
-        orient = hermitian.compact_orientation(pair)
-        samples = _localization_samples(St, M, region, rng, args.zeta_samples, orient)
+        samples = _localization_samples(St, M, region, rng, args.zeta_samples)
         worst = _worst(samples)
         report["t_measure"] = {
             "chamber": [rat_str(x) for x in xi],

@@ -12,6 +12,7 @@ build_pair, derives the rest:
   weyl     the compact Weyl group, closed from the simple compact reflections
            s_a(x) = x - 2<x, dual_a>/<a, dual_a> a (identity first, then
            sorted)
+  signs    the determinant of each Weyl element, in the order of weyl
 
 and checks every structural invariant. An orbit's lambda is given in
 ambient coordinates and measured as B * lambda. The trace form fixes the
@@ -19,9 +20,11 @@ compact-root duals and the wall polynomial up to one positive scalar per
 family; every check downstream is scale-free.
 
 The orbit machinery: fixed points of the torus action on an elliptic orbit
-are the compact-Weyl translates w*lam; the weights there are w*roots. The
-full-torus measure comes from localize.dh_measure; the reduced measure keeps
-only noncompact convolution factors and multiplies by the product of the
+are the compact-Weyl translates w*lam; the weights there are the tangent
+weights, w*b for each noncompact root b and -w*a for each compact root a
+(a compact direction points against its root). The full-torus measure is
+localize.dh_measure of that model; the reduced measure keeps only
+noncompact convolution factors and multiplies by the product of the
 compact-root wall functionals. Its transform is derived symbolically, with
 exact Gaussian-rational coefficients, and compiled to float terms.
 
@@ -87,14 +90,17 @@ class HermitianPairData:
         """Trace-form duals of the compact roots."""
         return self.duals[: self.k]
 
+    @cached_property
+    def signs(self) -> tuple:
+        """The determinant of each Weyl element, in the order of weyl."""
+        return tuple(weyl_det(m) for m in self.weyl)
+
 
 def weyl_det(matrix) -> int:
     d = det([list(row) for row in matrix])
-    if d == 1:
-        return 1
-    if d == -1:
-        return -1
-    raise ValueError("Weyl matrix determinant is not a unit")
+    if d not in (1, -1):
+        raise ValueError("Weyl matrix determinant is not a unit")
+    return int(d)
 
 
 # ---------------------------------------------------------------------------
@@ -242,47 +248,49 @@ def _coordinates(family, params) -> tuple:
     return basis, solve([[vdot(u, v) for v in basis] for u in basis], ident)
 
 
-def _verify_pair(pair):
-    duals = pair.duals
-    duals_n = duals[pair.k :]
-    roots = pair.roots
-    n = len(roots)
-    # trace-form duality is symmetric
-    for i in range(n):
-        for j in range(n):
-            if vdot(roots[i], duals[j]) != vdot(roots[j], duals[i]):
-                raise ValueError("trace-form duals are not symmetric")
-    # center vector: 1 on noncompact, 0 on compact
+def _compact_match_sign(pair, m) -> int:
+    """(-1) to the number of compact roots a with -w*a a compact root (w is
+    invertible, so this matches images to roots); a w*a that is no compact
+    root up to sign means corrupt group data, a hard error."""
+    sign = 1
     for a in pair.compact:
-        if vdot(a, pair.center_vector) != 0:
-            raise ValueError("center vector does not annihilate a compact root")
-    for a in pair.noncompact:
-        if vdot(a, pair.center_vector) != 1:
-            raise ValueError("center vector is not 1 on a noncompact root")
-    # nonnegative pairings among noncompact roots
-    nc = pair.noncompact
-    for a in nc:
-        for dual_b in duals_n:
-            if vdot(a, dual_b) < 0:
-                raise ValueError("negative pairing between noncompact roots")
-    # Weyl group: closure, units, noncompact stability, sign sum
-    dets = []
-    index = {m: i for i, m in enumerate(pair.weyl)}
+        wa = mat_vec(m, a)
+        if wa not in pair.compact:
+            if tuple(-x for x in wa) not in pair.compact:
+                raise ValueError("compact-root relabelling failed")
+            sign = -sign
+    return sign
+
+
+def _verify_pair(pair):
+    roots, duals, nc, xi0 = pair.roots, pair.duals, pair.noncompact, pair.center_vector
+    if any(
+        vdot(a, db) != vdot(b, da)
+        for a, da in zip(roots, duals)
+        for b, db in zip(roots, duals)
+    ):
+        raise ValueError("trace-form duals are not symmetric")
+    if any(vdot(a, xi0) != 0 for a in pair.compact):
+        raise ValueError("center vector does not annihilate a compact root")
+    if any(vdot(b, xi0) != 1 for b in nc):
+        raise ValueError("center vector is not 1 on a noncompact root")
+    if any(vdot(a, db) < 0 for a in nc for db in duals[pair.k :]):
+        raise ValueError("negative pairing between noncompact roots")
+    # Weyl group: noncompact roots stable, closed under every compact
+    # reflection (|W| * k products), determinants (units, checked first)
+    # equal to the compact relabelling signs and cancelling
+    elements = set(pair.weyl)
+    reflections = [_reflection(a, b) for a, b in zip(pair.compact, pair.killing_duals)]
+    base = sorted(nc)
     for m in pair.weyl:
-        dets.append(weyl_det(m))
-        for g in pair.weyl:
-            if _mat_mul(m, g) not in index:
-                raise ValueError("Weyl set is not closed under products")
-        moved = sorted(mat_vec(m, b) for b in nc)
-        if moved != sorted(nc):
+        if sorted(mat_vec(m, b) for b in nc) != base:
             raise ValueError("noncompact root set moves under the Weyl group")
-        moved_c = sorted(
-            min(mat_vec(m, a), tuple(-x for x in mat_vec(m, a))) for a in pair.compact
-        )
-        base_c = sorted(min(a, tuple(-x for x in a)) for a in pair.compact)
-        if moved_c != base_c:
-            raise ValueError("compact root arrangement moves under the Weyl group")
-    if len(pair.weyl) > 1 and sum(dets) != 0:
+        if any(_mat_mul(s, m) not in elements for s in reflections):
+            raise ValueError("Weyl set is not closed under the compact reflections")
+    for m, sign in zip(pair.weyl, pair.signs):
+        if _compact_match_sign(pair, m) != sign:
+            raise ValueError("compact matching sign differs from the determinant")
+    if len(pair.weyl) > 1 and sum(pair.signs) != 0:
         raise ValueError("Weyl determinants do not cancel")
 
 
@@ -357,14 +365,17 @@ class OrbitModel:
 
 
 def orbit_model(O: OrbitSpec) -> OrbitModel:
-    """One fixed point per Weyl element: image w*lam, weights w*roots."""
+    """One fixed point per Weyl element: image w*lam, and the tangent
+    weights there, -w*a per compact root a (compact first) and w*b per
+    noncompact root b."""
     pair = O.pair
     P = wall_polynomial(pair)
     pts = []
     wall_values = []
     for wi, m in enumerate(pair.weyl):
         image = mat_vec(m, O.lam)
-        weights = tuple(mat_vec(m, a) for a in pair.roots)
+        weights = tuple(tuple(-x for x in mat_vec(m, a)) for a in pair.compact)
+        weights += tuple(mat_vec(m, b) for b in pair.noncompact)
         label = f"w{wi}"
         pts.append(localize.fixed_point(image, weights, label))
         pv = P.eval_exact(image)
@@ -377,57 +388,26 @@ def orbit_model(O: OrbitSpec) -> OrbitModel:
     return OrbitModel(M, orbit_chamber(O), tuple(wall_values))
 
 
-def _compact_match_sign(pair, m) -> int:
-    """Match {w*compact roots} to {+-compact roots} exactly; the product of
-    the signs is the compact bookkeeping factor. Failure means the group
-    data is corrupt, so it is a hard error."""
-    remaining = list(pair.compact)
-    sign = 1
-    for a in pair.compact:
-        wa = mat_vec(m, a)
-        neg = tuple(-x for x in wa)
-        if wa in remaining:
-            remaining.remove(wa)
-        elif neg in remaining:
-            remaining.remove(neg)
-            sign = -sign
-        else:
-            raise ValueError("compact-root relabelling failed")
-    return sign
-
-
-def compact_orientation(pair: HermitianPairData) -> int:
-    """Sign relating the model's relabelled weights to the true tangent
-    orientation: each compact direction points against its stored weight,
-    so the pushforward flips once per compact root."""
-    return -1 if pair.k % 2 else 1
-
-
 def t_type_measure(O: OrbitSpec, xi=None) -> SignedConeSpline:
-    """Full-torus orbit measure: all positive-root factors at each w*lam.
+    """Full-torus orbit measure: the synthesis of the orbit model, a
+    nonnegative density whose transform is the model's localization sum.
 
     The chamber must be the one containing lambda; the default is the
-    trace-form dual of lambda. The renormalized sign at each point must equal
-    the Weyl determinant, and this is checked; the returned term signs carry
-    the extra compact_orientation factor that makes the density the honest
-    (nonnegative) pushforward. The transform of the result therefore equals
-    compact_orientation(pair) times the localization sum of the raw model.
+    trace-form dual of lambda. The term sign at w*lam must be (-1)^k times
+    the Weyl determinant of w, and this is checked.
     """
     om = O.model
     pair = O.pair
     xi = vec(xi) if xi is not None else om.chamber
     _check_lambda_chamber(O, xi)
-    R = localize.renormalize(om.model, xi)
-    for wi, (m, rp) in enumerate(zip(pair.weyl, R.points)):
-        if rp.sign != weyl_det(m):
+    S = localize.dh_measure(om.model, xi)
+    parity = (-1) ** pair.k
+    for wi, (sign, t) in enumerate(zip(pair.signs, S.terms)):
+        if t.sign != parity * sign:
             raise ValueError(
                 f"synthesized sign at w{wi} differs from the Weyl determinant"
             )
-    S = localize.dh_measure(om.model, xi)
-    if compact_orientation(pair) == 1:
-        return S
-    flipped = tuple(spline_term(-t.sign, t.base, t.factors) for t in S.terms)
-    return SignedConeSpline(S.dim, flipped, S.poly)
+    return S
 
 
 def _check_lambda_chamber(O: OrbitSpec, xi):
@@ -446,22 +426,19 @@ def _check_lambda_chamber(O: OrbitSpec, xi):
 def k_type_measure(O: OrbitSpec) -> SignedConeSpline:
     """Reduced measure: noncompact factors only, times the wall polynomial.
 
-    Term signs are the compact relabelling signs (equal to the Weyl
-    determinants); the noncompact factor multiset is Weyl-stable, so every
-    term carries the same canonically ordered factors.
+    Term signs are the Weyl determinants (equal to the compact relabelling
+    signs, checked once per pair); the noncompact factor multiset is
+    Weyl-stable, so every term carries the same canonically ordered factors.
     """
-    om = O.model
     pair = O.pair
     factors = tuple(sorted(pair.noncompact))
     _certify_proper(factors, pair.center_vector)
-    terms = []
-    for m, pt in zip(pair.weyl, om.model.points):
-        sign = _compact_match_sign(pair, m)
-        if sign != weyl_det(m):
-            raise ValueError("compact matching sign differs from the determinant")
-        terms.append(spline_term(sign, pt.image, factors))
+    terms = tuple(
+        spline_term(sign, pt.image, factors)
+        for sign, pt in zip(pair.signs, O.model.model.points)
+    )
     poly = wall_polynomial(pair) if pair.k > 0 else None
-    return SignedConeSpline(pair.rank, tuple(terms), poly)
+    return SignedConeSpline(pair.rank, terms, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +501,13 @@ def _compile_transform(O: OrbitSpec) -> tuple:
     """
     pair = O.pair
     n_c = len(pair.noncompact)
-    points = sorted(zip(O.model.model.points, pair.weyl), key=lambda pm: pm[0].image)
+    points = sorted(
+        zip(O.model.model.points, pair.weyl, pair.signs), key=lambda pms: pms[0].image
+    )
     terms = []
-    for pt, m in points:
+    for pt, m, sign in points:
         forms = tuple(sorted(mat_vec(m, b) for b in pair.noncompact))
-        acc = {(1,) * n_c: rat(_compact_match_sign(pair, m))}
+        acc = {(1,) * n_c: rat(sign)}
         for dual in pair.killing_duals:
             pairing = vdot(pt.image, dual)
             slopes = [(j, vdot(f, dual)) for j, f in enumerate(forms)]
@@ -600,6 +579,6 @@ def orbit_from_json(data) -> OrbitSpec:
 
 def weyl_to_json(pair: HermitianPairData) -> list:
     return [
-        {"matrix": [[rat_str(x) for x in row] for row in m], "det": weyl_det(m)}
-        for m in pair.weyl
+        {"matrix": [[rat_str(x) for x in row] for row in m], "det": sign}
+        for m, sign in zip(pair.weyl, pair.signs)
     ]

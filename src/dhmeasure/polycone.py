@@ -379,7 +379,7 @@ def polyhedron_from_json(data) -> PolyhedralSet:
         data = json.loads(data)
     dim = int(data["dim"])
     hs = [
-        (tuple(rat(x) for x in h["normal"]), rat(h["offset"]))
+        (vec(h["normal"]), rat(h["offset"]))
         for h in data.get("halfspaces", [])
     ]
     return polyhedron(dim, hs)
@@ -405,8 +405,8 @@ def cone_from_json(data) -> Cone:
         for h in data["halfspaces"]:
             if rat(h.get("offset", 0)) != 0:
                 raise ValueError("cone half-spaces must pass through the origin")
-        normals = tuple(tuple(rat(x) for x in h["normal"]) for h in data["halfspaces"])
+        normals = tuple(vec(h["normal"]) for h in data["halfspaces"])
     generators = None
     if "generators" in data:
-        generators = tuple(tuple(rat(x) for x in g) for g in data["generators"])
+        generators = tuple(vec(g) for g in data["generators"])
     return Cone(dim, normals=normals, generators=generators)

@@ -62,6 +62,10 @@ def rat_str(x) -> str:
 
 
 def vec(values) -> tuple:
+    """An exact vector. A string or a dict (a JSON object) is refused: its
+    characters or keys would read as coordinates."""
+    if isinstance(values, (str, dict)):
+        raise ValueError(f"a vector must be an array, not {values!r}")
     return tuple(rat(v) for v in values)
 
 

@@ -199,8 +199,8 @@ def test_criterion_8_orbit_families():
         for m, p in zip(pair.weyl, om.model.points):
             fixed_ok = fixed_ok and p.image == mat_vec(m, spec.lam)
             fixed_ok = fixed_ok and p.weights == tuple(
-                mat_vec(m, a) for a in pair.roots
-            )
+                tuple(-x for x in mat_vec(m, a)) for a in pair.compact
+            ) + tuple(mat_vec(m, b) for b in pair.noncompact)
         Sk = hermitian.k_type_measure(spec)
         ev = conespline.DensityEvaluator(Sk)
         center = np.array([float(x) for x in pair.center_vector])

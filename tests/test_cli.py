@@ -1,11 +1,12 @@
 import json
+import math
 import os
 import time
 import warnings
 
 import pytest
 
-from dhmeasure import cli, conespline, hermitian, localize, verify
+from dhmeasure import cli, conespline, hermitian, localize, polycone, verify
 from dhmeasure.rational import rat
 
 
@@ -331,6 +332,70 @@ def test_non_finite_grid_bound_exits_two(command, grid, sphere_input, orbit_inpu
         cli.main([command, "--input", path, "--out", str(out), f"--grid={grid}"])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,payload,reader",
+    [
+        ("abelian", {"dim": 2, "points": [{"image": "12", "weights": ["10", "01"]}]},
+         localize.model_from_json),
+        ("abelian", {"dim": 2, "points": [{"image": [1, 2], "weights": ["10", "01"]}]},
+         localize.model_from_json),
+        ("orbit", {"family": "CI", "params": [2], "lambda": "52"}, hermitian.orbit_from_json),
+        ("cones", {"dim": 2, "generators": ["10", "01"]}, polycone.cone_from_json),
+        ("cones", {"dim": 2, "halfspaces": [{"normal": "10", "offset": 0}]},
+         polycone.polyhedron_from_json),
+        (None, {"dim": 1, "terms": [{"sign": 1, "base": "0", "factors": [[1]]}]},
+         conespline.spline_from_json),
+    ],
+)
+def test_vector_given_as_a_string_is_refused(command, payload, reader, tmp_path, capsys):
+    # its characters used to be read as coordinates, and the run exited 0
+    with pytest.raises(ValueError, match="must be an array"):
+        reader(payload)
+    if command is not None:
+        assert cli.main([command, "--input", write(tmp_path / "in.json", payload)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be an array" in err
+
+
+@pytest.mark.parametrize(
+    "command,payload,extra,value",
+    [
+        ("abelian", {"dim": 1, "points": [{"image": ["1e400"], "weights": [["-1"]]},
+                                          {"image": ["-2"], "weights": [["1"]]}]},
+         [], "1e+400"),
+        ("abelian", {"dim": 1, "points": [{"image": ["2"], "weights": [["-1e400"]]},
+                                          {"image": ["-2"], "weights": [["1"]]}]},
+         [], "-1e+400"),
+        ("abelian", {"dim": 1, "points": [{"image": ["2"], "weights": [["-1e-400"]]},
+                                          {"image": ["-2"], "weights": [["1"]]}]},
+         [], "-1e-400"),
+        ("orbit", {"family": "CI", "params": [2], "lambda": ["5", "1e400"]},
+         ["--measure", "k"], "1e+400"),
+    ],
+)
+def test_coordinate_outside_the_float_range_exits_two(
+    command, payload, extra, value, tmp_path, capsys
+):
+    # these ended in an OverflowError traceback (exit 1), or for 1e-400 in
+    # a message about the tube direction
+    rc = cli.main([command, "--input", write(tmp_path / "in.json", payload), *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"coordinate {value} does not fit a float" in err
+
+
+@pytest.mark.parametrize("name,chamber", [("bisphere_23", "1000,2"), ("plane_proj_5h", "-200,3")])
+def test_tube_direction_stays_balanced_in_a_chamber_far_from_the_axes(
+    name, chamber, tmp_path, capsys
+):
+    # the chamber point itself, taken as the tube direction, overflows Im
+    # zeta here; the tube's interior point does not
+    M = next(M for n, M, _ in verify.model_library() if n == name)
+    path = write(tmp_path / "model.json", localize.model_to_json(M))
+    assert cli.main(["abelian", "--input", path, f"--chamber={chamber}"]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["laplace_worst_rel"])
 
 
 def test_reused_parser_keeps_no_xi_between_calls(cone_input, capsys):

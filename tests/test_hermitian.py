@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -92,7 +93,10 @@ def test_fixed_points_are_weyl_orbit_of_lambda():
         images = [p.image for p in om.model.points]
         assert images == [mat_vec(m, spec.lam) for m in pair.weyl]
         for m, p in zip(pair.weyl, om.model.points):
-            assert p.weights == tuple(mat_vec(m, a) for a in pair.roots)
+            # tangent weights: each compact direction points against its root
+            assert p.weights == tuple(
+                tuple(-x for x in mat_vec(m, a)) for a in pair.compact
+            ) + tuple(mat_vec(m, b) for b in pair.noncompact)
 
 
 def test_wall_lambda_rejected():
@@ -119,10 +123,7 @@ def test_t_measure_matches_localization():
             complex(r, i) for r, i in zip(rng.uniform(-1, 1, 2), im)
         )
         closed = conespline.spline_laplace(St, zeta)
-        # the raw model orients compact weights the other way
-        loc = hermitian.compact_orientation(spec.pair) * localize.localization_sum(
-            om.model, zeta, region
-        )
+        loc = localize.localization_sum(om.model, zeta, region)
         assert abs(closed - loc) <= 1e-10 * abs(loc)
 
 
@@ -451,3 +452,99 @@ def test_family_table_reproduces_the_per_family_construction(family, params):
         spec = orbit_spec(pair, lam_native)
         assert spec.lam == _ref_lam(pair, lam_native)
         assert hermitian.orbit_chamber(spec) == _ref_chamber(pair, lam_native)
+
+
+# ---------------------------------------------------------------------------
+# the orbit model carries the tangent weights: its plain synthesis is the
+# full-torus measure, a nonnegative density whose transform is the
+# fixed-point sum with no extra factor
+
+
+def _regular_lambda(rng, family, params):
+    """A seeded lambda, decreasing within each compact block: top block
+    positive, bottom block nonpositive (AIII), or positive (CI)."""
+    p, q = params if family == "AIII" else (params[0], 0)
+    top = sorted(rng.choice(np.arange(1, 12), size=p, replace=False), reverse=True)
+    low = sorted(rng.choice(np.arange(-10, 1), size=q, replace=False), reverse=True)
+    return [int(x) for x in top + low]
+
+
+def _support_points(rng, spec, count):
+    """Generic rational points of the orbit's image: a convex combination of
+    the fixed-point images plus a nonnegative combination of the noncompact
+    roots, with a small exact perturbation off every wall."""
+    pair = spec.pair
+    images = [p.image for p in spec.model.model.points]
+    out = []
+    for _ in range(count):
+        c = rng.integers(1, 9, size=len(images))
+        t = rng.integers(0, 9, size=len(pair.noncompact))
+        mu = [
+            sum((Fraction(int(ci), int(c.sum())) * im[j] for ci, im in zip(c, images)), ZERO)
+            + sum((Fraction(int(ti), 4) * b[j] for ti, b in zip(t, pair.noncompact)), ZERO)
+            + Fraction(int(rng.integers(1, 97)), 997)
+            for j in range(pair.rank)
+        ]
+        out.append(tuple(mu))
+    return out
+
+
+@pytest.mark.parametrize("family,params", SUPPORTED_PAIRS)
+def test_orbit_model_synthesis_is_the_t_measure(family, params):
+    rng = np.random.default_rng(sum(params) + 31 * len(family))
+    spec = orbit_spec(build_pair(family, params), _regular_lambda(rng, family, params))
+    om = spec.model
+    S = localize.dh_measure(om.model, om.chamber)
+    assert S.terms == t_type_measure(spec).terms
+    values = [conespline.spline_density(S, mu).value for mu in _support_points(rng, spec, 10)]
+    assert min(values) >= 0
+    assert max(values) > 0
+    region = localize.gamma_region(om.model, om.chamber)
+    for zeta in localize.tube_zetas(rng, region.sample_interior(), region.factors, 3):
+        closed = conespline.spline_laplace(S, zeta)
+        loc = localize.localization_sum(om.model, zeta, region)
+        assert abs(closed - loc) <= 1e-9 * abs(loc)
+
+
+# ---------------------------------------------------------------------------
+# every gate of _verify_pair fires on a pair corrupted in its one way
+
+
+def _negated(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+@pytest.mark.parametrize(
+    "family,params,corrupt,message",
+    [
+        ("AIII", (2, 2), lambda pair: {"weyl": pair.weyl[:-1]},
+         "not closed under the compact reflections"),
+        ("CI", (2,), lambda pair: {"center_vector": tuple(2 * x for x in pair.center_vector)},
+         "center vector is not 1 on a noncompact root"),
+        ("AIII", (2, 1), lambda pair: {"duals": (tuple(2 * x for x in pair.duals[0]),)
+                                       + pair.duals[1:]},
+         "trace-form duals are not symmetric"),
+        ("AIII", (2, 1), lambda pair: {"weyl": pair.weyl + (_negated(pair.weyl[0]),)},
+         "noncompact root set moves under the Weyl group"),
+    ],
+)
+def test_verify_pair_rejects_a_corrupted_pair(family, params, corrupt, message):
+    pair = build_pair(family, params)
+    hermitian._verify_pair(pair)
+    with pytest.raises(ValueError, match=message):
+        hermitian._verify_pair(dataclasses.replace(pair, **corrupt(pair)))
+
+
+def test_verify_pair_rejects_a_determinant_that_is_not_the_relabelling_sign(monkeypatch):
+    pair = build_pair("CI", (3,))
+    monkeypatch.setattr(hermitian, "weyl_det", lambda m: 1)
+    # a fresh copy: the cached pair holds its signs already
+    with pytest.raises(ValueError, match="compact matching sign differs from the determinant"):
+        hermitian._verify_pair(dataclasses.replace(pair))
+
+
+def test_pair_signs_are_the_weyl_determinants():
+    for family, params in SUPPORTED_PAIRS:
+        pair = build_pair(family, params)
+        assert pair.signs == tuple(weyl_det(m) for m in pair.weyl)
+        assert [w["det"] for w in hermitian.weyl_to_json(pair)] == list(pair.signs)

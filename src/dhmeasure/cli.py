@@ -104,10 +104,13 @@ def write_json(path, payload):
 
 
 def _finite_number(text):
-    """JSON number hook: Infinity, NaN and overflowing literals are bad input."""
+    """JSON number hook: Infinity, NaN, overflowing literals and nonzero
+    literals that underflow to 0.0 are bad input."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text} in input JSON")
+    if value == 0 and not Decimal(text).is_zero():
+        raise ValueError(f"number {text} in input JSON underflows to 0")
     return value
 
 

@@ -51,6 +51,7 @@ from .rational import (
     ONE,
     ZERO,
     det,
+    integer_vector,
     is_zero_vec,
     rank,
     rat,
@@ -403,8 +404,7 @@ def heaviside_density(factors, mu):
     if len(mu) != len(factors[0]):
         raise ValueError("point/factor dimension mismatch")
     nodes, den = _kernel(factors)
-    common = math.lcm(*(x.denominator for x in mu))
-    scaled = [x.numerator * (common // x.denominator) for x in mu]
+    scaled, common = integer_vector(mu)
     return rat(_truncated_power(nodes, scaled), den * common ** (len(factors) - len(mu)))
 
 

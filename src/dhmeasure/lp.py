@@ -1,10 +1,24 @@
-"""Exact rational linear programming (two-phase simplex, Bland's rule).
+"""Exact rational linear programming (two-phase simplex, Bland's rule) on a
+fraction-free integer tableau.
 
-Variables are free; internally each splits into a difference of nonnegative
-parts and every row gets an artificial variable, so certificate extraction is
-uniform: Farkas multipliers come out of the phase-1 cost row, unbounded rays
-out of the failing phase-2 column. Both certificates are re-verified exactly
-before they are returned, so a simplex bug cannot leak a wrong certificate.
+A variable is free or bounded below. A free variable splits into a difference
+of nonnegative parts; a bounded one, x_j >= l_j, is the one nonnegative column
+x_j - l_j, with no row, slack or artificial of its own. Every row gets an
+artificial variable, so certificate extraction is uniform: Farkas
+multipliers come out of the phase-1 cost row, unbounded rays out of the
+failing phase-2 column. Both certificates are re-verified exactly against
+the caller's constraints before they are returned, so a simplex bug cannot
+leak a wrong certificate.
+
+The tableau holds Python integers only. Each row is scaled by the lcm s_i of
+its denominators when it is built, and the whole tableau shares one
+denominator D, the last pivot: the rational tableau is rows / D. A pivot
+p > 0 at (r, c) turns every other row a into (p*a - a[c]*row_r) // D, and
+that division is always exact (Bareiss, Math. Comp. 22, 1968), so no gcd is
+taken until x, a ray or the multipliers are turned back into rationals at
+the end. Row i's artificial variable is s_i times the rational one, and the
+phase-1 cost charges it 1/s_i: every reduced cost keeps its sign, so every
+pivot is the one the rational tableau would take.
 
 Bland's rule (lowest eligible index for entering and leaving variable) makes
 every solve deterministic and cycle-free.
@@ -12,9 +26,10 @@ every solve deterministic and cycle-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .rational import ZERO, ONE, rat, vdot
+from .rational import ZERO, ONE, bareiss_step, integer_vector, rat, vdot
 
 
 class DimensionMismatchError(ValueError):
@@ -55,189 +70,204 @@ class LPResult:
 
 
 class _Tableau:
-    def __init__(self, rows, ncols):
-        self.rows = rows          # list of lists, length ncols + 1 (rhs last)
-        self.basis = []           # basic column per row
-        self.ncols = ncols
+    def __init__(self, rows, basis):
+        self.rows = rows          # integer lists, rhs last
+        self.basis = basis        # basic column per row
+        self.den = 1              # common denominator D, the last pivot
 
-    def pivot(self, r, c, cost):
-        row = self.rows[r]
-        pv = row[c]
-        if pv != ONE:
-            inv = ONE / pv
-            self.rows[r] = row = [x * inv for x in row]
-        for i, other in enumerate(self.rows):
-            if i != r and other[c] != 0:
-                f = other[c]
-                self.rows[i] = [a - f * b for a, b in zip(other, row)]
-        if cost[c] != 0:
-            f = cost[c]
-            for k in range(len(cost)):
-                if row[k] != 0:
-                    cost[k] -= f * row[k]
+    def pivot(self, r, c, cost=None):
+        rows = self.rows
+        prow = rows[r]
+        p = prow[c]
+        if p < 0:  # only the drive-out of artificials pivots on a negative
+            prow = rows[r] = [-a for a in prow]
+            p = -p
+        den = self.den
+        for i, row in enumerate(rows):
+            if i != r:
+                rows[i] = bareiss_step(row, prow, p, row[c], den)
+        if cost is not None:
+            cost[:] = bareiss_step(cost, prow, p, cost[c], den)
+        self.den = p
         self.basis[r] = c
 
-    def run(self, cost, allowed):
-        """Minimize. Returns 'optimal' or ('unbounded', entering_col)."""
+    def run(self, cost):
+        """Minimize over the columns of cost but its last (the rhs).
+        Returns 'optimal' or ('unbounded', entering_col)."""
+        rows, basis = self.rows, self.basis
         while True:
-            enter = -1
-            for j in range(self.ncols):
-                if allowed[j] and cost[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(len(cost) - 1) if cost[j] < 0), -1)
             if enter < 0:
                 return OPTIMAL, -1
             leave = -1
-            best = None
-            for i, row in enumerate(self.rows):
+            for i, row in enumerate(rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave >= 0:  # row[-1] / a against the best b / q
+                        lhs, rhs = row[-1] * q, b * a
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                            continue
+                    leave, b, q = i, row[-1], a
             if leave < 0:
                 return UNBOUNDED, enter
             self.pivot(leave, enter, cost)
 
 
-def _standardize(objective, constraints):
-    """Split free vars, add slacks and artificials. Returns layout info."""
-    n = len(constraints[0].coeffs) if constraints else len(objective)
+def _standardize(constraints, lower):
+    """Integer rows with slacks and artificials. Returns the rows, each row's
+    flip (-1 when its rhs was negative) and scale, and the column layout:
+    the n variables, the negative parts of the free ones, slacks, then
+    artificials from art0."""
+    n = len(lower)
     for c in constraints:
         if len(c.coeffs) != n:
             raise DimensionMismatchError(
-                f"constraint has {len(c.coeffs)} coefficients, expected {n}"
+                f"constraint has {len(c.coeffs)} coefficients, the objective {n}"
             )
+    free = [j for j, low in enumerate(lower) if low is None]
+    shift = [(j, low) for j, low in enumerate(lower) if low]
     m = len(constraints)
-    n_slack = sum(1 for c in constraints if c.rel != EQ)
-    ncols = 2 * n + n_slack + m
-    art0 = 2 * n + n_slack
+    slack = n + len(free)
+    art0 = slack + sum(1 for c in constraints if c.rel != EQ)
+    zeros = [0] * (art0 - slack + m)
 
-    rows = []
-    flips = []
-    slack_at = 0
+    rows, flips, scales = [], [], []
     for i, c in enumerate(constraints):
-        row = [ZERO] * (ncols + 1)
-        for j, a in enumerate(c.coeffs):
-            row[j] = a
-            row[n + j] = -a
-        if c.rel == GE:
-            row[2 * n + slack_at] = -ONE
-            slack_at += 1
-        elif c.rel == LE:
-            row[2 * n + slack_at] = ONE
-            slack_at += 1
-        row[-1] = c.rhs
-        if c.rhs < 0:
-            row = [-x for x in row]
-            flips.append(-ONE)
-        else:
-            flips.append(ONE)
-        row[art0 + i] = ONE
+        rhs = c.rhs
+        for j, low in shift:
+            rhs -= c.coeffs[j] * low
+        ints, s = integer_vector((*c.coeffs, rhs))
+        flip = -1 if rhs < 0 else 1
+        if flip < 0:
+            ints = [-a for a in ints]
+        row = ints[:n] + [-ints[j] for j in free] + zeros + ints[n:]
+        if c.rel != EQ:
+            row[slack] = -flip * s if c.rel == GE else flip * s
+            slack += 1
+        row[art0 + i] = 1
         rows.append(row)
-    return n, m, ncols, art0, rows, flips
+        flips.append(flip)
+        scales.append(s)
+    return rows, flips, scales, free, art0
 
 
-def solve_lp(objective, constraints, *, maximize=False) -> LPResult:
-    """Optimize objective . x over the constraint system (free variables)."""
+def _unconstrained(objective, lower) -> LPResult:
+    """Minimize with no constraint rows: unbounded along the first variable
+    whose objective coefficient its bound (or its freedom) lets improve."""
+    for j, (c, low) in enumerate(zip(objective, lower)):
+        if c < 0 or (c > 0 and low is None):
+            ray = [ZERO] * len(objective)
+            ray[j] = -ONE if c > 0 else ONE
+            return LPResult(UNBOUNDED, ray=tuple(ray))
+    x = tuple(ZERO if low is None else low for low in lower)
+    return LPResult(OPTIMAL, x=x, objective=vdot(objective, x))
+
+
+def _unsplit(full, den, n, free):
+    """The n variables' column values full / den, each free one less its
+    negative part."""
+    out = list(full[:n])
+    for k, j in enumerate(free):
+        out[j] -= full[n + k]
+    return [rat(v, den) for v in out]
+
+
+def solve_lp(objective, constraints, *, maximize=False, lower=None) -> LPResult:
+    """Optimize objective . x over the constraint system. lower[j] is x_j's
+    lower bound, None for a free variable; every variable is free by default."""
     objective = tuple(rat(c) for c in objective)
     if maximize:
-        inner = solve_lp(tuple(-c for c in objective), constraints)
+        inner = solve_lp(tuple(-c for c in objective), constraints, lower=lower)
         if inner.objective is not None:
             inner.objective = -inner.objective
         return inner
     constraints = list(constraints)
     n = len(objective)
+    if lower is None:
+        lower = (None,) * n
+    else:
+        lower = tuple(None if low is None else rat(low) for low in lower)
+        if len(lower) != n:
+            raise DimensionMismatchError(f"{len(lower)} lower bounds for {n} variables")
     if not constraints:
-        if all(c == 0 for c in objective):
-            return LPResult(OPTIMAL, x=tuple(ZERO for _ in range(n)), objective=ZERO)
-        j = next(i for i, c in enumerate(objective) if c != 0)
-        ray = [ZERO] * n
-        ray[j] = -ONE if objective[j] > 0 else ONE
-        return LPResult(UNBOUNDED, ray=tuple(ray))
+        return _unconstrained(objective, lower)
+    rows, flips, scales, free, art0 = _standardize(constraints, lower)
+    m = len(rows)
+    tab = _Tableau(rows, [art0 + i for i in range(m)])
 
-    n2, m, ncols, art0, rows, flips = _standardize(objective, constraints)
-    if n2 != n:
-        raise DimensionMismatchError(
-            f"objective has {n} coefficients, constraints have {n2}"
+    # phase 1: minimize the artificial sum; row i's artificial costs 1/s_i,
+    # so the cost row is kept times L, the lcm of the scales, and times D
+    big = math.lcm(*scales)
+    weights = [big // s for s in scales]
+    cost = [-sum(w * a for w, a in zip(weights, col)) for col in zip(*rows)]
+    cost[art0:-1] = [0] * m
+    tab.run(cost)
+    if cost[-1] < 0:
+        # Farkas: y_i = 1 - s_i * (reduced cost of artificial i), flipped back
+        ld = big * tab.den
+        farkas = tuple(
+            rat(flip * (ld - s * cost[art0 + i]), ld)
+            for i, (flip, s) in enumerate(zip(flips, scales))
         )
-    tab = _Tableau(rows, ncols)
-    tab.basis = [art0 + i for i in range(m)]
+        _verify_farkas(constraints, farkas, lower)
+        return LPResult(INFEASIBLE, farkas=farkas)
 
-    # phase 1: minimize the artificial sum
-    cost = [ZERO] * (ncols + 1)
-    for j in range(art0):
-        cost[j] = -sum((row[j] for row in tab.rows), ZERO)
-    cost[-1] = -sum((row[-1] for row in tab.rows), ZERO)
-    allowed = [True] * ncols
-    tab.run(cost, allowed)
-    phase1 = -cost[-1]
-    if phase1 > 0:
-        # Farkas: y_i = 1 - reduced cost of artificial i, flipped back
-        farkas = []
-        for i in range(m):
-            y = ONE - cost[art0 + i]
-            farkas.append(flips[i] * y)
-        _verify_farkas(constraints, farkas)
-        return LPResult(INFEASIBLE, farkas=tuple(farkas))
-
-    # drive remaining artificials out of the basis where possible
-    drop_rows = []
+    # drive remaining artificials out of the basis where possible, then
+    # drop the rows where that fails and every artificial column
+    keep = []
     for i in range(m):
         if tab.basis[i] >= art0:
             piv = next((j for j in range(art0) if tab.rows[i][j] != 0), -1)
-            if piv >= 0:
-                tab.pivot(i, piv, cost)
-            else:
-                drop_rows.append(i)
-    if drop_rows:
-        tab.rows = [r for i, r in enumerate(tab.rows) if i not in drop_rows]
-        tab.basis = [b for i, b in enumerate(tab.basis) if i not in drop_rows]
+            if piv < 0:
+                continue
+            tab.pivot(i, piv)
+        keep.append(i)
+    tab.rows = [tab.rows[i][:art0] + tab.rows[i][-1:] for i in keep]
+    tab.basis = [tab.basis[i] for i in keep]
 
-    # phase 2
-    allowed = [j < art0 for j in range(ncols)]
-    cost2 = [ZERO] * (ncols + 1)
-    for j in range(n):
-        cost2[j] = objective[j]
-        cost2[n + j] = -objective[j]
-    for i, b in enumerate(tab.basis):
-        if cost2[b] != 0:
-            f = cost2[b]
-            for k in range(len(cost2)):
-                if tab.rows[i][k] != 0:
-                    cost2[k] -= f * tab.rows[i][k]
-    status, enter = tab.run(cost2, allowed)
+    # phase 2, its cost row kept times the lcm of the objective's
+    # denominators and times D
+    cints, _ = integer_vector(objective)
+    cvals = cints + [-cints[j] for j in free] + [0] * (art0 - n - len(free))
+    den = tab.den
+    cost = [v * den for v in cvals] + [0]
+    for row, b in zip(tab.rows, tab.basis):
+        f = cvals[b]
+        if f:
+            cost = [a - f * x for a, x in zip(cost, row)]
+    status, enter = tab.run(cost)
+    den = tab.den
+    full = [0] * art0
     if status == UNBOUNDED:
-        d = [ZERO] * ncols
-        d[enter] = ONE
-        for i, b in enumerate(tab.basis):
-            d[b] = -tab.rows[i][enter]
-        ray = tuple(d[j] - d[n + j] for j in range(n))
-        _verify_ray(objective, constraints, ray)
+        full[enter] = den
+        for row, b in zip(tab.rows, tab.basis):
+            full[b] = -row[enter]
+        ray = tuple(_unsplit(full, den, n, free))
+        _verify_ray(objective, constraints, ray, lower)
         return LPResult(UNBOUNDED, ray=ray)
 
-    xfull = [ZERO] * ncols
-    for i, b in enumerate(tab.basis):
-        xfull[b] = tab.rows[i][-1]
-    x = tuple(xfull[j] - xfull[n + j] for j in range(n))
+    for row, b in zip(tab.rows, tab.basis):
+        full[b] = row[-1]
+    x = tuple(v + low if low else v for v, low in zip(_unsplit(full, den, n, free), lower))
     return LPResult(OPTIMAL, x=x, objective=vdot(objective, x))
 
 
-def feasibility(constraints, dim=None) -> LPResult:
-    """Feasibility with witness or exact Farkas certificate."""
+def feasibility(constraints, dim=None, lower=None) -> LPResult:
+    """Feasibility with witness or exact Farkas certificate; lower as in
+    solve_lp."""
     constraints = list(constraints)
     if not constraints:
         if dim is None:
             raise ValueError("feasibility of an empty system needs dim")
-        return LPResult(OPTIMAL, x=tuple(ZERO for _ in range(dim)), objective=ZERO)
+        x = tuple(ZERO if low is None else rat(low) for low in lower or (None,) * dim)
+        return LPResult(OPTIMAL, x=x, objective=ZERO)
     n = len(constraints[0].coeffs)
-    return solve_lp(tuple(ZERO for _ in range(n)), constraints)
+    return solve_lp(tuple(ZERO for _ in range(n)), constraints, lower=lower)
 
 
-def _verify_farkas(constraints, farkas):
+def _verify_farkas(constraints, farkas, lower=None):
+    """y proves infeasibility: sum y_i a_i = z with z_j = 0 on free and
+    z_j <= 0 on bounded variables, and sum y_i b_i > z . l."""
     n = len(constraints[0].coeffs)
     combo = [ZERO] * n
     rhs = ZERO
@@ -249,13 +279,20 @@ def _verify_farkas(constraints, farkas):
         for j, a in enumerate(c.coeffs):
             combo[j] += y * a
         rhs += y * c.rhs
-    if any(v != 0 for v in combo) or rhs <= 0:
+    for v, low in zip(combo, lower or (None,) * n):
+        if v > 0 or (v < 0 and low is None):
+            raise AssertionError("invalid farkas certificate (simplex bug)")
+        if low is not None:
+            rhs -= v * low
+    if rhs <= 0:
         raise AssertionError("invalid farkas certificate (simplex bug)")
 
 
-def _verify_ray(objective, constraints, ray):
+def _verify_ray(objective, constraints, ray, lower=None):
     if vdot(objective, ray) >= 0:
         raise AssertionError("unbounded ray does not improve the objective")
+    if any(low is not None and r < 0 for r, low in zip(ray, lower or ())):
+        raise AssertionError("unbounded ray leaves a variable's bound")
     for c in constraints:
         v = vdot(c.coeffs, ray)
         ok = v >= 0 if c.rel == GE else v <= 0 if c.rel == LE else v == 0

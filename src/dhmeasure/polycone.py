@@ -161,16 +161,15 @@ def dual_cone(C: Cone) -> Cone:
 
 def _combination(vectors, target, lower, free=0):
     """c with sum c_i v_i = target, c_i >= lower but for the last `free`, or
-    None, by one LP; lp checks a Farkas certificate, a c found is checked here."""
+    None, by one LP whose bounds are variable bounds, not rows; lp checks a
+    Farkas certificate, a c found is checked here."""
     k = len(vectors)
     cons = [constraint([v[j] for v in vectors], EQ, t) for j, t in enumerate(target)]
-    cons += [constraint([int(i == j) for j in range(k)], GE, lower)
-             for i in range(k - free)]
-    res = lp.feasibility(cons, dim=k)
+    res = lp.feasibility(cons, dim=k, lower=[lower] * (k - free) + [None] * free)
     if res.status != lp.OPTIMAL:
         return None
     c = res.x
-    sums = [vdot(r.coeffs, c) for r in cons[: len(target)]]
+    sums = [vdot(r.coeffs, c) for r in cons]
     if min(c[: k - free], default=lower) < lower or sums != list(target):
         raise AssertionError("combination certificate failed")  # pragma: no cover
     return c

@@ -92,34 +92,52 @@ def _copy_rows(rows):
     return [[rat(x) for x in r] for r in rows]
 
 
+def integer_vector(values):
+    """(ints, scale): the rationals ``values`` times scale, the lcm of their
+    denominators, read off numerators and denominators with no gcd taken."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def bareiss_step(row, prow, p, f, den):
+    """One fraction-free row update, (p*row - f*prow) // den, for pivot p
+    on the pivot row prow, row's entry f in the pivot column and den the
+    previous pivot. On a tableau whose every row takes the step the division
+    is always exact (Bareiss, Math. Comp. 22, 1968)."""
+    if f == 0:
+        return row if p == den else [a * p // den for a in row]
+    return [(p * a - f * b) // den for a, b in zip(row, prow)]
+
+
 def rref(rows):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns)."""
-    m = _copy_rows(rows)
+    """Reduced row echelon form. Returns (new_rows, pivot_columns).
+
+    Fraction-free Gauss-Jordan elimination: the rows are scaled to integers,
+    every row takes each bareiss_step, and the last pivot is the common
+    denominator of the result, which is turned back into rationals once.
+    """
+    m = [integer_vector([rat(x) for x in r])[0] for r in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
     pivots = []
-    r = 0
+    r, den = 0, 1
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            if i != r:
+                m[i] = bareiss_step(m[i], prow, p, m[i][c], den)
+        den = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return [[rat(a, den) for a in row] for row in m], pivots
 
 
 def rank(rows) -> int:
@@ -214,8 +232,6 @@ def primitive_ray(v) -> tuple:
     """Shortest integer vector on the ray through v, orientation kept."""
     if all(x == 0 for x in v):
         return tuple(ZERO for _ in v)
-    denoms = [int(rat(x).denominator) for x in v]
-    scale = math.lcm(*denoms)
-    ints = [int(rat(x) * scale) for x in v]
-    g = math.gcd(*(abs(i) for i in ints))
+    ints, _ = integer_vector([rat(x) for x in v])
+    g = math.gcd(*ints)
     return tuple(rat(i // g) for i in ints)

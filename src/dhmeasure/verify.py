@@ -352,29 +352,46 @@ def _report(name, seed, checks, failures, t0, extra=None):
 
 
 def cones_suite(seed: int = 0, count: int = 100) -> dict:
-    """Polyhedral predicates against definition-level float LP reruns."""
+    """Polyhedral predicates against definition-level float LP reruns.
+
+    A float rerun that calls a set empty although the exact feasible witness
+    lies in it is a miss of the float oracle, not of the engine: it is listed
+    under float_oracle_misses and does not fail the suite. Without a witness
+    in the set it stays a failure.
+    """
     rng = suite_rng(seed, "cones")
     t0 = time.time()
     failures = []
+    misses = []
     for i in range(count):
         dim = int(rng.integers(1, 5))
         P = random_polyhedron(rng, dim)
         bad = []
+
+        def agree(predicate, exact, rederive, *args):
+            try:
+                if exact != rederive(*args):
+                    bad.append(predicate)
+            except polycone.InfeasibleSetError:
+                if witness_in_p:
+                    misses.append({"case": i, "dim": dim, "predicate": predicate})
+                else:
+                    bad.append(f"{predicate} (float LP calls the set empty)")
+
         feas_e = polycone.is_feasible(P)
         if feas_e != feasible_by_float_lp(P):
             bad.append("feasibility")
         if feas_e:
-            x = polycone.feasible_point(P)
-            if not P.contains(x):
+            witness_in_p = P.contains(polycone.feasible_point(P))
+            if not witness_in_p:
                 bad.append("feasible witness")
-            if polycone.is_compact(P) != compact_by_float_lp(P):
-                bad.append("compactness")
+            agree("compactness", polycone.is_compact(P), compact_by_float_lp, P)
             if polycone.is_proper(P) != proper_by_float_rank(P):
                 bad.append("properness")
             for _ in range(2):
                 xi = _nonzero_int_vec(rng, dim, 3)
-                if polycone.bounded_below(P, xi) != bounded_below_by_float_lp(P, xi):
-                    bad.append(f"bounded_below {xi}")
+                agree(f"bounded_below {xi}", polycone.bounded_below(P, xi),
+                      bounded_below_by_float_lp, P, xi)
                 if polycone.proper_projection_directions(P, xi) != projection_proper_by_probe(P, xi):
                     bad.append(f"projection {xi}")
             asym = polycone.asymptotic_cone(P)
@@ -390,7 +407,7 @@ def cones_suite(seed: int = 0, count: int = 100) -> dict:
                     bad.append("generator pointedness")
         if bad:
             failures.append({"case": i, "dim": dim, "mismatches": bad})
-    return _report("cones", seed, count, failures, t0)
+    return _report("cones", seed, count, failures, t0, {"float_oracle_misses": misses})
 
 
 def convolution_suite(seed: int = 0, count: int = 50) -> dict:

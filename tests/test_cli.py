@@ -202,6 +202,26 @@ def test_non_finite_json_number_exits_two(number, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("number", ["1e-400", "-2.5E-330"])
+def test_json_number_that_underflows_to_zero_exits_two(number, tmp_path, capsys):
+    # read as the float 0.0, the image 1e-400 used to run and exit 0
+    path = tmp_path / "tiny.json"
+    path.write_text('{"dim": 1, "points": [{"image": [%s], "weights": [[-1]]},'
+                    ' {"image": [-2], "weights": [[1]]}]}' % number)
+    rc = cli.main(["abelian", "--input", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"number {number} in input JSON underflows" in err
+
+
+def test_json_zero_literals_still_read(tmp_path, capsys):
+    path = tmp_path / "zeros.json"
+    path.write_text('{"dim": 2, "halfspaces": [{"normal": [1, 0.0], "offset": -0e-400},'
+                    ' {"normal": [0, 1], "offset": 0.0E5}]}')
+    assert cli.main(["cones", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"]
+
+
 @pytest.mark.parametrize("command", ["abelian", "orbit"])
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_zeta_samples_below_one_exits_two(command, count, sphere_input, orbit_input):

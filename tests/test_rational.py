@@ -8,8 +8,10 @@ from dhmeasure.rational import (
     mat_vec,
     primitive,
     primitive_ray,
+    rank,
     rat,
     rat_str,
+    rref,
     solve,
     vdot,
     vec,
@@ -105,3 +107,42 @@ def test_solve_with_matrix_rhs_equals_column_by_column_solves():
     assert solve(A, [[rat(1), rat(1)], [rat(2), rat(3)]]) is None
     assert solve(A, [rat(1), rat(3)]) is None
     assert solve(A, [[rat(1)], [rat(2)]]) == ((rat(1),), (rat(0),))
+
+
+def _fraction_rref(rows):
+    """Gauss-Jordan in Fractions, the elimination rref ran before it went
+    fraction-free."""
+    m = [[rat(x) for x in r] for r in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def test_fraction_free_rref_and_rank_match_fraction_elimination():
+    rng = random.Random(7)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rat(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+                for _ in range(rng.randint(0, m))]
+        if len(rows) >= 2 and rng.random() < 0.5:
+            # a combination of two rows keeps the rank below the row count
+            f = rat(rng.randint(-3, 3), rng.randint(1, 4))
+            rows.append([a + f * b for a, b in zip(rows[0], rows[1])])
+        rng.shuffle(rows)
+        expected = _fraction_rref(rows)
+        assert rref(rows) == expected
+        assert rank(rows) == len(expected[1])
+    assert rank([]) == 0 and rank([[0, 0], [0, 0]]) == 0
+    assert rank([(1, 2.5), ("1/3", "5/6")]) == 1

@@ -60,6 +60,42 @@ def test_cones_suite_small():
     assert rep["failed"] == 0
 
 
+def test_cones_suite_lists_a_float_lp_miss_and_passes_at_seed_1():
+    # case 51 of seed 1 is a 3-dimensional set that HiGHS calls empty; the
+    # InfeasibleSetError used to escape the suite and `dhk verify` exit 2
+    rep = verify.cones_suite(seed=1, count=52)
+    assert rep["passed"] and not rep["failures"]
+    assert rep["float_oracle_misses"] == [
+        {"case": 51, "dim": 3, "predicate": "compactness"},
+        {"case": 51, "dim": 3, "predicate": "bounded_below (1, 2, 1)"},
+    ]
+
+
+def _empty_by_float_lp(P, *args):
+    raise polycone.InfeasibleSetError("empty in the float re-derivation")
+
+
+@pytest.mark.parametrize("witness_in_p", [True, False])
+def test_a_float_lp_miss_fails_the_cones_suite_only_without_a_witness(witness_in_p, monkeypatch):
+    def unit_box(rng, dim):
+        units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        return polycone.polyhedron(dim, [(e, 0) for e in units]
+                                   + [(tuple(-x for x in e), -1) for e in units])
+
+    monkeypatch.setattr(verify, "random_polyhedron", unit_box)
+    monkeypatch.setattr(verify, "compact_by_float_lp", _empty_by_float_lp)
+    monkeypatch.setattr(verify, "bounded_below_by_float_lp", _empty_by_float_lp)
+    if not witness_in_p:
+        monkeypatch.setattr(polycone.PolyhedralSet, "contains", lambda P, x: False)
+    rep = verify.cones_suite(seed=0, count=1)
+    assert rep["passed"] is witness_in_p
+    assert len(rep["float_oracle_misses"]) == (3 if witness_in_p else 0)
+    if not witness_in_p:
+        mismatches = rep["failures"][0]["mismatches"]
+        assert mismatches[:2] == ["feasible witness",
+                                  "compactness (float LP calls the set empty)"]
+
+
 def test_convolution_suite_small():
     rep = verify.convolution_suite(seed=0, count=8)
     assert rep["failed"] == 0

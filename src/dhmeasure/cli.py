@@ -124,7 +124,7 @@ def _check_float_range(what, vectors):
             except OverflowError:
                 f = math.inf
             if math.isinf(f) or (f == 0 and x != 0):
-                value = (Decimal(x.numerator) / x.denominator).normalize()
+                value = (Decimal(int(x.numerator)) / int(x.denominator)).normalize()
                 raise ValueError(f"{what} coordinate {value:.6g} does not fit a float")
 
 

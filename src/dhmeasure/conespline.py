@@ -347,7 +347,7 @@ def _kernel(factors) -> tuple:
     nodes, dens = [], []
     for scale, rows, children, ties in _plan(tuple(sorted(factors))):
         rowden = math.lcm(*(a.denominator for row in rows for a in row))
-        den = scale.denominator
+        den = int(scale.denominator)
         if children is None:
             mults = (1,) * len(rows)
         else:
@@ -355,10 +355,10 @@ def _kernel(factors) -> tuple:
             mults = tuple(lcm // dens[k] for k in children)
             den *= rowden * lcm
         int_rows = tuple(
-            tuple(a.numerator * (rowden // a.denominator) * m for a in row)
+            tuple(int(a.numerator) * (rowden // int(a.denominator)) * m for a in row)
             for row, m in zip(rows, mults)
         )
-        nodes.append((scale.numerator, int_rows, children, ties))
+        nodes.append((int(scale.numerator), int_rows, children, ties))
         dens.append(den)
     return tuple(nodes), dens[-1]
 

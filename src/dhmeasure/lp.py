@@ -259,8 +259,7 @@ def feasibility(constraints, dim=None, lower=None) -> LPResult:
     if not constraints:
         if dim is None:
             raise ValueError("feasibility of an empty system needs dim")
-        x = tuple(ZERO if low is None else rat(low) for low in lower or (None,) * dim)
-        return LPResult(OPTIMAL, x=x, objective=ZERO)
+        return solve_lp((ZERO,) * dim, [], lower=lower)
     n = len(constraints[0].coeffs)
     return solve_lp(tuple(ZERO for _ in range(n)), constraints, lower=lower)
 

@@ -8,6 +8,7 @@ callers, so every predicate built on top stays tolerance-free.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 try:
@@ -21,9 +22,10 @@ except ImportError:  # gmpy2 is optional (the `fast` extra)
 
 
 def rat(value=0, den=None):
-    """Coerce ``value`` (int, str like "3/2" or "1.5", float, Fraction, mpq)
-    to the exact scalar type. Floats convert exactly (every float is rational).
-    A zero denominator, as in "1/0", is a ValueError.
+    """Coerce ``value`` (int or another integral type such as mpz, str like
+    "3/2" or "1.5", float, Fraction, mpq) to the exact scalar type. Floats
+    convert exactly (every float is rational). A zero denominator, as in
+    "1/0", is a ValueError.
     """
     if den is not None:
         if den == 0:
@@ -49,6 +51,8 @@ def rat(value=0, den=None):
         if _MPQ is not None:
             return _MPQ(value)
         return Fraction(value)
+    if hasattr(type(value), "__index__"):
+        return rat(operator.index(value))
     raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
 
 
@@ -94,9 +98,10 @@ def _copy_rows(rows):
 
 def integer_vector(values):
     """(ints, scale): the rationals ``values`` times scale, the lcm of their
-    denominators, read off numerators and denominators with no gcd taken."""
+    denominators, read off numerators and denominators with no gcd taken.
+    The integers are Python ints on either backend (gmpy2 reads off mpz)."""
     scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    return [int(v.numerator) * (scale // int(v.denominator)) for v in values], scale
 
 
 def bareiss_step(row, prow, p, f, den):

@@ -431,6 +431,8 @@ def test_bounds_with_no_constraint_rows():
     assert lp.feasibility([], dim=2, lower=[None, 2]).x == (0, 2)
     with pytest.raises(lp.DimensionMismatchError):
         lp.solve_lp([1, 2], [lp.constraint([1, 1], lp.GE, 0)], lower=[0])
+    with pytest.raises(lp.DimensionMismatchError):
+        lp.feasibility([], dim=2, lower=[0])
 
 
 def test_bounded_variables_give_a_farkas_certificate_that_counts_the_bounds():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from dhmeasure.rational import (
+    integer_vector,
     mat_vec,
     primitive,
     primitive_ray,
@@ -42,6 +43,37 @@ def test_vdot_exact():
 def test_primitive_ray_keeps_orientation():
     assert primitive_ray((-2, -2)) == (-1, -1)
     assert primitive_ray((rat(1, 2), rat(-3, 2))) == (1, -3)
+
+
+class _Index:
+    """An integral type that is not an int, as gmpy2.mpz is not."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
+def test_rat_accepts_integral_types():
+    assert rat(_Index(-3)) == -3 and type(rat(_Index(2))) is type(rat(0))
+    with pytest.raises(TypeError):
+        rat(object())
+
+
+def test_integer_vector_gives_python_ints():
+    ints, scale = integer_vector([rat(1, 2), rat(-3, 4), rat(5)])
+    assert ints == [2, -3, 20] and scale == 4
+    assert all(type(i) is int for i in [*ints, scale])
+
+
+def test_mpq_backend_reads_integers_off_mpz():
+    gmpy2 = pytest.importorskip("gmpy2")
+    v = (gmpy2.mpq(1, 2), gmpy2.mpq(-3, 2))
+    assert primitive_ray(v) == (1, -3) and primitive((-v[0], -v[1])) == (1, -3)
+    assert all(type(x) is type(gmpy2.mpq(0)) for x in primitive_ray(v))
+    assert rank([v, (gmpy2.mpq(1), gmpy2.mpq(-3))]) == 1
+    assert rat(gmpy2.mpz(7)) == 7
 
 
 def test_primitive_canonicalizes_sign():

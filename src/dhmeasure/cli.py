@@ -87,9 +87,14 @@ def grid_points(axes):
     return list(itertools.product(*lin))
 
 
-def default_grid(images, dim, count=25):
+DEFAULT_GRID_POINTS = 25**3  # the whole default grid, at most 25 per axis
+
+
+def default_grid(images, dim):
     """Per axis, from a quarter of the images' span (at least 1) below them
-    to three quarters above, exact."""
+    to three quarters above, exact. Each axis takes 25 points, or as many as
+    keep the whole grid within DEFAULT_GRID_POINTS."""
+    count = next(c for c in range(25, 0, -1) if c**dim <= DEFAULT_GRID_POINTS)
     axes = []
     for j in range(dim):
         lo = min(im[j] for im in images)

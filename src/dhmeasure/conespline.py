@@ -12,9 +12,9 @@ with C a basis among the factors and lambda = C^-1 x (Dahmen-Micchelli,
 Trans. AMS 308, 1988; De Concini-Procesi, Topics in Hyperplane
 Arrangements, Polytopes and Box-Splines, 2011, ch. 7). A child that no
 longer spans R^d is dropped; a leaf (n = d) is 1/|det C| on cone(C) and 0
-off it. The bases, their exact inverses, the leaf weights and the spanning
-children are derived once per factor tuple and cached, and compiled once
-more into integer form: per node, integer rows and one common denominator.
+off it. The bases, the integer rows of their inverses, the leaf weights
+and the spanning children come from one fraction-free elimination per node
+and are cached per factor tuple, each node with one common denominator.
 heaviside_density and spline_density put a rational point over one common
 denominator D and run the recursion on Python integers; the density is the
 integer result over (root denominator) * D^(n - d), normalized once per
@@ -48,16 +48,14 @@ import numpy as np
 
 from . import polycone
 from .rational import (
-    ONE,
     ZERO,
-    det,
+    _gauss_jordan,
+    dimension,
     integer_vector,
     is_zero_vec,
     rank,
     rat,
     rat_str,
-    rref,
-    solve,
     vdot,
     vec,
     vsub,
@@ -262,113 +260,96 @@ class DensityValue:
 
 @lru_cache(maxsize=1024)
 def _plan(factors) -> tuple:
-    """Exact recursion data of a sorted factor tuple that spans R^d.
+    """Integer recursion data of a sorted factor tuple that spans R^d.
 
-    Lists the nodes the recursion visits, each one sub-multiset of the
-    factors, children before parents and the root last. A node is
-    (scale, rows, children, ties), where rows are rows of the inverse of a
-    basis C of the node's factors, so that a row applied to x is the
-    coefficient lambda_p of x on basis vector c_p.
+    Returns (nodes, Q): the nodes the recursion visits, each one
+    sub-multiset of the factors, children before parents and the root
+    last, such that _truncated_power(nodes, X) / (Q * D^(n - d)) is the
+    density at X / D for an integer vector X and D > 0. A node is
+    (scale, rows, children, ties), all integers.
 
-    An inner node (k > d factors) has scale 1/(k - d) and keeps the rows of
-    the c_p whose removal leaves a spanning set; children holds the plan
-    index of each such child. A child that no longer spans R^d is dropped:
-    its measure lives on the hyperplane where lambda_p vanishes.
+    One fraction-free elimination of [A | I], with A's columns the node's
+    factors, picks a basis C on its pivot columns and leaves den * C^-1 in
+    the right block and den * C^-1 v in A's other columns, den being the
+    last pivot. Row p of C^-1 applied to x is the coefficient lambda_p of
+    x on basis vector c_p. The node keeps rows of the right block divided
+    by their gcd with den, signed like den, so each is the exact row times
+    one positive integer R.
 
-    A leaf (k = d) has scale 1/|det C|, all d rows, children None and, per
-    row, the side taken when lambda_p = 0: the sign of the first nonzero of
-    (C^-1 c)_p, (C^-1 e_1)_p, ..., (C^-1 e_d)_p, with c the sum of all the
-    factors. That is the limit along x + eps c + eps^2 e_1 + ..., the same
-    curve for every node, so the recursion returns the limit of the density
-    from inside the factor cone.
+    An inner node (k > d factors) keeps the rows of the c_p whose removal
+    leaves a spanning set: those with a nonzero entry in a non-pivot column
+    of A. children holds the plan index of each such child, and the row for
+    a child is further multiplied by L / Q_child, with L the lcm of the
+    children's Q_child. A child that no longer spans R^d is dropped: its
+    measure lives on the hyperplane where lambda_p vanishes. The scale is 1
+    and Q = (k - d) * R * L.
+
+    A leaf (k = d) keeps all d rows and has children None; scale / Q is
+    1/|det C| = prod(row scales) / |den| in lowest terms. Per row, ties
+    holds the side taken when lambda_p = 0: the sign of the first nonzero
+    of (C^-1 c)_p, (C^-1 e_1)_p, ..., (C^-1 e_d)_p, with c the sum of all
+    the factors. That is the limit along x + eps c + eps^2 e_1 + ..., the
+    same curve for every node, so the recursion returns the limit of the
+    density from inside the factor cone.
     """
     d = len(factors[0])
     total = tuple(sum(f[j] for f in factors) for j in range(d))
-    nodes = []
+    nodes, dens = [], []
     index = {}
-
-    def columns(vectors):
-        return [[v[j] for v in vectors] for j in range(d)]
 
     def build(vectors):
         if vectors in index:
             return index[vectors]
-        basis = [vectors[p] for p in rref(columns(vectors))[1]]
-        B = columns(basis)
-        rows = solve(B, [[ONE if i == j else ZERO for j in range(d)] for i in range(d)])
-        if len(vectors) == d:
+        k = len(vectors)
+        m, pivots, den, _, scales = _gauss_jordan(
+            [[v[j] for v in vectors] + [int(i == j) for i in range(d)] for j in range(d)]
+        )
+        if k == d:
+            kept, children = range(d), None
+        else:
+            kept = [r for r in range(d) if any(m[r][c] for c in range(k) if c not in pivots)]
+            children = tuple(build(vectors[:pivots[r]] + vectors[pivots[r] + 1:]) for r in kept)
+        rows = [m[r][k:] for r in kept]
+        g = math.gcd(den, *(a for row in rows for a in row)) * (-1 if den < 0 else 1)
+        rows = [[a // g for a in row] for row in rows]
+        if children is None:
             ties = tuple(
-                next(1 if v > 0 else -1 for v in (vdot(row, total),) + row if v != 0)
+                next(1 if v > 0 else -1 for v in (vdot(row, total), *row) if v != 0)
                 for row in rows
             )
-            node = (ONE / abs(det(B)), rows, None, ties)
+            weight = math.prod(scales)
+            h = math.gcd(weight, den)
+            scale, q, mults = weight // h, abs(den) // h, [1] * d
         else:
-            # without c_p the rest spans iff some non-basis factor has a
-            # nonzero coefficient on c_p
-            others = list(vectors)
-            for b in basis:
-                others.remove(b)
-            kept, children = [], []
-            for b, row in zip(basis, rows):
-                if any(vdot(row, v) != 0 for v in others):
-                    p = vectors.index(b)
-                    kept.append(row)
-                    children.append(build(vectors[:p] + vectors[p + 1:]))
-            node = (ONE / (len(vectors) - d), tuple(kept), tuple(children), None)
-        nodes.append(node)
+            lcm = math.lcm(*(dens[c] for c in children))
+            ties, scale, q = None, 1, (k - d) * (den // g) * lcm
+            mults = [lcm // dens[c] for c in children]
+        rows = tuple(tuple(a * mult for a in row) for row, mult in zip(rows, mults))
+        nodes.append((scale, rows, children, ties))
+        dens.append(q)
         index[vectors] = len(nodes) - 1
         return index[vectors]
 
-    if rank(columns(factors)) < d:
+    if rank([[f[j] for f in factors] for j in range(d)]) < d:
         raise ValueError(
             "factors do not span the ambient space: the measure has no density function"
         )
     build(factors)
-    return tuple(nodes)
+    return tuple(nodes), dens[-1]
 
 
 @lru_cache(maxsize=1024)
 def _kernel(factors) -> tuple:
-    """Integer form of the plan of a factor tuple, keyed in the order given.
-
-    Checks once that the factors span a proper cone. Returns (nodes, Q):
-    nodes in the layout of _plan, with integer rows and scales, such that
-    _truncated_power(nodes, X) / (Q * D^(n - d)) is the density at X / D
-    for an integer vector X and D > 0. Per node the rows are the exact rows
-    times the lcm of their denominators (rowden); an inner node's row for
-    a child is further multiplied by L / Q_child, with L the lcm of its
-    children's denominators Q_child. A leaf's scale is the numerator of
-    1/|det C| and Q its denominator; an inner node keeps the numerator of
-    1/(k - d) and has Q = (k - d) * rowden * L. Row scales are positive, so
-    leaf sign tests are unchanged.
-    """
+    """The plan of a factor tuple, keyed in the order given; checks once
+    that the factors span a proper cone."""
     if not _proper_factor_cone(factors):
         raise NonProperConeError("factors do not span a proper cone")
-    nodes, dens = [], []
-    for scale, rows, children, ties in _plan(tuple(sorted(factors))):
-        rowden = math.lcm(*(a.denominator for row in rows for a in row))
-        den = int(scale.denominator)
-        if children is None:
-            mults = (1,) * len(rows)
-        else:
-            lcm = math.lcm(*(dens[k] for k in children))
-            mults = tuple(lcm // dens[k] for k in children)
-            den *= rowden * lcm
-        int_rows = tuple(
-            tuple(int(a.numerator) * (rowden // int(a.denominator)) * m for a in row)
-            for row, m in zip(rows, mults)
-        )
-        nodes.append((int(scale.numerator), int_rows, children, ties))
-        dens.append(den)
-    return tuple(nodes), dens[-1]
+    return _plan(tuple(sorted(factors)))
 
 
 def _truncated_power(plan, x):
-    """T(x) by the recursion (k - d) T_Y(x) = sum_p lambda_p(x) T_{Y - c_p}(x).
-
-    Runs on an integer kernel with integer or float x, or on an exact plan
-    with rational x.
-    """
+    """T(x) by the recursion (k - d) T_Y(x) = sum_p lambda_p(x) T_{Y - c_p}(x),
+    on an integer kernel with integer or float x."""
     values = []
     for scale, rows, children, ties in plan:
         if children is None:
@@ -532,7 +513,7 @@ def spline_to_json(S: SignedConeSpline) -> dict:
 def spline_from_json(data) -> SignedConeSpline:
     if isinstance(data, str):
         data = json.loads(data)
-    dim = int(data["dim"])
+    dim = dimension(data["dim"])
     terms = [
         spline_term(t["sign"], t["base"], t["factors"]) for t in data["terms"]
     ]

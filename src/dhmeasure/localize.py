@@ -23,7 +23,7 @@ import numpy as np
 
 from . import polycone
 from .conespline import SignedConeSpline, _certify_proper, laplace_factor, spline_term
-from .rational import is_zero_vec, rat_str, vdot, vec
+from .rational import dimension, is_zero_vec, rat_str, vdot, vec
 
 MAX_MOMENT_CURVE_TRIES = 1000
 
@@ -344,7 +344,7 @@ def model_from_json(data) -> FixedPointModel:
     if isinstance(data, str):
         data = json.loads(data)
     pts = [fixed_point(p["image"], p["weights"]) for p in data["points"]]
-    M = model(int(data["dim"]), pts, data.get("xi0"))
-    if "halfdim" in data and int(data["halfdim"]) != M.halfdim:
+    M = model(dimension(data["dim"]), pts, data.get("xi0"))
+    if "halfdim" in data and dimension(data["halfdim"]) != M.halfdim:
         raise ModelValidationError("halfdim does not match the weight lists")
     return M

@@ -24,6 +24,7 @@ from .lp import EQ, GE, LE, constraint
 from .rational import (
     ONE,
     ZERO,
+    dimension,
     is_zero_vec,
     nullspace,
     primitive_ray,
@@ -376,7 +377,7 @@ def polyhedron_to_json(P: PolyhedralSet) -> dict:
 def polyhedron_from_json(data) -> PolyhedralSet:
     if isinstance(data, str):
         data = json.loads(data)
-    dim = int(data["dim"])
+    dim = dimension(data["dim"])
     hs = [
         (vec(h["normal"]), rat(h["offset"]))
         for h in data.get("halfspaces", [])
@@ -398,7 +399,7 @@ def cone_to_json(C: Cone) -> dict:
 def cone_from_json(data) -> Cone:
     if isinstance(data, str):
         data = json.loads(data)
-    dim = int(data["dim"])
+    dim = dimension(data["dim"])
     normals = None
     if "halfspaces" in data:
         for h in data["halfspaces"]:

@@ -60,6 +60,17 @@ ZERO = rat(0)
 ONE = rat(1)
 
 
+def dimension(value) -> int:
+    """A dimension read from input: an integer at least 0, where an integral
+    float such as 2.0 reads as 2. Anything else, a boolean included, is a
+    ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{value!r} is not a dimension (an integer at least 0)")
+    return value
+
+
 def rat_str(x) -> str:
     """Wire format: "5", "-2/3"."""
     return str(rat(x))
@@ -92,10 +103,6 @@ def mat_vec(rows, v) -> tuple:
     return tuple(vdot(r, v) for r in rows)
 
 
-def _copy_rows(rows):
-    return [[rat(x) for x in r] for r in rows]
-
-
 def integer_vector(values):
     """(ints, scale): the rationals ``values`` times scale, the lcm of their
     denominators, read off numerators and denominators with no gcd taken.
@@ -114,24 +121,28 @@ def bareiss_step(row, prow, p, f, den):
     return [(p * a - f * b) // den for a, b in zip(row, prow)]
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (new_rows, pivot_columns).
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan elimination, behind rref, rank, solve,
+    nullspace and det.
 
-    Fraction-free Gauss-Jordan elimination: the rows are scaled to integers,
-    every row takes each bareiss_step, and the last pivot is the common
-    denominator of the result, which is turned back into rationals once.
+    Returns (m, pivots, den, sign, scales): each row times scales[i], the
+    lcm of its denominators, reduced by bareiss_step to integer rows m whose
+    quotient by den, the last pivot (1 if none), is the reduced row echelon
+    form; pivots are its pivot columns and sign the parity of the row swaps.
+    A square matrix of full rank has det = sign * den / prod(scales).
     """
-    m = [integer_vector([rat(x) for x in r])[0] for r in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
+    scaled = [integer_vector([rat(x) for x in r]) for r in rows]
+    m = [ints for ints, _ in scaled]
     pivots = []
-    r, den = 0, 1
-    for c in range(ncols):
+    r, den, sign = 0, 1, 1
+    nrows = len(m)
+    for c in range(len(m[0]) if m else 0):
         pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
         prow = m[r]
         p = prow[c]
         for i in range(nrows):
@@ -142,6 +153,13 @@ def rref(rows):
         r += 1
         if r == nrows:
             break
+    return m, pivots, den, sign, [s for _, s in scaled]
+
+
+def rref(rows):
+    """Reduced row echelon form. Returns (new_rows, pivot_columns): the
+    integer rows of _gauss_jordan over its last pivot, as rationals."""
+    m, pivots, den, _, _ = _gauss_jordan(rows)
     return [[rat(a, den) for a in row] for row in m], pivots
 
 
@@ -194,29 +212,15 @@ def nullspace(rows, ncols=None):
 
 
 def det(rows):
-    """Exact determinant (fraction-free not needed at these sizes)."""
+    """Exact determinant of a square matrix: sign * den / prod(scales) of
+    the fraction-free elimination, 0 when it is singular, 1 for 0x0."""
     n = len(rows)
-    m = _copy_rows(rows)
-    result = ONE
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        pv = m[c][c]
-        result *= pv
-        inv = ONE / pv
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result
+    if any(len(r) != n for r in rows):
+        raise ValueError("the determinant needs a square matrix")
+    _, pivots, den, sign, scales = _gauss_jordan(rows)
+    if len(pivots) < n:
+        return ZERO
+    return rat(sign * den, math.prod(scales))
 
 
 def primitive(v) -> tuple:

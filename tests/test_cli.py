@@ -379,6 +379,39 @@ def test_vector_given_as_a_string_is_refused(command, payload, reader, tmp_path,
         assert err.startswith("error:") and "must be an array" in err
 
 
+_SPHERE_POINTS = [{"image": ["2"], "weights": [["-1"]]}, {"image": ["-2"], "weights": [["1"]]}]
+
+
+@pytest.mark.parametrize(
+    "command,payload,reader",
+    [
+        ("cones", {"dim": -1, "halfspaces": []}, polycone.polyhedron_from_json),
+        ("cones", {"dim": -2, "generators": []}, polycone.cone_from_json),
+        ("cones", {"dim": 2.5, "halfspaces": [{"normal": [1, 0], "offset": 0}]},
+         polycone.polyhedron_from_json),
+        ("abelian", {"dim": 1.9, "points": _SPHERE_POINTS}, localize.model_from_json),
+        ("abelian", {"dim": True, "points": _SPHERE_POINTS}, localize.model_from_json),
+        ("abelian", {"dim": 1, "halfdim": 1.5, "points": _SPHERE_POINTS},
+         localize.model_from_json),
+        (None, {"dim": 1.5, "terms": [{"sign": 1, "base": [0], "factors": [[1]]}]},
+         conespline.spline_from_json),
+    ],
+)
+def test_dimension_that_is_not_a_count_exits_two(command, payload, reader, tmp_path, capsys):
+    # int() used to truncate these, and the runs exited 0
+    with pytest.raises(ValueError, match="is not a dimension"):
+        reader(payload)
+    if command is not None:
+        assert cli.main([command, "--input", write(tmp_path / "in.json", payload)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is not a dimension" in err
+
+
+def test_integral_float_dimension_reads_as_an_integer():
+    assert polycone.cone_from_json({"dim": 2.0, "generators": [[1, 0]]}).dim == 2
+    assert localize.model_from_json({"dim": 1.0, "halfdim": 1.0, "points": _SPHERE_POINTS}).dim == 1
+
+
 @pytest.mark.parametrize(
     "command,payload,extra,value",
     [
@@ -545,6 +578,16 @@ def test_grid_points_are_exact(sphere_input, tmp_path, monkeypatch):
     assert seen == [(0,), (rat(1, 3),), (rat(2, 3),), (1,)]
     rows = (out / "density.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == [repr(x) for x in (0.0, 1 / 3, 2 / 3, 1.0)]
+
+
+def test_default_grid_stays_within_its_point_budget():
+    # rank 4 (AIII with p + q = 5) took 25 points per axis, 25^4 in all
+    images = [(0, 0, 0, 0), (1, 2, 3, 4)]
+    for dim, per_axis in ((1, 25), (2, 25), (3, 25), (4, 11)):
+        axes = cli.default_grid([im[:dim] for im in images], dim)
+        assert [count for _lo, _hi, count in axes] == [per_axis] * dim
+        assert per_axis**dim <= cli.DEFAULT_GRID_POINTS == 25**3
+    assert axes[0][:2] == (rat(-1, 4), rat(7, 4)) and axes[3][:2] == (-1, 7)
 
 
 import argparse

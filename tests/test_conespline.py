@@ -21,6 +21,7 @@ from dhmeasure.conespline import (
     write_density_csv,
 )
 from dhmeasure.rational import rat, vec
+from fraction_plan import fraction_density, fraction_plan, lcm_kernel
 
 
 def test_heaviside_single_weight_is_flat():
@@ -234,20 +235,16 @@ def test_density_error_bound_is_reported():
     assert dv.abs_error_bound == 0
 
 
-def _fraction_density(factors, mu):
-    # reference: the same recursion on the exact Fraction plan
-    factors = tuple(vec(f) for f in factors)
-    return conespline._truncated_power(conespline._plan(tuple(sorted(factors))), vec(mu))
-
-
 def test_integer_kernel_equals_fraction_recursion():
     rng = np.random.default_rng(17)
+    factor_sets = []
     for _ in range(60):
         d = int(rng.integers(1, 4))
         n = d + int(rng.integers(0, 4))
         ints, _ = verify.random_proper_factors(rng, d, n)
         # positive rescaling keeps the cone: rational, non-integer factors
         factors = [tuple(Fraction(int(a), int(rng.integers(1, 5))) for a in f) for f in ints]
+        factor_sets.append(factors)
         points = [
             tuple(Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 8))) for _ in range(d)),
             tuple(float(x) for x in rng.uniform(-4, 4, d)),  # binary denominators
@@ -263,8 +260,18 @@ def test_integer_kernel_equals_fraction_recursion():
             ))
         for mu in points:
             got = heaviside_density(factors, mu)
-            want = _fraction_density(factors, mu)
+            want = fraction_density([vec(f) for f in factors], vec(mu))
             assert got == want and type(got) is type(want)
+    for _name, M, chambers in verify.model_library():
+        factor_sets += [t.factors for xi in chambers for t in localize.dh_measure(M, xi).terms]
+    for family, params, lam in (
+        ("AIII", (2, 1), (3, 1, -4)), ("CI", (3,), (5, 3, 1)), ("AIII", (3, 2), (5, 3, 1, -1, -4))
+    ):
+        O = hermitian.orbit_spec(hermitian.build_pair(family, params), lam)
+        for S in (hermitian.t_type_measure(O), hermitian.k_type_measure(O)):
+            factor_sets += [t.factors for t in S.terms]
+    for factors in {tuple(vec(f) for f in fs) for fs in factor_sets}:
+        assert conespline._kernel(factors) == lcm_kernel(fraction_plan(tuple(sorted(factors))))
 
 
 def test_synthesized_terms_are_proven_proper_without_lp(monkeypatch):
@@ -292,27 +299,3 @@ def test_non_certifying_certificate_leaves_improper_terms_rejected():
         spline_term(1, (0, 0), factors)
     with pytest.raises(NonProperConeError):
         heaviside_density(factors, (0, 1))
-
-
-def test_plan_rows_equal_the_per_column_route(monkeypatch):
-    from dhmeasure import rational
-
-    def per_column(rows, rhs):
-        # the inverse of a node's basis one unit column at a time
-        cols = [rational.solve(rows, [r[j] for r in rhs]) for j in range(len(rhs[0]))]
-        return tuple(tuple(c[p] for c in cols) for p in range(len(rows[0])))
-
-    factor_sets = {
-        tuple(sorted(t.factors))
-        for _name, M, chambers in verify.model_library()
-        for xi in chambers
-        for t in localize.dh_measure(M, xi).terms
-    }
-    try:
-        conespline._plan.cache_clear()
-        plans = {f: conespline._plan(f) for f in factor_sets}
-        conespline._plan.cache_clear()
-        monkeypatch.setattr(conespline, "solve", per_column)
-        assert {f: conespline._plan(f) for f in factor_sets} == plans
-    finally:
-        conespline._plan.cache_clear()

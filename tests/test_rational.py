@@ -2,9 +2,11 @@ import random
 
 import hypothesis.strategies as st
 import pytest
+from fraction_plan import fraction_det
 from hypothesis import given
 
 from dhmeasure.rational import (
+    det,
     integer_vector,
     mat_vec,
     primitive,
@@ -176,5 +178,13 @@ def test_fraction_free_rref_and_rank_match_fraction_elimination():
         expected = _fraction_rref(rows)
         assert rref(rows) == expected
         assert rank(rows) == len(expected[1])
+        # the leading square block: 0x0 when there are no rows, singular
+        # when it holds the combination row and the two rows it combines
+        k = min(len(rows), n)
+        square = [r[:k] for r in rows[:k]]
+        assert det(square) == fraction_det(square) and type(det(square)) is type(rat(0))
     assert rank([]) == 0 and rank([[0, 0], [0, 0]]) == 0
+    assert det([]) == 1 and det([[1, 2], [2, 4]]) == 0 and det([["1/2", 1], [3, "-2/3"]]) == rat(-10, 3)
+    with pytest.raises(ValueError, match="square"):
+        det([[1, 2]])
     assert rank([(1, 2.5), ("1/3", "5/6")]) == 1

@@ -245,10 +245,8 @@ def _worst(samples):
 
 
 def _write_density(path, S, points):
-    rows = []
-    for mu in points:
-        dv = conespline.spline_density(S, mu)
-        rows.append((mu, dv.value, dv.abs_error_bound))
+    values = conespline.spline_density(S, points)
+    rows = [(mu, dv.value, dv.abs_error_bound) for mu, dv in zip(points, values)]
     conespline.write_density_csv(path, S.dim, rows)
 
 

@@ -18,8 +18,13 @@ and are cached per factor tuple, each node with one common denominator.
 heaviside_density and spline_density put a rational point over one common
 denominator D and run the recursion on Python integers; the density is the
 integer result over (root denominator) * D^(n - d), normalized once per
-call, an exact rational with error bound 0. DensityEvaluator runs the same
-integer recursion at float points, for quadrature.
+call, an exact rational with error bound 0. Both also take an N x d batch
+of points, such as a density grid: every point and every term base goes
+over one common denominator, each term's kernel is looked up once, and its
+recursion runs once on all N points, on numpy object arrays of Python
+integers with the same tie rule; the batch result is a tuple of the values
+the per-point calls give. DensityEvaluator runs the same integer recursion
+at float points, for quadrature.
 
 On a wall, where the density jumps, the value is the limit from inside the
 term's cone: along mu + eps*c + eps^2*e_1 + ... + eps^(d+1)*e_d for small
@@ -367,6 +372,69 @@ def _truncated_power(plan, x):
     return values[-1]
 
 
+def _truncated_powers(plan, X):
+    """_truncated_power at every column of X, a d x N numpy object array of
+    Python ints, as an N-array of ints.
+
+    Each row is a positive multiple g of a primitive one, which is applied
+    to X once (row @ X) for all the nodes. A leaf tests signs elementwise,
+    with the same tie rule. Every node is a combination of leaf values, so
+    the inner nodes are evaluated only on the columns where some leaf is
+    nonzero; elsewhere the result is 0."""
+    dots, lam, inside, values = {}, {}, {}, []
+
+    def dot(row):
+        g = math.gcd(*row)
+        key = tuple(a // g for a in row)
+        if key not in dots:  # entries are mostly 0 and +-1: add and subtract rows of X
+            (a, x), *rest = [(a, x) for a, x in zip(key, X) if a]
+            acc = x if a == 1 else a * x
+            for a, x in rest:
+                acc = acc + x if a == 1 else acc - x if a == -1 else acc + a * x
+            dots[key] = acc
+        return dots[key], g
+
+    for i, (_scale, rows, children, ties) in enumerate(plan):
+        if children is None:
+            tests = [(dot(row)[0], tie) for row, tie in zip(rows, ties)]
+            inside[i] = np.logical_and.reduce([x >= 0 if tie > 0 else x > 0 for x, tie in tests])
+    active = np.flatnonzero(np.logical_or.reduce(list(inside.values())))
+    for i, (scale, rows, children, _ties) in enumerate(plan):
+        if children is None:
+            values.append(inside[i][active].astype(object) * scale)
+            continue
+        for row in rows:
+            if row not in lam:
+                x, g = dot(row)
+                lam[row] = x[active] * g if g != 1 else x[active]
+        products = [lam[row] * values[k] for row, k in zip(rows, children)]
+        values.append(sum(products[1:], products[0]))  # an inner node's scale is 1
+    out = np.zeros(X.shape[1], dtype=object)
+    out[active] = values[-1]
+    return out
+
+
+def _is_batch(mu) -> bool:
+    """Is mu an N x d batch of points rather than one point? numpy's
+    leading-axis convention: a point is one-dimensional."""
+    if isinstance(mu, np.ndarray):
+        return mu.ndim == 2
+    return isinstance(mu, (tuple, list)) and bool(mu) and isinstance(mu[0], (tuple, list, np.ndarray))
+
+
+def _integer_points(points, d):
+    """A batch of rational points over one common denominator D > 0: (X, D)
+    with X the points times D, a d x N numpy object array of Python ints.
+    A batch of Python ints is read as it is, with D = 1."""
+    P = np.array(points, dtype=object)
+    if P.ndim != 2 or P.shape[1] != d:
+        raise ValueError("point/factor dimension mismatch")
+    if all(type(x) is int for x in P.flat):
+        return P.T, 1
+    ints, common = integer_vector([rat(x) for x in P.flat])
+    return np.array(ints, dtype=object).reshape(P.shape).T, common
+
+
 def heaviside_density(factors, mu):
     """Density of H_{b1} * ... * H_{bn} at mu, unit normalization.
 
@@ -377,22 +445,43 @@ def heaviside_density(factors, mu):
     factor cone contains a line, PureDeltaError for no factors, and
     ValueError when the factors do not span R^d (the measure is then
     singular and has no density function).
+
+    mu may also be an N x d batch of points (a 2-D array, or a sequence of
+    points); the result is then a tuple of N exact values, from one kernel
+    lookup and one pass of the recursion over all N points.
     """
     factors = tuple(vec(f) for f in factors)
     if not factors:
         raise PureDeltaError("a point mass has no density function")
+    d, n = len(factors[0]), len(factors)
+    if _is_batch(mu):
+        X, common = _integer_points(mu, d)
+        nodes, den = _kernel(factors)
+        den *= common ** (n - d)
+        return tuple(rat(t, den) if t else ZERO for t in _truncated_powers(nodes, X))
     mu = vec(mu)
-    if len(mu) != len(factors[0]):
+    if len(mu) != d:
         raise ValueError("point/factor dimension mismatch")
     nodes, den = _kernel(factors)
     scaled, common = integer_vector(mu)
-    return rat(_truncated_power(nodes, scaled), den * common ** (len(factors) - len(mu)))
+    return rat(_truncated_power(nodes, scaled), den * common ** (n - d))
 
 
 def spline_density(S: SignedConeSpline, mu) -> DensityValue:
-    """Signed density of the spline at mu (poly multiplier applied); exact."""
+    """Signed density of the spline at mu (poly multiplier applied); exact.
+
+    mu may also be an N x d batch of points; the result is then a tuple of
+    N DensityValues. The points and the term bases are put over one common
+    denominator D, and each term is one heaviside_density call on its
+    shifted integer points x = D * (mu - base), which is D^(n - d) times the
+    density at mu - base. The terms are added up over the lcm of their
+    denominators, the polynomial multiplier is evaluated in integers too, and
+    each point is divided once.
+    """
     if S.nfactors == 0 and S.terms:
         raise PureDeltaError("point-mass spline has no density function")
+    if _is_batch(mu):
+        return tuple(DensityValue(v, 0.0) for v in _spline_values(S, mu))
     mu = vec(mu)
     total = ZERO
     for t in S.terms:
@@ -400,6 +489,38 @@ def spline_density(S: SignedConeSpline, mu) -> DensityValue:
     if S.poly is not None:
         total *= S.poly.eval_exact(mu)
     return DensityValue(total, 0.0)
+
+
+def _spline_values(S, points):
+    """The exact densities of spline_density at a batch of points."""
+    n = len(points)
+    X, common = _integer_points([*points, *(t.base for t in S.terms)], S.dim)
+    terms = [
+        heaviside_density(t.factors, (X[:, :n] - X[:, [n + j]]).T) for j, t in enumerate(S.terms)
+    ]
+    lcm = math.lcm(*{int(v.denominator) for values in terms for v in values})
+    num = np.zeros(n, dtype=object)
+    for t, values in zip(S.terms, terms):
+        nums = np.array([int(v.numerator) for v in values], dtype=object)
+        dens = np.array([int(v.denominator) for v in values], dtype=object)
+        num += t.sign * nums * (lcm // dens)
+    den = lcm * common ** (S.nfactors - S.dim)
+    if S.poly is not None:
+        pnum, pden = _poly_integers(S.poly, X[:, :n], common)
+        num, den = num * pnum, den * pden
+    return [rat(v, den) for v in num]
+
+
+def _poly_integers(poly, X, common):
+    """(P, E): the polynomial at the points X / common is P / E, with P an
+    N-array (or 0) and E a positive integer."""
+    deg = max((sum(e) for e, _ in poly.coeffs), default=0)
+    pden = math.lcm(*(int(c.denominator) for _, c in poly.coeffs)) * common**deg
+    return sum(
+        int(c.numerator) * (pden // (int(c.denominator) * common ** sum(e)))
+        * math.prod(x**k for x, k in zip(X, e) if k)
+        for e, c in poly.coeffs
+    ), pden
 
 
 # ---------------------------------------------------------------------------

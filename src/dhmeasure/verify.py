@@ -525,8 +525,7 @@ def montecarlo_suite(seed: int = 0, samples: int = 1_000_000) -> dict:
             seed=seed, samples=samples, cutoff_radius=radius, bins=bins
         )
         table = oracle.montecarlo_pushforward(weights, phi0, cfg)
-        centers = table.centers()
-        engine = [conespline.heaviside_density(weights, c) for c in centers]
+        engine = conespline.heaviside_density(weights, table.centers())
         mask = _mc_interior_mask(weights, phi0, table, radius)
         num = den = 0.0
         for d_emp, e, s, ok in zip(table.density, engine, table.sigma, mask):

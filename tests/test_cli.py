@@ -572,10 +572,11 @@ def test_grid_points_are_exact(sphere_input, tmp_path, monkeypatch):
     seen = []
     real = conespline.spline_density
     monkeypatch.setattr(conespline, "spline_density",
-                        lambda S, mu: seen.append(tuple(mu)) or real(S, mu))
+                        lambda S, mu: seen.append([tuple(p) for p in mu]) or real(S, mu))
     out = tmp_path / "out"
     assert cli.main(["abelian", "--input", sphere_input, "--out", str(out), "--grid=0:1:4"]) == 0
-    assert seen == [(0,), (rat(1, 3),), (rat(2, 3),), (1,)]
+    # one call for the whole grid, at exact points
+    assert seen == [[(0,), (rat(1, 3),), (rat(2, 3),), (1,)]]
     rows = (out / "density.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == [repr(x) for x in (0.0, 1 / 3, 2 / 3, 1.0)]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from dhmeasure import conespline, hermitian, localize, polycone, verify
+from dhmeasure import cli, conespline, hermitian, localize, polycone, verify
 from dhmeasure.conespline import (
     DensityEvaluator,
     NonProperConeError,
@@ -20,7 +20,7 @@ from dhmeasure.conespline import (
     spline_term,
     write_density_csv,
 )
-from dhmeasure.rational import rat, vec
+from dhmeasure.rational import rat, vec, vsub
 from fraction_plan import fraction_density, fraction_plan, lcm_kernel
 
 
@@ -243,7 +243,9 @@ def test_integer_kernel_equals_fraction_recursion():
         n = d + int(rng.integers(0, 4))
         ints, _ = verify.random_proper_factors(rng, d, n)
         # positive rescaling keeps the cone: rational, non-integer factors
-        factors = [tuple(Fraction(int(a), int(rng.integers(1, 5))) for a in f) for f in ints]
+        factors = [
+            tuple(Fraction(int(a), q) for a in f) for f in ints for q in (int(rng.integers(1, 5)),)
+        ]
         factor_sets.append(factors)
         points = [
             tuple(Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 8))) for _ in range(d)),
@@ -299,3 +301,93 @@ def test_non_certifying_certificate_leaves_improper_terms_rejected():
         spline_term(1, (0, 0), factors)
     with pytest.raises(NonProperConeError):
         heaviside_density(factors, (0, 1))
+
+
+def _probe_points(rng, S, count):
+    """Seeded rational and float points around the spline's bases, then wall
+    points: each of a few bases, and such a base plus a non-negative
+    combination of d - 1 of its term's factors."""
+    d = S.dim
+    points = []
+    for _ in range(count):
+        base = S.terms[int(rng.integers(len(S.terms)))].base
+        points.append(tuple(
+            b + Fraction(int(rng.integers(-12, 37)), int(rng.integers(1, 7))) for b in base
+        ))
+    points += [tuple(float(x) for x in rng.uniform(-2, 8, d)) for _ in range(3)]
+    for t in S.terms[:4]:
+        picks = rng.choice(len(t.factors), size=d - 1, replace=False)
+        coeffs = [Fraction(int(rng.integers(0, 6)), int(rng.integers(1, 4))) for _ in picks]
+        points.append(t.base)
+        points.append(tuple(
+            t.base[j] + sum(c * t.factors[i][j] for c, i in zip(coeffs, picks)) for j in range(d)
+        ))
+    return points
+
+
+def _batch_splines():
+    rng = np.random.default_rng(23)
+    for _ in range(8):  # rational factors: leaves of weight other than 1
+        d = int(rng.integers(1, 4))
+        ints, _ = verify.random_proper_factors(rng, d, d + int(rng.integers(0, 3)))
+        factors = [[Fraction(int(a), q) for a in f] for f in ints for q in (int(rng.integers(1, 5)),)]
+        bases = [[Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4))) for _ in range(d)]
+                 for _ in range(2)]
+        yield spline(d, [spline_term(1, bases[0], factors), spline_term(-1, bases[1], factors)],
+                     poly=Polynomial.linear(bases[0]) if any(bases[0]) else None)
+    for _name, M, chambers in verify.model_library():
+        for xi in chambers:
+            yield localize.dh_measure(M, xi)
+    for family, params, lam in (
+        ("AIII", (2, 1), (3, 1, -4)), ("CI", (3,), (5, 3, 1)),
+        ("AIII", (3, 2), (5, 3, 1, -1, -4)), ("AIII", (2, 2), (5, 2, -1, -4)),
+    ):
+        O = hermitian.orbit_spec(hermitian.build_pair(family, params), lam)
+        yield hermitian.t_type_measure(O)
+        yield hermitian.k_type_measure(O)
+
+
+def test_batch_equals_scalar_engine_point_by_point():
+    rng = np.random.default_rng(11)
+    for S in _batch_splines():
+        points = _probe_points(rng, S, 12)
+        got = spline_density(S, points)
+        assert type(got) is tuple
+        assert got == tuple(spline_density(S, mu) for mu in points)
+        for t in S.terms:
+            shifted = [vsub(vec(mu), t.base) for mu in points]
+            values = heaviside_density(t.factors, shifted)
+            want = tuple(heaviside_density(t.factors, x) for x in shifted)
+            assert values == want
+            assert [type(v) for v in values] == [type(v) for v in want]
+
+
+def test_batch_edge_cases():
+    factors = [(1, 0), (0, 1), (1, 2)]
+    S = spline(
+        2,
+        [spline_term(1, (0, 0), factors), spline_term(-1, (rat(1, 2), 1), factors)],
+        poly=Polynomial.linear((1, 3)),
+    )
+    mu = (rat(7, 3), rat(5, 2))
+    assert heaviside_density(factors, [mu]) == (heaviside_density(factors, mu),)
+    assert spline_density(S, np.array([mu], dtype=object)) == (spline_density(S, mu),)
+    assert type(heaviside_density(factors, [mu, (1, 1)])) is tuple
+    assert heaviside_density(factors, np.empty((0, 2))) == ()
+    assert spline_density(S, np.empty((0, 2))) == ()
+    for bad in ([(1, 2), (1, 2, 3)], np.zeros((3, 3)), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            heaviside_density(factors, bad)
+        with pytest.raises(ValueError):
+            spline_density(S, bad)
+
+
+def test_a_grid_makes_one_kernel_lookup_per_term(monkeypatch):
+    O = hermitian.orbit_spec(hermitian.build_pair("CI", (3,)), (5, 3, 1))
+    S = hermitian.t_type_measure(O)
+    lookups = []
+    real = conespline._kernel
+    monkeypatch.setattr(conespline, "_kernel", lambda factors: lookups.append(factors) or real(factors))
+    grid = cli.grid_points(((rat(0), rat(6), 5),) * 3)
+    assert len(spline_density(S, grid)) == 125
+    assert len(lookups) == len(S.terms)

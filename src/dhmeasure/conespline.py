@@ -15,16 +15,14 @@ longer spans R^d is dropped; a leaf (n = d) is 1/|det C| on cone(C) and 0
 off it. The bases, the integer rows of their inverses, the leaf weights
 and the spanning children come from one fraction-free elimination per node
 and are cached per factor tuple, each node with one common denominator.
-heaviside_density and spline_density put a rational point over one common
-denominator D and run the recursion on Python integers; the density is the
-integer result over (root denominator) * D^(n - d), normalized once per
-call, an exact rational with error bound 0. Both also take an N x d batch
-of points, such as a density grid: every point and every term base goes
-over one common denominator, each term's kernel is looked up once, and its
-recursion runs once on all N points, on numpy object arrays of Python
-integers with the same tie rule; the batch result is a tuple of the values
-the per-point calls give. DensityEvaluator runs the same integer recursion
-at float points, for quadrature.
+
+One recursion evaluates them, with the same arithmetic on d coordinates
+that are numbers, for one point, or numpy object arrays, for an N x d batch
+such as a density grid. heaviside_density and spline_density put the point
+or the batch over one common denominator D and run it on Python integers:
+the density is the integer result over (root denominator) * D^(n - d), an
+exact rational with error bound 0, and a batch gives a tuple of them.
+DensityEvaluator runs the same recursion at float points, for quadrature.
 
 On a wall, where the density jumps, the value is the limit from inside the
 term's cone: along mu + eps*c + eps^2*e_1 + ... + eps^(d+1)*e_d for small
@@ -47,7 +45,6 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -63,7 +60,6 @@ from .rational import (
     rat_str,
     vdot,
     vec,
-    vsub,
 )
 
 REGULARITY_RTOL = 1e-12  # |<b, zeta>| must exceed this times |b||zeta|
@@ -267,11 +263,11 @@ class DensityValue:
 def _plan(factors) -> tuple:
     """Integer recursion data of a sorted factor tuple that spans R^d.
 
-    Returns (nodes, Q): the nodes the recursion visits, each one
+    Returns (nodes, Q, program): the nodes the recursion visits, each one
     sub-multiset of the factors, children before parents and the root
-    last, such that _truncated_power(nodes, X) / (Q * D^(n - d)) is the
-    density at X / D for an integer vector X and D > 0. A node is
-    (scale, rows, children, ties), all integers.
+    last, such that the recursion over them at an integer vector X, over
+    Q * D^(n - d), is the density at X / D for D > 0. A node is
+    (scale, rows, children, ties), all integers; program is _program(nodes).
 
     One fraction-free elimination of [A | I], with A's columns the node's
     factors, picks a basis C on its pivot columns and leaves den * C^-1 in
@@ -340,7 +336,7 @@ def _plan(factors) -> tuple:
             "factors do not span the ambient space: the measure has no density function"
         )
     build(factors)
-    return tuple(nodes), dens[-1]
+    return tuple(nodes), dens[-1], _program(nodes)
 
 
 @lru_cache(maxsize=1024)
@@ -352,87 +348,94 @@ def _kernel(factors) -> tuple:
     return _plan(tuple(sorted(factors)))
 
 
-def _truncated_power(plan, x):
-    """T(x) by the recursion (k - d) T_Y(x) = sum_p lambda_p(x) T_{Y - c_p}(x),
-    on an integer kernel with integer or float x."""
-    values = []
-    for scale, rows, children, ties in plan:
+def _program(nodes) -> tuple:
+    """(table, leaves, lams, inner, top): the nodes compiled for _leaf_masks
+    and _truncated_powers. Each row is a positive multiple g of a primitive
+    row, which table holds once as its nonzero (column, entry) pairs. Per
+    leaf, leaves holds its table indices and ties; lams holds the distinct
+    (table index, g * child's scale) pairs, and inner, per inner node, its
+    lams indices and children, with the leaves numbered first. top is the
+    root's scale."""
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i][2] is not None)
+    position = {i: p for p, i in enumerate(order)}
+    table, lams, leaves, inner = {}, {}, [], []
+
+    def primitive(row):
+        g = math.gcd(*row)
+        return table.setdefault(tuple((j, a // g) for j, a in enumerate(row) if a), len(table)), g
+
+    for i in order:
+        _scale, rows, children, ties = nodes[i]
         if children is None:
-            value = scale
-            for row, tie in zip(rows, ties):
-                lam = sum(map(mul, row, x))
-                if lam < 0 or (lam == 0 and tie < 0):
-                    value = 0 * scale
-                    break
+            leaves.append((tuple(primitive(row)[0] for row in rows), ties))
         else:
-            value = scale * sum(
-                [sum(map(mul, row, x)) * values[k] for row, k in zip(rows, children)]
+            lam = tuple(
+                lams.setdefault((r, g * nodes[k][0]), len(lams))
+                for (r, g), k in zip(map(primitive, rows), children)
             )
-        values.append(value)
+            inner.append((lam, tuple(position[k] for k in children)))
+    return tuple(table), tuple(leaves), tuple(lams), tuple(inner), nodes[-1][0]
+
+
+def _leaf_masks(program, X):
+    """(dots, masks): each primitive row of the kernel applied to X once, and
+    per leaf where every lambda_p >= 0, or > 0 on the side its tie excludes.
+
+    X is d coordinates: numbers for one point (Python ints, or floats), or
+    numpy object N-arrays of Python ints for N points. Both run this code
+    and _truncated_powers, with the same +, -, *, comparisons and &."""
+    table, leaves = program[:2]
+    dots = []
+    for (j, a), *rest in table:  # entries are mostly +-1: add and subtract
+        acc = X[j] if a == 1 else a * X[j]
+        for j, a in rest:
+            acc = acc + X[j] if a == 1 else acc - X[j] if a == -1 else acc + a * X[j]
+        dots.append(acc)
+    masks = []
+    for rs, ties in leaves:
+        inside = True
+        for r, tie in zip(rs, ties):
+            inside = inside & (dots[r] >= 0 if tie > 0 else dots[r] > 0)
+        masks.append(inside)
+    return dots, masks
+
+
+def _truncated_powers(program, dots, masks):
+    """T(x) by the recursion (k - d) T_Y(x) = sum_p lambda_p(x) T_{Y - c_p}(x),
+    over the kernel's integers, from _leaf_masks at x: a number, or an
+    N-array for N points. A leaf's value is its mask, as each node's scale
+    is in its parent's rows (an inner node's scale is 1)."""
+    _table, _leaves, lams, inner, _top = program
+    lam = [dots[r] if m == 1 else dots[r] * m for r, m in lams]
+    values = list(masks)
+    for ps, ks in inner:
+        terms = [lam[p] * values[k] for p, k in zip(ps, ks)]
+        values.append(sum(terms[1:], terms[0]))
     return values[-1]
 
 
-def _truncated_powers(plan, X):
-    """_truncated_power at every column of X, a d x N numpy object array of
-    Python ints, as an N-array of ints.
-
-    Each row is a positive multiple g of a primitive one, which is applied
-    to X once (row @ X) for all the nodes. A leaf tests signs elementwise,
-    with the same tie rule. Every node is a combination of leaf values, so
-    the inner nodes are evaluated only on the columns where some leaf is
-    nonzero; elsewhere the result is 0."""
-    dots, lam, inside, values = {}, {}, {}, []
-
-    def dot(row):
-        g = math.gcd(*row)
-        key = tuple(a // g for a in row)
-        if key not in dots:  # entries are mostly 0 and +-1: add and subtract rows of X
-            (a, x), *rest = [(a, x) for a, x in zip(key, X) if a]
-            acc = x if a == 1 else a * x
-            for a, x in rest:
-                acc = acc + x if a == 1 else acc - x if a == -1 else acc + a * x
-            dots[key] = acc
-        return dots[key], g
-
-    for i, (_scale, rows, children, ties) in enumerate(plan):
-        if children is None:
-            tests = [(dot(row)[0], tie) for row, tie in zip(rows, ties)]
-            inside[i] = np.logical_and.reduce([x >= 0 if tie > 0 else x > 0 for x, tie in tests])
-    active = np.flatnonzero(np.logical_or.reduce(list(inside.values())))
-    for i, (scale, rows, children, _ties) in enumerate(plan):
-        if children is None:
-            values.append(inside[i][active].astype(object) * scale)
-            continue
-        for row in rows:
-            if row not in lam:
-                x, g = dot(row)
-                lam[row] = x[active] * g if g != 1 else x[active]
-        products = [lam[row] * values[k] for row, k in zip(rows, children)]
-        values.append(sum(products[1:], products[0]))  # an inner node's scale is 1
-    out = np.zeros(X.shape[1], dtype=object)
-    out[active] = values[-1]
-    return out
-
-
-def _is_batch(mu) -> bool:
-    """Is mu an N x d batch of points rather than one point? numpy's
-    leading-axis convention: a point is one-dimensional."""
+def _integer_points(mu, d):
+    """(X, D, N): the point or N x d batch mu times the lcm D > 0 of its
+    denominators, as d coordinates: Python ints for a point, with N None,
+    and numpy object N-arrays of Python ints for a batch. numpy's
+    leading-axis convention tells them apart: a point is one-dimensional. A
+    batch of Python ints is read as it is, with D = 1."""
     if isinstance(mu, np.ndarray):
-        return mu.ndim == 2
-    return isinstance(mu, (tuple, list)) and bool(mu) and isinstance(mu[0], (tuple, list, np.ndarray))
-
-
-def _integer_points(points, d):
-    """A batch of rational points over one common denominator D > 0: (X, D)
-    with X the points times D, a d x N numpy object array of Python ints.
-    A batch of Python ints is read as it is, with D = 1."""
-    P = np.array(points, dtype=object)
+        batch = mu.ndim == 2
+    else:
+        batch = isinstance(mu, (tuple, list)) and bool(mu) and isinstance(mu[0], (tuple, list, np.ndarray))
+    if not batch:
+        mu = vec(mu)
+        if len(mu) != d:
+            raise ValueError("point/factor dimension mismatch")
+        return (*integer_vector(mu), None)
+    P = np.array(mu, dtype=object)
     if P.ndim != 2 or P.shape[1] != d:
         raise ValueError("point/factor dimension mismatch")
-    if all(type(x) is int for x in P.flat):
-        return P.T, 1
-    ints, common = integer_vector([rat(x) for x in P.flat])
-    return np.array(ints, dtype=object).reshape(P.shape).T, common
+    if not all(type(x) is int for x in P.flat):
+        ints, common = integer_vector([rat(x) for x in P.flat])
+        return list(np.array(ints, dtype=object).reshape(P.shape).T), common, len(P)
+    return list(P.T), 1, len(P)
 
 
 def heaviside_density(factors, mu):
@@ -447,24 +450,25 @@ def heaviside_density(factors, mu):
     singular and has no density function).
 
     mu may also be an N x d batch of points (a 2-D array, or a sequence of
-    points); the result is then a tuple of N exact values, from one kernel
-    lookup and one pass of the recursion over all N points.
+    points); the result is then a tuple of N exact values. One point and a
+    batch run the same recursion, a batch on numpy object arrays: one kernel
+    lookup and one pass over all N points, whose inner nodes run only on
+    the points inside some leaf.
     """
     factors = tuple(vec(f) for f in factors)
     if not factors:
         raise PureDeltaError("a point mass has no density function")
     d, n = len(factors[0]), len(factors)
-    if _is_batch(mu):
-        X, common = _integer_points(mu, d)
-        nodes, den = _kernel(factors)
-        den *= common ** (n - d)
-        return tuple(rat(t, den) if t else ZERO for t in _truncated_powers(nodes, X))
-    mu = vec(mu)
-    if len(mu) != d:
-        raise ValueError("point/factor dimension mismatch")
-    nodes, den = _kernel(factors)
-    scaled, common = integer_vector(mu)
-    return rat(_truncated_power(nodes, scaled), den * common ** (n - d))
+    X, common, count = _integer_points(mu, d)
+    _nodes, den, program = _kernel(factors)
+    top, den = program[-1], den * common ** (n - d)
+    dots, masks = _leaf_masks(program, X)
+    if count is None:
+        return rat(top * _truncated_powers(program, dots, masks), den)
+    live = np.flatnonzero(np.logical_or.reduce(masks))
+    values = np.zeros(count, dtype=object)
+    values[live] = _truncated_powers(program, [x[live] for x in dots], [m[live] for m in masks])
+    return tuple(rat(top * v, den) if v else ZERO for v in values.tolist())
 
 
 def spline_density(S: SignedConeSpline, mu) -> DensityValue:
@@ -476,39 +480,30 @@ def spline_density(S: SignedConeSpline, mu) -> DensityValue:
     shifted integer points x = D * (mu - base), which is D^(n - d) times the
     density at mu - base. The terms are added up over the lcm of their
     denominators, the polynomial multiplier is evaluated in integers too, and
-    each point is divided once.
+    each point is divided once. A spline with no terms has density 0.
     """
     if S.nfactors == 0 and S.terms:
         raise PureDeltaError("point-mass spline has no density function")
-    if _is_batch(mu):
-        return tuple(DensityValue(v, 0.0) for v in _spline_values(S, mu))
-    mu = vec(mu)
-    total = ZERO
-    for t in S.terms:
-        total += t.sign * heaviside_density(t.factors, vsub(mu, t.base))
+    X, common, count = _integer_points(mu, S.dim)
+    bases, q = integer_vector([b for t in S.terms for b in t.base])
+    D = math.lcm(common, q)
+    X = [x * (D // common) for x in X]
+    num, den = 0, 1
+    for j, t in enumerate(S.terms):
+        x = [a - b * (D // q) for a, b in zip(X, bases[j * S.dim:(j + 1) * S.dim])]
+        values = heaviside_density(t.factors, x if count is None else np.stack(x, axis=1))
+        nums, q_t = integer_vector((values,) if count is None else values)
+        q_t *= D ** (S.nfactors - S.dim)
+        lcm = math.lcm(den, q_t)
+        nums = nums[0] if count is None else np.array(nums, dtype=object)
+        num = num * (lcm // den) + t.sign * (lcm // q_t) * nums
+        den = lcm
     if S.poly is not None:
-        total *= S.poly.eval_exact(mu)
-    return DensityValue(total, 0.0)
-
-
-def _spline_values(S, points):
-    """The exact densities of spline_density at a batch of points."""
-    n = len(points)
-    X, common = _integer_points([*points, *(t.base for t in S.terms)], S.dim)
-    terms = [
-        heaviside_density(t.factors, (X[:, :n] - X[:, [n + j]]).T) for j, t in enumerate(S.terms)
-    ]
-    lcm = math.lcm(*{int(v.denominator) for values in terms for v in values})
-    num = np.zeros(n, dtype=object)
-    for t, values in zip(S.terms, terms):
-        nums = np.array([int(v.numerator) for v in values], dtype=object)
-        dens = np.array([int(v.denominator) for v in values], dtype=object)
-        num += t.sign * nums * (lcm // dens)
-    den = lcm * common ** (S.nfactors - S.dim)
-    if S.poly is not None:
-        pnum, pden = _poly_integers(S.poly, X[:, :n], common)
+        pnum, pden = _poly_integers(S.poly, X, D)
         num, den = num * pnum, den * pden
-    return [rat(v, den) for v in num]
+    if count is None:
+        return DensityValue(rat(num, den), 0.0)
+    return tuple(DensityValue(rat(v, den), 0.0) for v in (num + np.zeros(count, dtype=object)).tolist())
 
 
 def _poly_integers(poly, X, common):
@@ -587,24 +582,25 @@ def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
 
 
 class DensityEvaluator:
-    """Float evaluation of a spline's density: the integer recursion of
-    heaviside_density run at float points, _truncated_power(nodes, x) / Q."""
+    """Float evaluation of a spline's density, for quadrature: per term, the
+    recursion of heaviside_density run on the float coordinates of
+    mu - base, top * T / Q."""
 
     def __init__(self, S: SignedConeSpline):
         if S.nfactors == 0 and S.terms:
             raise PureDeltaError("point-mass spline has no density function")
         self.poly = S.poly
         self._terms = [
-            (t.sign, tuple(float(b) for b in t.base), *_kernel(t.factors))
+            (t.sign, tuple(float(b) for b in t.base), *_kernel(t.factors)[1:])
             for t in S.terms
         ]
 
     def __call__(self, point) -> float:
         mu = [float(x) for x in point]
         total = 0.0
-        for sign, base, nodes, den in self._terms:
+        for sign, base, den, program in self._terms:
             x = [m - b for m, b in zip(mu, base)]
-            total += sign * (_truncated_power(nodes, x) / den)
+            total += sign * (program[-1] * _truncated_powers(program, *_leaf_masks(program, x)) / den)
         if self.poly is not None:
             total *= self.poly(mu)
         return total

@@ -148,14 +148,9 @@ def asymptotic_cone(P: PolyhedralSet) -> Cone:
 
 def dual_cone(C: Cone) -> Cone:
     """Dual of a halfspace-form cone is generated by its normals (and the
-    dual of a generator-form cone is cut out by its generators). Each dual
-    generator is checked by LP to be nonnegative on C."""
+    dual of a generator-form cone is cut out by its generators). Each normal
+    is nonnegative on C by C's own definition, so nothing is left to check."""
     if C.normals is not None:
-        cons = [constraint(n, GE, 0) for n in C.normals]
-        for g in C.normals:
-            res = lp.solve_lp(g, cons)
-            if res.status != lp.OPTIMAL or res.objective != 0:
-                raise AssertionError("dual generator fails <g, C> >= 0")
         return Cone(C.dim, generators=C.normals)
     return Cone(C.dim, normals=C.generators)
 

@@ -8,6 +8,7 @@ leaf, and an lcm conversion to integer rows. The tests compare the library's
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from dhmeasure.rational import ONE, ZERO, rank, rat, rref, solve, vdot
 
@@ -34,10 +35,12 @@ def fraction_det(rows):
     return result
 
 
+@lru_cache(maxsize=1024)
 def fraction_plan(factors) -> tuple:
     """Nodes (scale, rows, children, ties) of a sorted spanning factor tuple,
     children before parents and the root last, with Fraction rows of the
-    inverse of each node's basis and Fraction scales 1/(k - d) or 1/|det C|."""
+    inverse of each node's basis and Fraction scales 1/(k - d) or 1/|det C|;
+    cached, since the density tests evaluate one plan at many points."""
     d = len(factors[0])
     total = tuple(sum(f[j] for f in factors) for j in range(d))
     nodes = []

@@ -136,6 +136,7 @@ def test_density_evaluator_matches_pointwise():
         [(1, 0), (0, 1), (1, 1)],
         [(1, 0), (1, 0), (0, 1), (2, 1)],
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 2)],
+        [(rat(1, 2), 0), (rat(1, 3), rat(2, 3))],  # a root leaf of weight 3
     ):
         d = len(factors[0])
         S = spline(d, [spline_term(1, (0,) * d, factors)])
@@ -273,7 +274,8 @@ def test_integer_kernel_equals_fraction_recursion():
         for S in (hermitian.t_type_measure(O), hermitian.k_type_measure(O)):
             factor_sets += [t.factors for t in S.terms]
     for factors in {tuple(vec(f) for f in fs) for fs in factor_sets}:
-        assert conespline._kernel(factors) == lcm_kernel(fraction_plan(tuple(sorted(factors))))
+        nodes, den, _program = conespline._kernel(factors)
+        assert (nodes, den) == lcm_kernel(fraction_plan(tuple(sorted(factors))))
 
 
 def test_synthesized_terms_are_proven_proper_without_lp(monkeypatch):
@@ -303,18 +305,11 @@ def test_non_certifying_certificate_leaves_improper_terms_rejected():
         heaviside_density(factors, (0, 1))
 
 
-def _probe_points(rng, S, count):
-    """Seeded rational and float points around the spline's bases, then wall
-    points: each of a few bases, and such a base plus a non-negative
-    combination of d - 1 of its term's factors."""
+def _wall_points(rng, S):
+    """Seeded wall points: each of a few bases, and such a base plus a
+    non-negative combination of d - 1 of its term's factors."""
     d = S.dim
     points = []
-    for _ in range(count):
-        base = S.terms[int(rng.integers(len(S.terms)))].base
-        points.append(tuple(
-            b + Fraction(int(rng.integers(-12, 37)), int(rng.integers(1, 7))) for b in base
-        ))
-    points += [tuple(float(x) for x in rng.uniform(-2, 8, d)) for _ in range(3)]
     for t in S.terms[:4]:
         picks = rng.choice(len(t.factors), size=d - 1, replace=False)
         coeffs = [Fraction(int(rng.integers(0, 6)), int(rng.integers(1, 4))) for _ in picks]
@@ -323,6 +318,20 @@ def _probe_points(rng, S, count):
             t.base[j] + sum(c * t.factors[i][j] for c, i in zip(coeffs, picks)) for j in range(d)
         ))
     return points
+
+
+def _probe_points(rng, S, count):
+    """Seeded rational and float points around the spline's bases, then
+    _wall_points."""
+    d = S.dim
+    points = []
+    for _ in range(count):
+        base = S.terms[int(rng.integers(len(S.terms)))].base
+        points.append(tuple(
+            b + Fraction(int(rng.integers(-12, 37)), int(rng.integers(1, 7))) for b in base
+        ))
+    points += [tuple(float(x) for x in rng.uniform(-2, 8, d)) for _ in range(3)]
+    return points + _wall_points(rng, S)
 
 
 def _batch_splines():
@@ -347,19 +356,58 @@ def _batch_splines():
         yield hermitian.k_type_measure(O)
 
 
-def test_batch_equals_scalar_engine_point_by_point():
+def test_point_and_batch_equal_the_fraction_recursion():
     rng = np.random.default_rng(11)
     for S in _batch_splines():
-        points = _probe_points(rng, S, 12)
+        points = [vec(mu) for mu in _probe_points(rng, S, 12)]
+        terms = []
+        for t in S.terms:
+            shifted = [vsub(mu, t.base) for mu in points]
+            want = tuple(fraction_density(t.factors, x) for x in shifted)
+            values = heaviside_density(t.factors, shifted)
+            one_by_one = tuple(heaviside_density(t.factors, x) for x in shifted)
+            assert type(values) is tuple
+            assert values == want == one_by_one
+            assert {type(v) for v in values + one_by_one} == {type(rat(0))}
+            terms.append([t.sign * v for v in want])
+        want = [
+            sum(column, rat(0)) * (S.poly.eval_exact(mu) if S.poly is not None else 1)
+            for mu, column in zip(points, zip(*terms))
+        ]
         got = spline_density(S, points)
         assert type(got) is tuple
-        assert got == tuple(spline_density(S, mu) for mu in points)
-        for t in S.terms:
-            shifted = [vsub(vec(mu), t.base) for mu in points]
-            values = heaviside_density(t.factors, shifted)
-            want = tuple(heaviside_density(t.factors, x) for x in shifted)
-            assert values == want
-            assert [type(v) for v in values] == [type(v) for v in want]
+        assert [dv.value for dv in got] == want
+        assert [spline_density(S, mu).value for mu in points] == want
+        assert {dv.abs_error_bound for dv in got} == {0}
+
+
+def test_zero_spline_density_is_an_exact_zero():
+    for S in (spline(2, []), spline(2, [], poly=Polynomial.linear((1, 3)))):
+        point = spline_density(S, (rat(7, 3), 1))
+        assert point.value == 0 and type(point.value) is type(rat(0))
+        batch = spline_density(S, [(rat(7, 3), 1), (0.5, -2), (4, 4)])
+        assert type(batch) is tuple
+        assert [(dv.value, type(dv.value)) for dv in batch] == [(0, type(rat(0)))] * 3
+        assert spline_density(S, np.empty((0, 2))) == ()
+
+
+def test_density_evaluator_takes_the_exact_tie_side_on_walls():
+    # dyadic wall points are floats exactly, so the float recursion decides
+    # each lambda_p = 0 exactly too; a wrong tie side is then an O(1) error
+    rng = np.random.default_rng(29)
+    checked = nonzero = 0
+    for S in _batch_splines():
+        if any(Fraction(float(b)) != b for t in S.terms for b in t.base):
+            continue
+        ev = DensityEvaluator(S)
+        for mu in _wall_points(rng, S):
+            if any(Fraction(float(x)) != x for x in mu):
+                continue
+            exact = spline_density(S, mu).value
+            assert ev(tuple(float(x) for x in mu)) == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+            checked += 1
+            nonzero += exact != 0
+    assert checked >= 40 and nonzero >= 20
 
 
 def test_batch_edge_cases():

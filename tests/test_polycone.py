@@ -60,6 +60,20 @@ def test_dual_cone_of_quadrant_is_quadrant():
     assert rays == {(1, 0), (0, 1)}
 
 
+def test_dual_cone_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("dual_cone solved an LP")
+
+    monkeypatch.setattr(lp, "solve_lp", no_lp)
+    for C in (
+        polycone.cone_from_normals(2, [(2, 1), (1, 3)]),
+        polycone.cone_from_normals(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]),
+        polycone.cone_from_generators(2, [(1, 0), (1, 1)]),
+    ):
+        D = polycone.dual_cone(C)
+        assert (D.generators, D.normals) == (C.normals, C.generators)
+
+
 def test_dual_dual_round_trip():
     C = polycone.cone_from_normals(2, [(2, 1), (1, 3)])
     DD = polycone.dual_cone(polycone.dual_cone(C))

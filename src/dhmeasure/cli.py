@@ -77,14 +77,18 @@ def parse_grid(text: str):
     return tuple(axes)
 
 
-def grid_points(axes):
-    """The grid's points, exact: lo + k * (hi - lo) / (count - 1) per axis,
-    or lo alone when count is 1."""
-    lin = [
+def _axis_values(axes):
+    """Each axis's exact values: lo + k * (hi - lo) / (count - 1), or lo
+    alone when count is 1."""
+    return [
         [lo + k * (hi - lo) / (count - 1) for k in range(count)] if count > 1 else [lo]
         for lo, hi, count in axes
     ]
-    return list(itertools.product(*lin))
+
+
+def grid_points(axes):
+    """The grid's points, exact, the last axis varying fastest."""
+    return list(itertools.product(*_axis_values(axes)))
 
 
 DEFAULT_GRID_POINTS = 25**3  # the whole default grid, at most 25 per axis
@@ -210,14 +214,22 @@ def cmd_cones(args) -> int:
 # transform checks and density grids, shared by abelian and orbit
 
 
-def _chamber(args, dim):
-    """--chamber if given (None otherwise), checked against the dimension."""
-    if args.chamber is not None and len(args.chamber) != dim:
+def _of_dimension(flag, value, dim, unit):
+    """The value of flag if given (None otherwise), checked against the
+    model's dimension before any work, so a wrong one writes nothing."""
+    if value is not None and len(value) != dim:
         raise ValueError(
-            f"--chamber has {len(args.chamber)} coordinates but the model "
-            f"has dimension {dim}"
+            f"{flag} has {len(value)} {unit} but the model has dimension {dim}"
         )
-    return args.chamber
+    return value
+
+
+def _chamber(args, dim):
+    return _of_dimension("--chamber", args.chamber, dim, "coordinates")
+
+
+def _grid(args, dim):
+    return _of_dimension("--grid", args.grid, dim, "axes")
 
 
 def _localization_samples(S, M, region, rng, count):
@@ -244,9 +256,13 @@ def _worst(samples):
     return max((s["rel_difference"] for s in samples), default=0.0)
 
 
-def _write_density(path, S, points):
-    values = conespline.spline_density(S, points)
-    rows = [(mu, dv.value, dv.abs_error_bound) for mu, dv in zip(points, values)]
+def _write_density(path, S, axes):
+    """S's density on the grid as CSV. The points are exact; their float
+    coordinates are read off each axis's values, converted once."""
+    lin = _axis_values(axes)
+    values = conespline.spline_density(S, list(itertools.product(*lin)))
+    coords = itertools.product(*[[float(x) for x in axis] for axis in lin])
+    rows = [(mu, dv.value, dv.abs_error_bound) for mu, dv in zip(coords, values)]
     conespline.write_density_csv(path, S.dim, rows)
 
 
@@ -257,6 +273,7 @@ def _write_density(path, S, points):
 def cmd_abelian(args) -> int:
     M = localize.model_from_json(_load_json(args.input))
     _check_float_range("model", [v for p in M.points for v in (p.image, *p.weights)])
+    grid = _grid(args, M.dim)
     xi = _chamber(args, M.dim) or localize.default_chamber(M)
     S = localize.dh_measure(M, xi)
     region = localize.gamma_region(M, xi)
@@ -283,8 +300,8 @@ def cmd_abelian(args) -> int:
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        axes = args.grid or default_grid([p.image for p in M.points], M.dim)
-        _write_density(os.path.join(args.out, "density.csv"), S, grid_points(axes))
+        axes = grid or default_grid([p.image for p in M.points], M.dim)
+        _write_density(os.path.join(args.out, "density.csv"), S, axes)
         write_json(os.path.join(args.out, "spline.json"), conespline.spline_to_json(S))
         write_json(os.path.join(args.out, "report.json"), report)
         log.info("wrote %s", args.out)
@@ -301,6 +318,7 @@ def cmd_orbit(args) -> int:
     O = hermitian.orbit_from_json(_load_json(args.input))
     _check_float_range("lambda", [O.lam_native])
     pair = O.pair
+    grid = _grid(args, pair.rank)
     om = O.model
     M = om.model
     rng = verify.suite_rng(args.seed, 202)
@@ -370,8 +388,7 @@ def cmd_orbit(args) -> int:
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        axes = args.grid or default_grid([p.image for p in M.points], pair.rank)
-        pts = grid_points(axes)
+        axes = grid or default_grid([p.image for p in M.points], pair.rank)
         write_json(os.path.join(args.out, "weyl.json"), hermitian.weyl_to_json(pair))
         for tag, S in (("t", St), ("k", Sk)):
             if S is None:
@@ -380,7 +397,7 @@ def cmd_orbit(args) -> int:
                 os.path.join(args.out, f"{tag}_spline.json"),
                 conespline.spline_to_json(S),
             )
-            _write_density(os.path.join(args.out, f"{tag}_density.csv"), S, pts)
+            _write_density(os.path.join(args.out, f"{tag}_density.csv"), S, axes)
         write_json(os.path.join(args.out, "report.json"), report)
         log.info("wrote %s", args.out)
     else:

@@ -655,12 +655,18 @@ def write_density_csv(path, dim, rows):
 
 
 def atomic_write_text(path, text: str):
+    """Write text to path through a temp file in the same directory, renamed
+    over it. The file gets the mode open(path, "w") would give, 0o666 less
+    the umask (mkstemp creates it 0o600)."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

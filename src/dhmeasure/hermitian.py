@@ -29,7 +29,9 @@ compact-root wall functionals. Its transform is derived symbolically, with
 exact Gaussian-rational coefficients, and compiled to float terms.
 
 Exact data is derived once and evaluated many times: build_pair caches the
-root data per family, and an OrbitSpec builds its orbit model and compiles
+root data per family, with the lam-free part of every fixed point (its
+tangent weights, noncompact forms and their slopes, HermitianPairData.frames)
+derived on first use, and an OrbitSpec builds its orbit model and compiles
 its symbolic transform on first use, so every further zeta only evaluates
 float terms.
 """
@@ -41,6 +43,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +56,18 @@ from .conespline import (
     _certify_proper,
     spline_term,
 )
-from .rational import ONE, ZERO, det, mat_vec, rat, rat_str, solve, vdot, vec
+from .rational import (
+    ONE,
+    ZERO,
+    det,
+    integer_vector,
+    mat_vec,
+    rat,
+    rat_str,
+    solve,
+    vdot,
+    vec,
+)
 
 WEYL_CAP = 5000
 
@@ -64,6 +78,18 @@ class UnsupportedFamilyError(ValueError):
 
 class OrbitValidationError(ValueError):
     pass
+
+
+class WeylFrame(NamedTuple):
+    """What the fixed point w*lam of every orbit of a pair has that does not
+    depend on lam, for one Weyl element w."""
+
+    weights: tuple  # tangent weights: -w*a per compact root a, then w*b
+    forms: tuple  # the noncompact forms w*b, sorted
+    float_forms: tuple  # _float_forms(forms): (float form, its norm) each
+    # per compact dual d_i: (s_i*d_i as ints, s_i, ((j, <forms[j], s_i*d_i>),
+    # ...) for the nonzero slopes only), where s_i clears d_i's denominators
+    walls: tuple
 
 
 @dataclass(frozen=True)
@@ -94,6 +120,25 @@ class HermitianPairData:
     def signs(self) -> tuple:
         """The determinant of each Weyl element, in the order of weyl."""
         return tuple(weyl_det(m) for m in self.weyl)
+
+    @cached_property
+    def frames(self) -> tuple:
+        """The WeylFrame of each Weyl element, in the order of weyl, shared
+        by every orbit of the pair. Roots are integral (checked with the
+        pair), so every slope is an integer."""
+        duals = [integer_vector(d) for d in self.killing_duals]
+        out = []
+        for m in self.weyl:
+            weights = tuple(tuple(-x for x in mat_vec(m, a)) for a in self.compact)
+            weights += tuple(mat_vec(m, b) for b in self.noncompact)
+            forms = tuple(sorted(weights[self.k :]))
+            walls = []
+            for dual, s in duals:
+                slopes = [(j, int(vdot(f, dual))) for j, f in enumerate(forms)]
+                walls.append((dual, s, tuple((j, x) for j, x in slopes if x != 0)))
+            fforms = tuple(_float_forms(forms))
+            out.append(WeylFrame(weights, forms, fforms, tuple(walls)))
+        return tuple(out)
 
 
 def weyl_det(matrix) -> int:
@@ -264,6 +309,8 @@ def _compact_match_sign(pair, m) -> int:
 
 def _verify_pair(pair):
     roots, duals, nc, xi0 = pair.roots, pair.duals, pair.noncompact, pair.center_vector
+    if any(x.denominator != 1 for a in roots for x in a):
+        raise ValueError("a root is not integral in torus coordinates")
     if any(
         vdot(a, db) != vdot(b, da)
         for a, da in zip(roots, duals)
@@ -311,7 +358,9 @@ class OrbitSpec:
 
     @cached_property
     def transform(self) -> tuple:
-        """The reduced transform compiled to float terms, on first use."""
+        """The reduced transform compiled to float terms on first use, by
+        one integer derivative chain per fixed point over the pair's
+        frames."""
         return _compile_transform(self)
 
 
@@ -372,12 +421,10 @@ def orbit_model(O: OrbitSpec) -> OrbitModel:
     P = wall_polynomial(pair)
     pts = []
     wall_values = []
-    for wi, m in enumerate(pair.weyl):
+    for wi, (m, frame) in enumerate(zip(pair.weyl, pair.frames)):
         image = mat_vec(m, O.lam)
-        weights = tuple(tuple(-x for x in mat_vec(m, a)) for a in pair.compact)
-        weights += tuple(mat_vec(m, b) for b in pair.noncompact)
         label = f"w{wi}"
-        pts.append(localize.fixed_point(image, weights, label))
+        pts.append(localize.fixed_point(image, frame.weights, label))
         pv = P.eval_exact(image)
         if pv == 0:
             raise OrbitValidationError(
@@ -488,13 +535,18 @@ def _compile_transform(O: OrbitSpec) -> tuple:
     """Float terms of the reduced transform, before its prefactor.
 
     Starts from the fixed-point sum with noncompact denominators only and
-    applies one directional derivative per compact root, in the trace-form
-    dual direction. At a fixed point w*lam the denominator forms w*b stay
-    fixed and a derivative only moves coefficients between multiplicity
-    tuples, so the chain runs per point on {multiplicities: coefficient}.
-    A phase derivative multiplies by i, so every term of multiplicity sum
-    n_c + j took k - j of them: its exact coefficient is a rational times
-    i^(k - j), kept rational until the end. Terms come out sorted by
+    applies one directional derivative per compact root d_i, in the
+    trace-form dual direction. At a fixed point w*lam the denominator forms
+    w*b stay fixed and a derivative only moves coefficients between
+    multiplicity tuples, so the chain runs per point on {multiplicities:
+    coefficient}. It runs in Python ints, with everything lam-free read off
+    the pair's WeylFrame: with w*lam = image / L over its common
+    denominator, each step multiplies both branches by s_i * L, the pairing
+    branch by <image, s_i*d_i> and the slope branch by m_j * slope * L, so
+    a coefficient is its integer over prod s_i * L^k, and one int true
+    division gives its correctly rounded float. A phase derivative
+    multiplies by i, so every term of multiplicity sum n_c + j took k - j of
+    them: its coefficient is real times i^(k - j). Terms come out sorted by
     (exponent, denominator), with exact zeros pruned. The images w*lam are
     distinct (lam is off every compact wall), so no two points share an
     exponent.
@@ -502,34 +554,33 @@ def _compile_transform(O: OrbitSpec) -> tuple:
     pair = O.pair
     n_c = len(pair.noncompact)
     points = sorted(
-        zip(O.model.model.points, pair.weyl, pair.signs), key=lambda pms: pms[0].image
+        zip(O.model.model.points, pair.frames, pair.signs), key=lambda pfs: pfs[0].image
     )
     terms = []
-    for pt, m, sign in points:
-        forms = tuple(sorted(mat_vec(m, b) for b in pair.noncompact))
-        acc = {(1,) * n_c: rat(sign)}
-        for dual in pair.killing_duals:
-            pairing = vdot(pt.image, dual)
-            slopes = [(j, vdot(f, dual)) for j, f in enumerate(forms)]
-            slopes = [(j, s) for j, s in slopes if s != 0]
+    for pt, frame, sign in points:
+        image, L = integer_vector(pt.image)
+        acc = {(1,) * n_c: sign}
+        den = 1
+        for dual, s, slopes in frame.walls:
+            pairing = sum(x * y for x, y in zip(image, dual))
+            den *= s * L
             nxt = {}
             for mults, c in acc.items():
                 if pairing != 0:
-                    nxt[mults] = nxt.get(mults, ZERO) + c * pairing
-                for j, s in slopes:
+                    nxt[mults] = nxt.get(mults, 0) + c * pairing
+                for j, slope in slopes:
                     bumped = mults[:j] + (mults[j] + 1,) + mults[j + 1 :]
-                    nxt[bumped] = nxt.get(bumped, ZERO) - c * mults[j] * s
+                    nxt[bumped] = nxt.get(bumped, 0) - c * mults[j] * slope * L
             acc = {mults: c for mults, c in nxt.items() if c != 0}
-        expo = tuple(float(x) for x in pt.image)
-        fforms = _float_forms(forms)
+        expo = tuple(x / L for x in image)
         for mults in sorted(acc):
-            c = acc[mults]
-            # c * i^(k - j) as an exact Gaussian pair
-            re, im = ((c, ZERO), (ZERO, c), (-c, ZERO), (ZERO, -c))[
+            c = acc[mults] / den
+            # c * i^(k - j)
+            re, im = ((c, 0.0), (0.0, c), (-c, 0.0), (0.0, -c))[
                 (pair.k + n_c - sum(mults)) % 4
             ]
-            denom = tuple((f, n, mult) for (f, n), mult in zip(fforms, mults))
-            terms.append((complex(float(re), float(im)), expo, denom))
+            denom = tuple((f, n, m) for (f, n), m in zip(frame.float_forms, mults))
+            terms.append((complex(re, im), expo, denom))
     return tuple(terms)
 
 

@@ -14,6 +14,12 @@ from dhmeasure.hermitian import _evaluate, _float_forms
 from dhmeasure.rational import ZERO, rat, vdot, vec
 
 
+def exact_float(x) -> float:
+    """The correctly rounded float of an exact rational on either backend:
+    one int true division (float() of an mpq need not round to nearest)."""
+    return int(x.numerator) / int(x.denominator)
+
+
 def _gadd(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
@@ -77,8 +83,8 @@ class ExpRationalSum:
         for coeff, expo, denom in self.terms:
             forms = _float_forms(form for form, _ in denom)
             out.append((
-                complex(float(coeff[0]), float(coeff[1])),
-                tuple(float(x) for x in expo),
+                complex(exact_float(coeff[0]), exact_float(coeff[1])),
+                tuple(exact_float(x) for x in expo),
                 tuple((f, n, mult) for (f, n), (_, mult) in zip(forms, denom)),
             ))
         return tuple(out)

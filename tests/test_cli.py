@@ -290,6 +290,26 @@ def test_chamber_of_the_wrong_length_exits_two(
 
 
 @pytest.mark.parametrize(
+    "command,grid,dim", [("abelian", "0:1:3,0:1:3", 1), ("orbit", "0:1:3", 2)]
+)
+def test_grid_of_the_wrong_length_exits_two_before_any_work(
+    command, grid, dim, sphere_input, orbit_input, tmp_path, monkeypatch, capsys
+):
+    # it used to fail only at the density grid, after the transform checks,
+    # with "point/factor dimension mismatch" and the splines already written
+    path = sphere_input if command == "abelian" else orbit_input
+    calls = []
+    monkeypatch.setattr(localize, "dh_measure", lambda *a: calls.append(a))
+    monkeypatch.setattr(hermitian, "orbit_model", lambda *a: calls.append(a))
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", path, "--out", str(out), f"--grid={grid}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"--grid has {len(grid.split(','))} axes" in err and f"dimension {dim}" in err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
     "payload,xi",
     [
         ({"dim": 0, "halfspaces": []}, "1"),

@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ from dhmeasure.conespline import (
     DensityEvaluator,
     NonProperConeError,
     Polynomial,
+    atomic_write_text,
     heaviside_density,
     laplace_factor,
     spline,
@@ -169,6 +171,19 @@ def test_spline_json_round_trip():
     assert S2.dim == S.dim
     assert S2.terms == S.terms
     assert S2.poly.coeffs == S.poly.coeffs
+
+
+def test_written_files_get_the_mode_open_would_give(tmp_path):
+    # mkstemp creates its file 0o600, which the rename used to keep
+    old = os.umask(0o022)
+    try:
+        write_density_csv(tmp_path / "a.csv", 1, [((1.0,), 0.5, 0.0)])
+        os.umask(0o077)
+        atomic_write_text(tmp_path / "b.json", "{}\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "a.csv").st_mode) == 0o644
+    assert stat.S_IMODE(os.stat(tmp_path / "b.json").st_mode) == 0o600
 
 
 def test_write_density_csv_format(tmp_path):

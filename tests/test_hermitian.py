@@ -17,8 +17,8 @@ from dhmeasure.hermitian import (
     t_type_measure,
     weyl_det,
 )
-from dhmeasure.rational import ZERO, mat_vec, rat, vdot, vec
-from exp_rational import ExpRationalSum
+from dhmeasure.rational import ZERO, integer_vector, mat_vec, rat, vdot, vec
+from exp_rational import ExpRationalSum, exact_float
 
 
 def su11():
@@ -272,27 +272,68 @@ def _evaluate_term_by_term(expr, zeta):
     zeta = tuple(complex(z) for z in zeta)
     total = 0.0 + 0.0j
     for coeff, expo, denom in expr.terms:
-        val = complex(float(coeff[0]), float(coeff[1]))
-        val *= np.exp(1j * sum(float(x) * z for x, z in zip(expo, zeta)))
+        val = complex(exact_float(coeff[0]), exact_float(coeff[1]))
+        val *= np.exp(1j * sum(exact_float(x) * z for x, z in zip(expo, zeta)))
         for form, mult in denom:
             val /= sum(float(x) * z for x, z in zip(form, zeta)) ** mult
         total += val
     return complex(total)
 
 
-@pytest.mark.parametrize(
-    "family,params,lam",
-    [
-        ("AIII", (1, 1), (2, -1)),
-        ("AIII", (2, 1), (3, 1, -4)),
-        ("CI", (2,), (5, 2)),
-        ("CI", (3,), (7, 4, 1)),
-        ("AIII", (3, 2), (5, 3, 1, -1, -4)),
-    ],
-)
+def _rational_lambda(rng, family, params):
+    """A seeded regular lambda with non-integral entries: top block positive,
+    bottom block nonpositive (AIII), or positive (CI), distinct and in random
+    order within each block, so not only the dominant compact chamber."""
+    p, q = params if family == "AIII" else (params[0], 0)
+
+    def draw(lo, hi, n):
+        return {Fraction(int(rng.integers(lo, hi)), int(rng.integers(2, 7))) for _ in range(n)}
+
+    while True:
+        top, low = draw(1, 60, p), draw(-59, 1, q)
+        if len(top) == p and len(low) == q and any(x.denominator > 1 for x in top | low):
+            break
+    blocks = [sorted(top), sorted(low)]
+    for block in blocks:
+        rng.shuffle(block)
+    return tuple(str(x) for x in blocks[0] + blocks[1])
+
+
+# five integral lambdas, then two seeded non-integral ones on every pair
+COMPILED_CASES = [
+    ("AIII", (1, 1), (2, -1)),
+    ("AIII", (2, 1), (3, 1, -4)),
+    ("CI", (2,), (5, 2)),
+    ("CI", (3,), (7, 4, 1)),
+    ("AIII", (3, 2), (5, 3, 1, -1, -4)),
+] + [
+    (family, params, _rational_lambda(np.random.default_rng([26, i, j]), family, params))
+    for i, (family, params) in enumerate(SUPPORTED_PAIRS)
+    for j in range(2)
+]
+
+
+@pytest.mark.parametrize("family,params,lam", COMPILED_CASES)
 def test_compiled_transform_equals_from_scratch_route(family, params, lam):
     spec = orbit_spec(build_pair(family, params), lam)
     pair = spec.pair
+    # the frames carry the tangent weights, -w*a then w*b, and are shared by
+    # every orbit of the pair
+    for m, frame in zip(pair.weyl, pair.frames):
+        assert frame.weights == tuple(
+            tuple(-x for x in mat_vec(m, a)) for a in pair.compact
+        ) + tuple(mat_vec(m, b) for b in pair.noncompact)
+    # 2 * lam is another regular lambda of the pair
+    other = hermitian.orbit_from_json({"family": family, "params": list(params),
+                                       "lambda": [str(2 * Fraction(x)) for x in lam]})
+    assert other.lam != spec.lam and other.pair.frames is pair.frames
+    if any(Fraction(x).denominator > 1 for x in lam):
+        # the images need a common denominator L > 1, and on CI the compact
+        # duals (roots / 2) one s_i > 1
+        assert any(integer_vector(p.image)[1] > 1 for p in spec.model.model.points)
+        assert (family == "CI" and pair.k > 0) == any(
+            s > 1 for _, s, _ in pair.frames[0].walls
+        )
     expr = _derive_from_scratch(spec)
     power = (len(pair.noncompact) - pair.k) % 4
     center = np.array([float(x) for x in pair.center_vector])

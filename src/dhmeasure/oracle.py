@@ -58,10 +58,17 @@ class MonteCarloConfig:
     bins: int = 24
 
     def __post_init__(self):
+        for name in ("samples", "bins"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} {value!r} is not an integer")
         if self.samples < 10_000:
             raise ValueError("need at least 10^4 samples")
-        if self.cutoff_radius <= 0 or self.bins < 2:
-            raise ValueError("bad Monte Carlo configuration")
+        if self.bins < 2:
+            raise ValueError("need at least 2 bins per axis")
+        r = self.cutoff_radius
+        if not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):
+            raise ValueError(f"cutoff_radius {r!r} is not a finite number > 0")
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed {self.seed!r} is not an integer in [0, 2^64)")
 
@@ -420,12 +427,92 @@ class DensityTable:
         write_density_csv(path, self.dim, rows)
 
 
+def _axis_bins(x, e):
+    """np.histogramdd's index of each x on one axis with edges e.
+
+    That is searchsorted(e, x, "right"), except that x == e[-1] takes the
+    last bin: indices 1..len(e)-1 are the bins, 0 and len(e) the outliers.
+    The edges come from linspace, so the index is first guessed from their
+    uniform spacing, then moved a step at a time until the edge array
+    itself brackets x: lower[i] <= x < upper[i].
+    """
+    bins = len(e) - 1
+    top = np.nextafter(e[-1], np.inf)
+    lower = np.concatenate(([-np.inf], e[:-1], [top]))
+    upper = np.concatenate((e[:-1], [top, np.inf]))
+    span = e[-1] - e[0]
+    q = np.clip(x, e[0], e[-1])
+    q -= e[0]
+    q *= bins / span if span > 0 else 0.0
+    q += 1.0
+    i = q.astype(np.intp)
+    while True:
+        down = x < lower.take(i)
+        up = x >= upper.take(i)
+        if not (down.any() or up.any()):
+            return i
+        i -= down
+        i += up
+
+
+def _bin_counts(mu, edges):
+    """np.histogramdd(mu, bins=edges)[0] as int64, flattened in C order.
+
+    The per-axis indices, outlier bins included, are raveled into one
+    index, counted by one bincount, and the outlier bins are dropped.
+    """
+    d = mu.shape[1]
+    width = len(edges[0]) + 1  # bins plus an outlier bin at each end
+    cols = np.ascontiguousarray(mu.T)
+    flat = _axis_bins(cols[0], edges[0])
+    for j in range(1, d):
+        flat *= width
+        flat += _axis_bins(cols[j], edges[j])
+    h = np.bincount(flat, minlength=width**d).reshape((width,) * d)
+    return h[(slice(1, -1),) * d].reshape(-1)
+
+
+def _ball_image(rng, m, R, phi0, A):
+    """m images phi0 + sum (|z_i|^2 / 2) A[i] of z uniform in the radius-R
+    ball of C^n, n = len(A): m x 2n normals, then m uniforms, from rng."""
+    n = len(A)
+    g = rng.standard_normal((m, 2 * n))
+    # the bits of np.linalg.norm: numpy sums a row pairwise, which below 8
+    # terms is a plain left-to-right sum; a row-wise reduce costs the same
+    # whatever the row length, several times a column sum of 2n < 8 terms
+    if 2 * n < 8:
+        norm = g[:, 0] * g[:, 0]
+        for col in g.T[1:]:
+            norm += col * col
+    else:
+        norm = np.add.reduce(g * g, axis=1)
+    np.sqrt(norm, out=norm)
+    radii = rng.random(m)
+    radii **= 1.0 / (2 * n)
+    radii *= R
+    for col in g.T:  # a column at a time: a row-wise broadcast is slower
+        col /= norm
+        col *= radii
+    t = g[:, 0::2] ** 2
+    t += g[:, 1::2] ** 2
+    t /= 2.0
+    mu = t @ A
+    for col, shift in zip(mu.T, phi0):
+        col += shift
+    return mu
+
+
 def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable:
     """Empirical pushforward density for a linear model-space action.
 
     Samples uniformly from the radius-R ball in coordinate space (2n real
-    dimensions), maps through phi0 + sum (|z_i|^2 / 2) a_i, and bins. The
-    output density is per coordinate-Lebesgue volume; comparing it with the
+    dimensions), maps through phi0 + sum (|z_i|^2 / 2) a_i, and bins on
+    cfg.bins equal bins per axis by np.histogramdd's rules: each bin is
+    closed below, the last also above, and samples outside the edges are
+    dropped. _bin_counts guesses each bin from the uniform spacing and
+    corrects it against the edge array, so the counts are np.histogramdd's
+    exactly; they do not depend on how the bins are found. The output
+    density is per coordinate-Lebesgue volume; comparing it with the
     unit-normalized engine density measures the per-factor area constant.
     Deterministic: counts are accumulated per chunk with a counter-based
     generator keyed by (seed, chunk) and summed exactly.
@@ -436,7 +523,7 @@ def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable
     d = len(weights[0])
     phi0 = np.asarray([float(x) for x in vec(phi0)], dtype=float)
     A = np.array([[float(x) for x in w] for w in weights])  # n x d
-    R = cfg.cutoff_radius
+    R = float(cfg.cutoff_radius)
     half_r2 = R * R / 2.0
 
     lo = phi0 + half_r2 * np.minimum(A.min(axis=0), 0.0)
@@ -447,8 +534,7 @@ def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable
         np.linspace(lo[j] - pad[j], hi[j] + pad[j], cfg.bins + 1) for j in range(d)
     ]
 
-    shape = (cfg.bins,) * d
-    counts = np.zeros(shape, dtype=np.int64)
+    counts = np.zeros(cfg.bins**d, dtype=np.int64)
     per = cfg.samples // MONTECARLO_CHUNKS
     sizes = [per] * MONTECARLO_CHUNKS
     sizes[-1] += cfg.samples - per * MONTECARLO_CHUNKS
@@ -457,26 +543,17 @@ def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable
             continue
         key = np.array([int(cfg.seed), c], dtype=np.uint64)  # a list goes via float64
         rng = np.random.Generator(np.random.Philox(key=key))
-        g = rng.standard_normal((m, 2 * n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        u = rng.random(m)
-        radii = R * u ** (1.0 / (2 * n))
-        pts = g * radii[:, None]
-        t = (pts[:, 0::2] ** 2 + pts[:, 1::2] ** 2) / 2.0
-        mu = phi0[None, :] + t @ A
-        h, _ = np.histogramdd(mu, bins=edges)
-        counts += h.astype(np.int64)
+        counts += _bin_counts(_ball_image(rng, m, R, phi0, A), edges)
 
     vol_ball = math.pi**n * R ** (2 * n) / math.factorial(n)
     cell = np.prod([e[1] - e[0] for e in edges])
-    flat = counts.reshape(-1)
-    p = flat / cfg.samples
+    p = counts / cfg.samples
     density = p * vol_ball / cell
     sigma = np.sqrt(np.maximum(p * (1 - p), 1e-300) / cfg.samples) * vol_ball / cell
     return DensityTable(
         d,
         tuple(tuple(float(x) for x in e) for e in edges),
-        tuple(int(x) for x in flat),
+        tuple(int(x) for x in counts),
         tuple(float(x) for x in density),
         tuple(float(x) for x in sigma),
         cfg.samples,

@@ -488,26 +488,28 @@ _MC_CASES = (
 
 
 def _mc_interior_mask(weights, phi0, table, radius):
-    """Bins whose full fiber lies inside the sampling ball (unbiased bins)."""
+    """Bins whose full fiber lies inside the sampling ball (unbiased bins).
+
+    The fiber of a bin centre c is {s >= 0 : A^T s = c - phi0}, bounded
+    because the weights span a proper cone, so the largest sum(s) on it is
+    reached at a vertex: a basic solution, B s_B = c - phi0 on d independent
+    weights B with s_B >= 0 and s = 0 off B. An empty fiber has no vertex.
+    """
     A = np.array([[float(x) for x in w] for w in weights])
     n, d = A.shape
     half_r2 = radius * radius / 2.0
-    centers = table.centers()
     widths = [e[1] - e[0] for e in table.edges]
     diam = math.sqrt(sum(w * w for w in widths))
-    mask = []
-    for c in centers:
-        rhs = [c[j] - float(phi0[j]) for j in range(d)]
-        res = linprog(
-            [-1.0] * n,
-            A_eq=A.T,
-            b_eq=rhs,
-            bounds=[(0.0, None)] * n,
-            method="highs",
-        )
-        ok = res.status == 0 and -res.fun <= half_r2 * 0.9 - diam
-        mask.append(ok)
-    return mask
+    rhs = np.array(table.centers()) - np.array([float(x) for x in phi0])
+    best = np.full(len(rhs), -np.inf)
+    for basis in itertools.combinations(range(n), d):
+        if exact_det([weights[i] for i in basis]) == 0:
+            continue
+        s = np.linalg.solve(A[list(basis)].T, rhs.T)
+        # 1e-7 is the primal feasibility tolerance of a HiGHS LP on the same fiber
+        feasible = (s >= -1e-7).all(axis=0)
+        best = np.where(feasible, np.maximum(best, s.sum(axis=0)), best)
+    return [bool(b > -np.inf and b <= half_r2 * 0.9 - diam) for b in best]
 
 
 def montecarlo_suite(seed: int = 0, samples: int = 1_000_000) -> dict:

@@ -313,6 +313,97 @@ def test_montecarlo_seed_keys_a_64_bit_stream():
     assert high[0] != high[1]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cutoff_radius", math.nan), ("cutoff_radius", math.inf), ("cutoff_radius", -math.inf),
+    ("cutoff_radius", 0.0), ("cutoff_radius", "4"), ("bins", 2.5), ("bins", 8.0),
+    ("bins", True), ("bins", 1), ("samples", 1e5), ("samples", True), ("samples", 9_999),
+])
+def test_montecarlo_config_rejects_what_cannot_run(field, value):
+    # nan and inf radii once ran to all-zero counts and nan densities, and
+    # float bins and samples to a TypeError in the middle of the run
+    with pytest.raises(ValueError, match=field[:3]):
+        MonteCarloConfig(**{field: value})
+
+
+def test_montecarlo_config_takes_numpy_integers_and_rational_radii():
+    cfg = MonteCarloConfig(samples=np.int64(10_000), bins=np.int32(4),
+                           cutoff_radius=Fraction(5, 2))
+    table = montecarlo_pushforward([(1, 0), (1, 1)], (0, 0), cfg)
+    # a rational radius runs as its float
+    same = MonteCarloConfig(samples=10_000, bins=4, cutoff_radius=2.5)
+    assert table == montecarlo_pushforward([(1, 0), (1, 1)], (0, 0), same)
+
+
+# counts pinned from np.histogramdd binning: the stream (normals, then
+# uniforms, per chunk) and every per-sample float operation must stay
+@pytest.mark.parametrize("weights, phi0, radius, bins, seed, samples, counts", [
+    # the two n = 2 systems of verify._MC_CASES, d = 1 and d = 2
+    (((1,), (1,)), (0,), 2.6, 14, 0, 20_000,
+     (99, 367, 498, 653, 928, 1149, 1265, 1548, 1677, 1968, 2135, 2401, 2542, 2770)),
+    (((1, 0), (0, 1)), (0, 0), 2.6, 9, 3, 20_000,
+     (498, 502, 505, 509, 513, 486, 470, 516, 250, 519, 491, 497, 461, 507, 472, 486,
+      244, 0, 476, 503, 475, 479, 490, 505, 240, 0, 0, 505, 502, 494, 527, 516, 235,
+      0, 0, 0, 482, 476, 490, 513, 265, 0, 0, 0, 0, 508, 449, 451, 253, 0, 0, 0, 0, 0,
+      493, 484, 226, 0, 0, 0, 0, 0, 0, 534, 261, 0, 0, 0, 0, 0, 0, 0, 242, 0, 0, 0, 0,
+      0, 0, 0, 0)),
+    # a sample count that 8 chunks do not divide
+    (((1,),), (0,), 3.0, 16, 5, 10_007,
+     (634, 605, 617, 617, 539, 673, 642, 672, 589, 602, 655, 642, 614, 630, 668, 608)),
+    # n = 4: 8 real coordinates, where the norm's sum is pairwise
+    (((1, 0), (0, 1), (1, 1), (1, 2)), (1, -1), 2.0, 5, 2**63, 10_000,
+     (77, 132, 54, 0, 0, 244, 829, 447, 4, 0, 258, 1410, 1132, 110, 0, 261, 1318, 1476,
+      455, 10, 138, 487, 671, 429, 58)),
+])
+def test_montecarlo_counts_are_pinned(weights, phi0, radius, bins, seed, samples, counts):
+    cfg = MonteCarloConfig(seed=seed, samples=samples, cutoff_radius=radius, bins=bins)
+    assert montecarlo_pushforward(weights, phi0, cfg).counts == counts
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (5, 3), (7, 1)])
+def test_ball_image_is_bitwise_the_plain_formula(n, d):
+    # n <= 3 takes the column sum of squares, n >= 4 the row-wise reduce;
+    # either off np.linalg.norm's bits moves an image by about an ulp, too
+    # little to move any pinned count, so only this test would see it
+    A = np.random.default_rng(n * 10 + d).integers(-3, 4, size=(n, d)).astype(float)
+    phi0 = np.arange(d) - 0.5
+    key = np.array([2**64 - 1, 3], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    got = oracle._ball_image(rng, 1001, 2.6, phi0, A)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    g = rng.standard_normal((1001, 2 * n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    pts = g * (2.6 * rng.random(1001) ** (1.0 / (2 * n)))[:, None]
+    t = (pts[:, 0::2] ** 2 + pts[:, 1::2] ** 2) / 2.0
+    assert got.tobytes() == (phi0[None, :] + t @ A).tobytes()
+
+
+def _around(e, outside):
+    """Each edge, the floats just below and above it, and values outside."""
+    return np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf), outside])
+
+
+def test_bin_counts_equal_histogramdd_on_and_around_every_edge():
+    # the first two as montecarlo_pushforward pads them; the third is so
+    # narrow that the spacing guess lands on the wrong bin, the last has no
+    # width at all
+    e0 = np.linspace(-0.1 - 1e-9, 7.3 + 1e-9, 26)
+    e1 = np.linspace(-3.7, 1e-9, 26)
+    e2 = np.linspace(2.0, 2.0 + 1e-12, 26)
+    for e in (e0, e1, e2, np.full(26, 2.0)):
+        x = _around(e, [e[0] - 1.0, e[-1] + 1.0, -1e300, 1e300, (e[0] + e[-1]) / 2])
+        ref = np.searchsorted(e, x, "right")
+        ref[x == e[-1]] -= 1
+        assert oracle._axis_bins(x, e).tolist() == ref.tolist()
+    # every pairing of those values across two axes
+    a, b = _around(e0, [-5.0, 9.0]), _around(e1, [-9.0, 5.0])
+    mu = np.array([(u, v) for u in a for v in b])
+    for pts, edges in ((mu, [e0, e1]), (mu[:, 1:], [e1])):
+        h, _ = np.histogramdd(pts, bins=edges)
+        got = oracle._bin_counts(pts, edges)
+        assert got.dtype == np.int64
+        assert got.tolist() == h.astype(np.int64).reshape(-1).tolist()
+
+
 def test_montecarlo_flat_on_halfline():
     cfg = MonteCarloConfig(seed=3, samples=400_000, bins=10, cutoff_radius=3.0)
     table = montecarlo_pushforward([(1,)], (0,), cfg)

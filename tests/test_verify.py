@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -111,6 +112,40 @@ def test_montecarlo_suite_reduced_samples():
     assert rep["failed"] == 0
     consts = [c["per_factor"] for c in rep["cases"]]
     assert max(consts) / min(consts) - 1 <= 0.02
+
+
+def _lp_interior_mask(weights, phi0, table, radius):
+    """verify._mc_interior_mask's bins by one HiGHS LP per bin centre:
+    the largest sum(s) on {s >= 0 : A^T s = c - phi0}."""
+    from scipy.optimize import linprog
+
+    A = np.array([[float(x) for x in w] for w in weights])
+    n, d = A.shape
+    diam = math.sqrt(sum((e[1] - e[0]) ** 2 for e in table.edges))
+    limit = radius * radius / 2.0 * 0.9 - diam
+    mask = []
+    for c in table.centers():
+        rhs = [c[j] - float(phi0[j]) for j in range(d)]
+        res = linprog([-1.0] * n, A_eq=A.T, b_eq=rhs, bounds=[(0.0, None)] * n,
+                      method="highs")
+        mask.append(res.status == 0 and -res.fun <= limit)
+    return mask
+
+
+@pytest.mark.parametrize("weights, phi0, radius, bins, kept", [
+    *(case + (kept,) for case, kept in zip(verify._MC_CASES, (13, 12, 21))),
+    (((1, 0), (0, 1), (1, 1)), (0, 0), 2.6, 10, 28),
+    (((1, 0), (0, 1), (1, 1), (1, 2)), (1, -1), 2.0, 8, 6),
+    (((2, 1), (1, 3), (1, 1)), (0.5, 0), 2.5, 15, 25),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), (0, 0, 0), 2.0, 6, 10),
+])
+def test_mc_interior_mask_reads_the_lp_optimum_off_the_fiber_vertices(
+        weights, phi0, radius, bins, kept):
+    cfg = oracle.MonteCarloConfig(samples=10_000, cutoff_radius=radius, bins=bins)
+    table = oracle.montecarlo_pushforward(weights, phi0, cfg)
+    mask = verify._mc_interior_mask(weights, phi0, table, radius)
+    assert mask == _lp_interior_mask(weights, phi0, table, radius)
+    assert sum(mask) == kept
 
 
 def test_lattice_suite_reduced_scale():

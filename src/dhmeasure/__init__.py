@@ -58,6 +58,7 @@ from .oracle import (
     DensityTable,
     MonteCarloConfig,
     QuadratureConfig,
+    fiber_volume,
     lattice_count,
     montecarlo_pushforward,
     numeric_laplace,

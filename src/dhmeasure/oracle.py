@@ -1,19 +1,20 @@
 """Brute-force verifiers, each independent of the engine path it checks.
 
-Densities are recomputed by recursive quadrature, independent of the
-exact density recursion. Pushforwards are sampled by Monte Carlo on the
-model space, and partition counts are found by fiber enumeration over a
-weight basis, in integer arithmetic; neither uses the engine. Transforms
-have two routes, and the caller names one. The box route integrates the
-engine's own compiled density (DensityEvaluator) by quadrature, so it
-checks the closed-form transform formulas against the density, not the
-density itself; its truncation box and tail bound are closed forms over
-each term's damped simplex, with no LP. The mapped route expands each
-term's multiplier in orthant coordinates and sums closed-form
-one-dimensional moments: it reads only the spline's terms and multiplier,
-shares no code with the closed-form or symbolic transforms, and calls no
-scipy function. Without a multiplier it reduces, by Fubini, to the same
-product of factor transforms as conespline.laplace_factor.
+Densities are recomputed exactly, as fiber volumes by Lasserre's facet
+recursion, where the engine recurses over bases. Pushforwards are sampled
+by Monte Carlo on the model space, and partition counts are found by
+fiber enumeration over a weight basis, in integer arithmetic; none of the
+three uses the engine. Transforms have two routes, and the caller names
+one. The box route integrates the engine's own compiled density
+(DensityEvaluator) by quadrature, so it checks the closed-form transform
+formulas against the density, not the density itself; its truncation box
+and tail bound are closed forms over each term's damped simplex, with no
+LP. The mapped route expands each term's multiplier in orthant
+coordinates and sums closed-form one-dimensional moments: it reads only
+the spline's terms and multiplier, shares no code with the closed-form or
+symbolic transforms, and calls no scipy function. Without a multiplier
+it reduces, by Fubini, to the same product of factor transforms as
+conespline.laplace_factor.
 """
 
 from __future__ import annotations
@@ -28,20 +29,22 @@ import numpy as np
 from scipy import integrate
 
 from . import polycone
-from .rational import det, rank, rat, solve, vdot, vec
+from .rational import ONE, ZERO, det, rank, rat, solve, vdot, vec
 
 
 class ImproperConeError(ValueError):
     pass
 
 
-QUADRATURE_MAX_DEPTH = 8  # most factors folded by nested quadrature
+FIBER_MAX_DIM = 8  # most non-basis factors of fiber_volume
 MONTECARLO_CHUNKS = 8  # generator streams per Monte-Carlo run, keyed (seed, chunk)
 LATTICE_MAX_NODES = 20_000_000  # enumeration bound of lattice_count
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances of the box route's iterated quadrature (numeric_laplace)."""
+
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
 
@@ -82,103 +85,85 @@ def _positive_functional(factors):
 
 
 # ---------------------------------------------------------------------------
-# recursive quadrature convolution
+# exact fiber volumes
+
+
+def fiber_volume(factors, x):
+    """Density of the factor convolution at x, exactly: the volume of the
+    closed fiber {s >= 0 : B s = x}, B's columns the factors.
+
+    One Gauss-Jordan pass on [B | x] picks a basis C among the factors,
+    whose pivots multiply to +-det C, and leaves the fiber as the polytope
+    {y >= 0 : C^-1 N y <= C^-1 x} over the other factors N. The density is
+    its (n - d)-volume over |det C|.
+    """
+    B = [vec(f) for f in factors]
+    x = vec(x)
+    d, n = len(x), len(B)
+    if not B:
+        raise ValueError("no factors to convolve")
+    if any(len(b) != d for b in B):
+        raise ValueError("point/factor dimension mismatch")
+    _positive_functional(B)
+    rows = [[b[r] for b in B] + [x[r]] for r in range(d)]
+    pivots, det_c = [], ONE
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, d) if rows[i][c] != 0), None)
+        if p is not None:
+            rows[r], rows[p] = rows[p], rows[r]
+            det_c *= rows[r][c]
+            rows[r] = [a / rows[r][c] for a in rows[r]]
+            rows = [row if i == r or row[c] == 0
+                    else [a - row[c] * b for a, b in zip(row, rows[r])]
+                    for i, row in enumerate(rows)]
+            pivots.append(c)
+    free = [c for c in range(n) if c not in pivots]
+    if len(pivots) < d:
+        raise ValueError("the factors do not span the space")
+    if len(free) > FIBER_MAX_DIM:
+        raise ValueError("fiber dimension exceeds the facet recursion's limit")
+    facets = [([row[c] for c in free], row[n]) for row in rows]
+    facets += [([-ONE if c == j else ZERO for c in free], ZERO) for j in free]
+    return _polytope_volume(facets, len(free)) / abs(det_c)
+
+
+def _polytope_volume(rows, k):
+    """k-volume of {y in R^k : a.y <= b for (a, b) in rows}, a bounded set,
+    by Lasserre's facet recursion (J. Optim. Theory Appl. 39, 1983;
+    Bueler-Enge-Fukuda, 2000): k vol = sum_i b_i vol(F_i), F_i the facet
+    a_i.y = b_i with y_j substituted away, for rows scaled so that their
+    first nonzero entry a_ij is +-1 and kept once, as a repeated facet
+    would count twice. A zero row with b < 0 empties the set."""
+    kept = {}
+    for a, b in rows:
+        j = next((j for j, v in enumerate(a) if v != 0), None)
+        if j is None and b < 0:
+            return ZERO
+        if j is not None:
+            kept[(tuple(v / abs(a[j]) for v in a), b / abs(a[j]))] = j
+    if k == 0:
+        return ONE
+    if k == 1:  # the interval -y <= -lo, y <= hi
+        return max(min(b for (a,), b in kept if a > 0) + min(b for (a,), b in kept if a < 0), ZERO)
+    total = ZERO
+    for (a, b), j in kept.items():
+        if b == 0:
+            continue
+        facet = []  # every row with y_j = a_j (b - sum_{i != j} a_i y_i)
+        for c, e in kept:
+            f = c[j] * a[j]
+            facet.append(([u - f * v for i, (u, v) in enumerate(zip(c, a)) if i != j], e - f * b))
+        total += b * _polytope_volume(facet, k - 1)
+    return total / k
 
 
 def quadrature_convolution(factors, mu, cfg: QuadratureConfig | None = None):
-    """Density of the factor convolution at mu by nested 1-D quadrature.
-
-    Returns (value, error_estimate). The factors must span the ambient
-    space: the recursion bottoms out on an invertible square subset whose
-    density is an exact indicator over |det|. The first factor folded onto
-    that base gives a 1-D segment whose length is solved exactly from the
-    linear inequalities, so quadrature only ever sees continuous
-    integrands. Upper integration limits come from a strictly positive
-    rational functional on the factor cone.
-    """
-    cfg = cfg or QuadratureConfig()
-    factors = [vec(f) for f in factors]
-    if not factors:
-        raise ValueError("no factors to convolve")
-    d = len(factors[0])
-    mu = np.asarray([float(x) for x in mu], dtype=float)
-    eta_r = _positive_functional(factors)
-    eta = np.asarray([float(x) for x in eta_r], dtype=float)
-
-    # greedy independent subset for the exact base case
-    base_idx = []
-    for i in range(len(factors)):
-        if rank([list(f) for f in (factors[j] for j in (*base_idx, i))]) == len(base_idx) + 1:
-            base_idx.append(i)
-        if len(base_idx) == d:
-            break
-    if len(base_idx) < d:
-        raise ValueError("quadrature needs factors spanning the space")
-    rest_idx = [i for i in range(len(factors)) if i not in base_idx]
-    if len(rest_idx) > QUADRATURE_MAX_DEPTH:
-        raise ValueError("convolution recursion depth exceeded")
-
-    B = np.array([[float(factors[j][r]) for j in base_idx] for r in range(d)])
-    Binv = np.linalg.inv(B)
-    inv_abs_det = 1.0 / abs(np.linalg.det(B))
-    rest = [np.asarray([float(x) for x in factors[j]]) for j in rest_idx]
-    rest_eta = [float(vdot(factors[j], eta_r)) for j in rest_idx]
-
-    feas_tol = 1e-11
-
-    def base_density(x):
-        s = Binv @ x
-        tol = feas_tol * (1.0 + float(np.max(np.abs(s))))
-        return inv_abs_det if np.all(s >= -tol) else 0.0
-
-    def segment_density(x, b, top):
-        # length of {t in [0, top] : Binv (x - t b) >= 0} times 1/|det|,
-        # solved exactly from the d linear inequalities in t
-        s0 = Binv @ x
-        sb = Binv @ b
-        lo_t, hi_t = 0.0, top
-        for a0, ab in zip(s0, sb):
-            # need a0 - t * ab >= 0
-            if abs(ab) < 1e-14:
-                if a0 < -feas_tol * (1.0 + abs(a0)):
-                    return 0.0
-            elif ab > 0:
-                hi_t = min(hi_t, a0 / ab)
-            else:
-                lo_t = max(lo_t, a0 / ab)
-        return max(hi_t - lo_t, 0.0) * inv_abs_det
-
-    level_err = [0.0] * (len(rest) + 1)
-    level_span = [0.0] * (len(rest) + 1)
-
-    def f(level, x):
-        if level == 0:
-            return base_density(x)
-        b = rest[level - 1]
-        top = float(x @ eta) / rest_eta[level - 1]
-        if top <= 0:
-            return 0.0
-        if level == 1:
-            return segment_density(x, b, top)
-        val, aerr = integrate.quad(
-            lambda t: f(level - 1, x - t * b),
-            0.0,
-            top,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=200,
-        )
-        level_err[level] = max(level_err[level], aerr)
-        level_span[level] = max(level_span[level], top)
-        return val
-
-    value = f(len(rest), mu)
-    err = 0.0
-    for level in range(2, len(rest) + 1):
-        err = level_err[level] + level_span[level] * err
-    if not rest_idx:
-        err = 0.0
-    return value, err
+    """fiber_volume at mu as (float value, bound on its rounding): 0.0 when
+    the float is exact, one ulp otherwise. cfg is ignored."""
+    v = fiber_volume(factors, mu)
+    f = float(v)
+    return f, 0.0 if rat(f) == v else math.ulp(f)
 
 
 # ---------------------------------------------------------------------------

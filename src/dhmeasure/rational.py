@@ -25,7 +25,7 @@ def rat(value=0, den=None):
     """Coerce ``value`` (int or another integral type such as mpz, str like
     "3/2" or "1.5", float, Fraction, mpq) to the exact scalar type. Floats
     convert exactly (every float is rational). A zero denominator, as in
-    "1/0", is a ValueError.
+    "1/0", is a ValueError; a bool is a TypeError.
     """
     if den is not None:
         if den == 0:
@@ -48,6 +48,8 @@ def rat(value=0, den=None):
             return _MPQ(value.numerator, value.denominator)
         return value
     if isinstance(value, int):
+        if type(value) is bool:  # JSON true/false, not the numbers 1 and 0
+            raise TypeError(f"{value!r} is a boolean, not a number")
         if _MPQ is not None:
             return _MPQ(value)
         return Fraction(value)

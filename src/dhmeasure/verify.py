@@ -1,8 +1,8 @@
 """Deterministic verification suites pairing engine paths with verifiers.
 
 Each suite draws reproducible random instances, runs a closed-form engine
-path and an independent re-derivation (floating-point LP, recursive
-quadrature, Monte Carlo, enumeration), and reports agreement. The suites
+path and an independent re-derivation (floating-point LP, exact fiber
+volumes, Monte Carlo, enumeration), and reports agreement. The suites
 back both the command-line `verify` mode and the acceptance tests, so the
 random generators live here and are shared.
 """
@@ -411,7 +411,11 @@ def cones_suite(seed: int = 0, count: int = 100) -> dict:
 
 
 def convolution_suite(seed: int = 0, count: int = 50) -> dict:
-    """Closed-form fiber-volume density against recursive quadrature."""
+    """Engine densities == exact fiber volumes (oracle.fiber_volume), per
+    case at a generic point, a wall point (a nonnegative rational
+    combination of d - 1 factors, where the engine takes the limit from
+    inside the factor cone) and a lattice point. A failure records exact
+    values as strings."""
     rng = suite_rng(seed, "convolution")
     t0 = time.time()
     failures = []
@@ -420,18 +424,22 @@ def convolution_suite(seed: int = 0, count: int = 50) -> dict:
         dim = int(rng.integers(1, 4))
         n = int(rng.integers(dim, min(dim + 2, 5) + 1))
         factors, _ = random_proper_factors(rng, dim, n)
-        mu = random_interior_mu(rng, factors)
-        engine = conespline.heaviside_density(factors, mu)
-        quad_val, quad_err = oracle.quadrature_convolution(factors, mu)
-        diff = abs(engine - quad_val)
-        tol = 1e-6 * (1.0 + abs(quad_val)) + quad_err
-        worst = max(worst, diff / (1.0 + abs(quad_val)))
-        if diff > tol:
-            failures.append(
-                {"case": i, "factors": factors, "mu": mu, "engine": float(engine),
-                 "quadrature": quad_val, "diff": diff}
-            )
-    return _report("convolution", seed, count, failures, t0,
+        points = [random_interior_mu(rng, factors)]
+        wall = [Fraction(int(a), int(b))
+                for a, b in zip(rng.integers(0, 6, n), rng.integers(1, 4, n))]
+        for j in rng.choice(n, size=n - dim + 1, replace=False):
+            wall[j] = 0
+        for cs in (wall, [int(c) for c in rng.integers(0, 3, n)]):
+            points.append([sum(c * f[r] for c, f in zip(cs, factors)) for r in range(dim)])
+        for kind, mu in zip(("generic", "wall", "lattice"), points):
+            engine = conespline.heaviside_density(factors, mu)
+            volume = oracle.fiber_volume(factors, mu)
+            worst = max(worst, float(abs(engine - volume) / (1 + abs(volume))))
+            if engine != volume:
+                failures.append({"case": i, "point": kind, "factors": factors,
+                                 "mu": [str(rat(x)) for x in mu], "engine": str(engine),
+                                 "fiber_volume": str(volume)})
+    return _report("convolution", seed, 3 * count, failures, t0,
                    {"worst_rel": worst})
 
 

@@ -126,9 +126,9 @@ def test_criterion_5_fiber_volume_vs_quadrature():
     elapsed = time.time() - t0
     _gate(
         5,
-        "volume vs quadrature",
+        "engine vs exact fiber volume",
         rep["failed"] == 0,
-        f"50 instances, worst scaled diff {rep['worst_rel']:.2e} <= 1e-6",
+        f"50 instances x 3 points, worst scaled diff {rep['worst_rel']:.2e} == 0",
         elapsed,
         120.0,
     )

@@ -427,6 +427,22 @@ def test_dimension_that_is_not_a_count_exits_two(command, payload, reader, tmp_p
         assert err.startswith("error:") and "is not a dimension" in err
 
 
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("abelian", {"dim": 1, "points": [{"image": [True], "weights": [[-1]]},
+                                          {"image": [-1], "weights": [[True]]}]}),
+        ("cones", {"dim": 2, "halfspaces": [{"normal": [True, False], "offset": 0}]}),
+        ("orbit", {"family": "AIII", "params": [1, 1], "lambda": [True, -1]}),
+    ],
+)
+def test_boolean_coordinate_exits_two(command, payload, tmp_path, capsys):
+    # JSON true read as 1 and false as 0, and the runs exited 0
+    assert cli.main([command, "--input", write(tmp_path / "in.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "is a boolean, not a number" in err
+
+
 def test_integral_float_dimension_reads_as_an_integer():
     assert polycone.cone_from_json({"dim": 2.0, "generators": [[1, 0]]}).dim == 2
     assert localize.model_from_json({"dim": 1.0, "halfdim": 1.0, "points": _SPHERE_POINTS}).dim == 1

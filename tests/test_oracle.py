@@ -52,6 +52,79 @@ def test_quadrature_needs_spanning_factors():
         quadrature_convolution([(1, 0)], (1, 0))
 
 
+def _fiber_points(rng, factors):
+    """A generic rational, a float-derived, a lattice and a wall point."""
+    d, n = len(factors[0]), len(factors)
+
+    def combination(cs, idx):
+        return tuple(sum((c * factors[i][r] for c, i in zip(cs, idx)), Fraction(0))
+                     for r in range(d))
+
+    ratios = [Fraction(int(a), int(b)) for a, b in
+              zip(rng.integers(0, 7, size=n), rng.integers(1, 5, size=n))]
+    wall = rng.choice(n, size=d - 1, replace=False)
+    return [
+        combination(ratios, range(n)),
+        verify.random_interior_mu(rng, factors),
+        tuple(int(v) for v in rng.integers(-1, 5, size=d)),
+        combination([Fraction(int(a), int(b)) for a, b in
+                     zip(rng.integers(0, 6, size=d - 1), rng.integers(1, 4, size=d - 1))],
+                    wall),
+    ]
+
+
+def test_fiber_volume_equals_engine_density():
+    rng = np.random.default_rng(30)
+    checked = 0
+    for _ in range(260):
+        d = int(rng.integers(1, 4))
+        factors, _ = verify.random_proper_factors(rng, d, int(rng.integers(d, d + 4)))
+        for mu in _fiber_points(rng, factors):
+            assert oracle.fiber_volume(factors, mu) == conespline.heaviside_density(factors, mu)
+            checked += 1
+    assert checked >= 1000
+
+
+def test_fiber_volume_exact_rational_value():
+    factors = [(0, 1, 1), (3, -2, 2), (-1, 2, -1), (2, 0, 1), (1, 1, -1), (0, 0, 1)]
+    mu = (Fraction(13, 2), Fraction(19, 3), Fraction(23, 6))
+    assert oracle.fiber_volume(factors, mu) == Fraction(819923, 81000)
+
+
+def test_quadrature_entry_point_finds_a_narrow_fiber():
+    # nested quadrature returned (0.0, 0.0) here: its outer integrand has
+    # narrow support, and every sample missed it
+    factors = [(-1, 1, 0), (0, -1, 2), (1, -3, 3), (-2, 0, 3), (-1, 2, 2), (3, -2, 3)]
+    mu = verify.random_interior_mu(np.random.default_rng(0), factors)
+    exact = oracle.fiber_volume(factors, mu)
+    assert exact == conespline.heaviside_density(factors, mu)
+    val, bound = quadrature_convolution(factors, mu)
+    assert val == pytest.approx(0.1365755492547, rel=1e-12)
+    assert abs(rat(val) - exact) <= rat(bound)
+
+
+def test_quadrature_entry_point_bound_is_the_float_rounding():
+    # 3 and 1/8 are doubles, 1/3 is not; the factors and point may be
+    # spline-JSON strings
+    assert quadrature_convolution([(1,), (1,)], (3,)) == (3.0, 0.0)
+    assert quadrature_convolution([["1/2"], ["1/2"]], ["1/4"]) == (1.0, 0.0)
+    val, bound = quadrature_convolution([(3,)], ["5"])
+    assert (val, bound) == (1 / 3, math.ulp(1 / 3))
+    assert 0 < abs(rat(val) - Fraction(1, 3)) <= rat(bound)
+
+
+def test_fiber_volume_rejects_what_has_no_density():
+    with pytest.raises(ValueError, match="no factors"):
+        oracle.fiber_volume([], ())
+    with pytest.raises(oracle.ImproperConeError):
+        oracle.fiber_volume([(1,), (-1,)], (0,))
+    with pytest.raises(ValueError, match="do not span"):
+        oracle.fiber_volume([(1, 0), (2, 0)], (1, 0))
+    with pytest.raises(ValueError, match="limit"):
+        oracle.fiber_volume([(1,)] * 10, (1,))
+    assert oracle.fiber_volume([(1,)] * 3, (2,)) == 2
+
+
 def test_numeric_laplace_halfline_indicator():
     # transform of the step at zeta = i is exactly 1
     val = numeric_laplace(

@@ -63,6 +63,13 @@ def test_rat_accepts_integral_types():
         rat(object())
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_rat_refuses_booleans(value):
+    # JSON true and false used to read as 1 and 0
+    with pytest.raises(TypeError, match="boolean"):
+        rat(value)
+
+
 def test_integer_vector_gives_python_ints():
     ints, scale = integer_vector([rat(1, 2), rat(-3, 4), rat(5)])
     assert ints == [2, -3, 20] and scale == 4

@@ -256,13 +256,27 @@ def _worst(samples):
     return max((s["rel_difference"] for s in samples), default=0.0)
 
 
+def _rounded(value):
+    """(f, bound): the nearest double f to an exact rational and a bound on
+    |f - value|, 0.0 when f is the value and half an ulp otherwise. Only a
+    power-of-two denominator can be exact, so other values skip the
+    round-trip check; both read the integers through int()."""
+    num, den = int(value.numerator), int(value.denominator)
+    f = num / den
+    if den & (den - 1) == 0 and f.as_integer_ratio() == (num, den):
+        return f, 0.0
+    return f, math.ulp(f) / 2
+
+
 def _write_density(path, S, axes):
     """S's density on the grid as CSV. The points are exact; their float
-    coordinates are read off each axis's values, converted once."""
+    coordinates, the nearest doubles, are read off each axis's values,
+    converted once. Each density is written as its nearest double, with
+    error_bound bounding that rounding."""
     lin = _axis_values(axes)
     values = conespline.spline_density(S, list(itertools.product(*lin)))
     coords = itertools.product(*[[float(x) for x in axis] for axis in lin])
-    rows = [(mu, dv.value, dv.abs_error_bound) for mu, dv in zip(coords, values)]
+    rows = [(mu, *_rounded(dv.value)) for mu, dv in zip(coords, values)]
     conespline.write_density_csv(path, S.dim, rows)
 
 

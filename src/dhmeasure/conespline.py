@@ -22,7 +22,11 @@ such as a density grid. heaviside_density and spline_density put the point
 or the batch over one common denominator D and run it on Python integers:
 the density is the integer result over (root denominator) * D^(n - d), an
 exact rational with error bound 0, and a batch gives a tuple of them.
-DensityEvaluator runs the same recursion at float points, for quadrature.
+DensityEvaluator runs the same recursion at float points, as the
+integrand of oracle's one-dimensional box route; it takes no polynomial
+multiplier. write_density_csv writes coordinates as the nearest doubles
+of the exact points and each density as its nearest double, with the
+caller's bound on that rounding.
 
 On a wall, where the density jumps, the value is the limit from inside the
 term's cone: along mu + eps*c + eps^2*e_1 + ... + eps^(d+1)*e_d for small
@@ -135,16 +139,6 @@ class Polynomial:
             for x, k in zip(point, e):
                 for _ in range(k):
                     term *= x
-            total += term
-        return total
-
-    def __call__(self, point) -> float:
-        total = 0.0
-        for e, c in self.coeffs:
-            term = float(c)
-            for x, k in zip(point, e):
-                if k:
-                    term *= float(x) ** k
             total += term
         return total
 
@@ -578,18 +572,19 @@ def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# float front end (for quadrature)
+# float front end (the integrand of the one-dimensional box route)
 
 
 class DensityEvaluator:
     """Float evaluation of a spline's density, for quadrature: per term, the
     recursion of heaviside_density run on the float coordinates of
-    mu - base, top * T / Q."""
+    mu - base, top * T / Q. A polynomial multiplier is refused."""
 
     def __init__(self, S: SignedConeSpline):
+        if S.poly is not None:
+            raise ValueError("the float evaluator takes no polynomial multiplier")
         if S.nfactors == 0 and S.terms:
             raise PureDeltaError("point-mass spline has no density function")
-        self.poly = S.poly
         self._terms = [
             (t.sign, tuple(float(b) for b in t.base), *_kernel(t.factors)[1:])
             for t in S.terms
@@ -601,8 +596,6 @@ class DensityEvaluator:
         for sign, base, den, program in self._terms:
             x = [m - b for m, b in zip(mu, base)]
             total += sign * (program[-1] * _truncated_powers(program, *_leaf_masks(program, x)) / den)
-        if self.poly is not None:
-            total *= self.poly(mu)
         return total
 
 

@@ -5,16 +5,17 @@ recursion, where the engine recurses over bases. Pushforwards are sampled
 by Monte Carlo on the model space, and partition counts are found by
 fiber enumeration over a weight basis, in integer arithmetic; none of the
 three uses the engine. Transforms have two routes, and the caller names
-one. The box route integrates the engine's own compiled density
-(DensityEvaluator) by quadrature, so it checks the closed-form transform
-formulas against the density, not the density itself; its truncation box
-and tail bound are closed forms over each term's damped simplex, with no
-LP. The mapped route expands each term's multiplier in orthant
-coordinates and sums closed-form one-dimensional moments: it reads only
-the spline's terms and multiplier, shares no code with the closed-form or
-symbolic transforms, and calls no scipy function. Without a multiplier
-it reduces, by Fubini, to the same product of factor transforms as
-conespline.laplace_factor.
+one. The box route takes one-dimensional splines only: it integrates
+the engine's own compiled density (conespline.DensityEvaluator, which
+takes no multiplier) by one quadrature, so it checks the closed-form
+transform formulas against the density, not the density itself; its
+truncation interval and tail bound are closed forms over each term's
+damped simplex, with no LP. The mapped route expands each term's
+multiplier in orthant coordinates and sums closed-form one-dimensional
+moments: it reads only the spline's terms and multiplier, shares no code
+with the closed-form or symbolic transforms, and calls no scipy function.
+Without a multiplier it reduces, by Fubini, to the same product of factor
+transforms as conespline.laplace_factor.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ LATTICE_MAX_NODES = 20_000_000  # enumeration bound of lattice_count
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances of the box route's iterated quadrature (numeric_laplace)."""
+    """Tolerances of the box route's quadrature (numeric_laplace)."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
+    abs_tol: float = 1e-9
+    rel_tol: float = 1e-8
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -171,54 +172,30 @@ def quadrature_convolution(factors, mu, cfg: QuadratureConfig | None = None):
 
 
 def numeric_laplace(f, zeta, box, cfg: QuadratureConfig | None = None) -> complex:
-    """Iterated quadrature of e^{i<mu,zeta>} f(mu) over an axis box.
+    """Quadrature of e^{i mu zeta} f(mu) over a one-entry box [(lo, hi)].
 
-    box: sequence of (lo, hi) per coordinate; f takes a coordinate tuple.
-    The caller guarantees the truncation is adequate (see
-    numeric_laplace_spline for a tail-bounded wrapper).
+    f takes a one-coordinate tuple. The caller guarantees the truncation
+    is adequate (see numeric_laplace_spline for a tail-bounded wrapper).
 
-    The kernel's value at the lower box corner is factored out and applied
-    after integrating, so the quadrature always works at order-one scale
-    even when the support sits deep inside the damping region.
+    The kernel's value at lo is factored out and applied after
+    integrating, so the quadrature always works at order-one scale even
+    when the support sits deep inside the damping region.
     """
-    cfg = cfg or QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
-    zeta = tuple(complex(z) for z in zeta)
-    d = len(box)
-    corner = [lo for lo, _ in box]
+    if len(box) != 1 or len(zeta) != 1:
+        raise ValueError("the box route integrates over one dimension only")
+    cfg = cfg or QuadratureConfig()
+    ((lo, hi),) = box
+    z = complex(zeta[0])
 
-    def level(idx, partial):
-        lo, hi = box[idx]
-        if idx == d - 1:
+    def integrand(t):
+        v = f((t,))
+        if v == 0.0:
+            return 0.0 + 0.0j
+        return v * np.exp(1j * ((t - lo) * z))
 
-            def integrand(t):
-                pt = (*partial, t)
-                v = f(pt)
-                if v == 0.0:
-                    return 0.0 + 0.0j
-                phase = sum((p - c) * z for p, c, z in zip(pt, corner, zeta))
-                return v * np.exp(1j * phase)
-
-        else:
-
-            def integrand(t):
-                return level(idx + 1, (*partial, t))
-
-        # inner levels run tighter so their noise does not stall the outer
-        # adaptive subdivision
-        squeeze = 30.0**idx
-        val, _ = integrate.quad(
-            integrand,
-            lo,
-            hi,
-            epsabs=cfg.abs_tol / squeeze,
-            epsrel=cfg.rel_tol / squeeze,
-            limit=200,
-            complex_func=True,
-        )
-        return val
-
-    out = level(0, ())
-    return complex(out * np.exp(1j * sum(c * z for c, z in zip(corner, zeta))))
+    val, _ = integrate.quad(integrand, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
+                            limit=200, complex_func=True)
+    return complex(val * np.exp(1j * (lo * z)))
 
 
 def spline_truncation(S, im_zeta, decay_log: float):
@@ -344,14 +321,15 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
                            decay_log: float = 30.0, *, method: str):
     """Transform of a spline's density by the named numeric route.
 
-    Returns (value, tail_bound). method="box" runs iterated quadrature of
-    the compiled density times the oscillating kernel over a truncation
-    box holding all but e^(-decay_log) of the damped mass, and bounds the
-    rest (spline_truncation, closed form, no LP); it takes no polynomial
-    multiplier. cfg and decay_log set only this route. method="mapped"
-    writes each term in orthant coordinates, where the kernel splits into
-    closed-form one-dimensional moments (any volume dimension, polynomial
-    multipliers included); it truncates nothing, so its tail bound is 0.0.
+    Returns (value, tail_bound). method="box" integrates the compiled
+    density of a one-dimensional spline times the oscillating kernel by
+    quadrature over a truncation interval holding all but e^(-decay_log)
+    of the damped mass, and bounds the rest (spline_truncation, closed
+    form, no LP); it takes no polynomial multiplier. cfg and decay_log set
+    only this route. method="mapped" writes each term in orthant
+    coordinates, where the kernel splits into closed-form one-dimensional
+    moments (any volume dimension, polynomial multipliers included); it
+    truncates nothing, so its tail bound is 0.0.
     """
     zeta = tuple(complex(z) for z in zeta)
     if method == "mapped":
@@ -364,6 +342,8 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
         raise ValueError("method must be 'box' or 'mapped'")
     if S.poly is not None:
         raise ValueError("the box route takes no polynomial multiplier")
+    if S.dim != 1:
+        raise ValueError("the box route takes one-dimensional splines only")
     from .conespline import DensityEvaluator
 
     box, tail = spline_truncation(S, [z.imag for z in zeta], decay_log)

@@ -3,6 +3,7 @@ import math
 import os
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -615,6 +616,38 @@ def test_grid_points_are_exact(sphere_input, tmp_path, monkeypatch):
     assert seen == [[(0,), (rat(1, 3),), (rat(2, 3),), (1,)]]
     rows = (out / "density.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == [repr(x) for x in (0.0, 1 / 3, 2 / 3, 1.0)]
+
+
+def test_csv_error_bound_bounds_the_written_density(tmp_path):
+    # CP^2 on a line: the density takes the values 1/6, 1/4, 1/3, ...
+    path = write(tmp_path / "cp2.json", {"dim": 1, "points": [
+        {"image": ["0"], "weights": [["1"], ["3"]]},
+        {"image": ["1"], "weights": [["-1"], ["2"]]},
+        {"image": ["3"], "weights": [["-3"], ["-2"]]},
+    ]})
+    out = tmp_path / "out"
+    assert cli.main(["abelian", "--input", path, "--out", str(out), "--grid=-1:4:11"]) == 0
+    S = conespline.spline_from_json((out / "spline.json").read_text())
+    exact = [dv.value for dv in conespline.spline_density(S, cli.grid_points(cli.parse_grid("-1:4:11")))]
+    rows = [r.split(",") for r in (out / "density.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(exact) == 11
+    dyadic = 0
+    for (_mu, value, bound), want in zip(rows, exact):
+        assert abs(Fraction(float(value)) - want) <= Fraction(float(bound))
+        if Fraction(float(want)) == want:
+            dyadic += 1
+            assert float(bound) == 0.0
+        else:
+            assert float(bound) == math.ulp(float(value)) / 2 > 0
+    assert 0 < dyadic < len(rows) and rat(1, 4) in exact
+
+
+def test_rounding_bound_is_zero_only_for_a_double():
+    # a power-of-two denominator is not enough: 2^53 + 1 needs 54 bits
+    for value, want in ((rat(3, 4), (0.75, 0.0)), (rat(-5), (-5.0, 0.0)), (rat(0), (0.0, 0.0)),
+                        (rat(1, 3), (1 / 3, math.ulp(1 / 3) / 2)),
+                        (rat(2**53 + 1, 2**10), (2.0**43, math.ulp(2.0**43) / 2))):
+        assert cli._rounded(value) == want
 
 
 def test_default_grid_stays_within_its_point_budget():

@@ -118,18 +118,17 @@ def test_spline_density_interval():
 def test_spline_with_polynomial_multiplier():
     P = Polynomial.linear((1,))
     S = spline(1, [spline_term(1, (0,), [(1,)])], poly=P)
-    assert spline_density(S, (3,)).value == pytest.approx(3.0)
-    ev = DensityEvaluator(S)
-    assert ev((rat(5, 2),)) == pytest.approx(2.5)
+    assert spline_density(S, (3,)).value == 3
+    assert P.eval_exact((rat(5, 2),)) == spline_density(S, (rat(5, 2),)).value == rat(5, 2)
 
 
 def test_polynomial_algebra():
     p = Polynomial.linear((2, 1))
     q = Polynomial.linear((0, 1))
     prod = p * q
-    assert prod((1, 1)) == pytest.approx(3.0)
+    assert prod.eval_exact((1, 1)) == 3
     assert prod.eval_exact((rat(1, 2), 2)) == 6
-    assert Polynomial.product_of_linear([(1, 0), (1, 0)])((3, 9)) == 9.0
+    assert Polynomial.product_of_linear([(1, 0), (1, 0)]).eval_exact((3, 9)) == 9
 
 
 def test_density_evaluator_matches_pointwise():
@@ -408,12 +407,14 @@ def test_zero_spline_density_is_an_exact_zero():
 
 def test_density_evaluator_takes_the_exact_tie_side_on_walls():
     # dyadic wall points are floats exactly, so the float recursion decides
-    # each lambda_p = 0 exactly too; a wrong tie side is then an O(1) error
+    # each lambda_p = 0 exactly too; a wrong tie side is then an O(1) error.
+    # The evaluator takes no multiplier, so each spline's terms go without it
     rng = np.random.default_rng(29)
     checked = nonzero = 0
     for S in _batch_splines():
         if any(Fraction(float(b)) != b for t in S.terms for b in t.base):
             continue
+        S = spline(S.dim, S.terms)
         ev = DensityEvaluator(S)
         for mu in _wall_points(rng, S):
             if any(Fraction(float(x)) != x for x in mu):
@@ -423,6 +424,12 @@ def test_density_evaluator_takes_the_exact_tie_side_on_walls():
             checked += 1
             nonzero += exact != 0
     assert checked >= 40 and nonzero >= 20
+
+
+def test_density_evaluator_refuses_a_multiplier():
+    S = spline(1, [spline_term(1, (0,), [(1,)])], poly=Polynomial.linear((1,)))
+    with pytest.raises(ValueError, match="multiplier"):
+        DensityEvaluator(S)
 
 
 def test_batch_edge_cases():

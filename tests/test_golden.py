@@ -18,8 +18,8 @@ ORBIT_FILES = ("t_density.csv", "k_density.csv", "t_spline.json", "k_spline.json
 
 GOLDEN_ORBITS = {
     ("AIII", (2, 1), ("3", "1", "-4")): {
-        "t_density.csv": "8c3e10c8ee5102aee6d19da74f8333343e2c1fdc4597a1b03a30b71c7c9249d0",
-        "k_density.csv": "21e21e459aaa80ada52943976998071e5a6b2590706a9cf9e7c29365fb887ee2",
+        "t_density.csv": "24ea4fd22ea8b1b6f5956bef2c05249edb0316dff82809d3d9253330352d6190",
+        "k_density.csv": "772fe91a3cb600cbddae177b3877a43643f3648ee34c5053b19cf5758a26b2b1",
         "t_spline.json": "4d9622205f946c4ef3c8b3ca0890e195511e415938f75f6f8ad2eebc137f1939",
         "k_spline.json": "415327bd56d0c3c1b7b90540e9600ed4c5f250098e540be1c1da47a13653ef3b",
         "weyl.json": "0cfe84258b31c9545a0d79c012f46340f12ed7cc92aa0bf45caf54a67b3202a2",

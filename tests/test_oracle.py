@@ -217,13 +217,14 @@ def test_mapped_route_handles_polynomial_multiplier():
 
 def test_mapped_and_box_routes_agree(monkeypatch):
     S = spline(
-        2,
+        1,
         [
-            spline_term(1, (0, 0), [(1, 0), (0, 1), (1, 1)]),
+            spline_term(1, (0,), [(1,), (2,), (1,)]),
+            spline_term(-1, (rat(3, 2),), [(1,), (2,), (1,)]),
         ],
     )
     _refuse_lp(monkeypatch)
-    zeta = (0.4 + 1.3j, -0.2 + 1.5j)
+    zeta = (0.4 + 1.3j,)
     mapped, mtail = numeric_laplace_spline(S, zeta, method="mapped")
     box, btail = numeric_laplace_spline(
         S, zeta, QuadratureConfig(1e-7, 1e-7), decay_log=14.0, method="box"
@@ -689,6 +690,16 @@ def test_mapped_route_calls_no_quadrature(monkeypatch):
     value, tail = numeric_laplace_spline(S, zeta, method="mapped")
     assert value == pytest.approx(_term_by_term_mapped(S, zeta), rel=1e-13)
     assert tail == 0.0
+
+
+def test_box_route_takes_one_dimension_only():
+    with pytest.raises(ValueError, match="one dimension"):
+        numeric_laplace(lambda pt: 1.0, (1j, 1j), [(-1.0, 1.0), (-1.0, 1.0)])
+    with pytest.raises(ValueError, match="one dimension"):
+        numeric_laplace(lambda pt: 1.0, (1j,), [(-1.0, 1.0), (-1.0, 1.0)])
+    S = spline(2, [spline_term(1, (0, 0), [(1, 0), (0, 1), (1, 1)])])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        numeric_laplace_spline(S, (0.4 + 1.3j, -0.2 + 1.5j), method="box")
 
 
 def test_box_route_refuses_polynomial_multiplier():

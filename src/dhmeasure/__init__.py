@@ -6,7 +6,6 @@ verifiers that keep the closed forms honest.
 """
 
 from .conespline import (
-    DensityEvaluator,
     DensityValue,
     NonProperConeError,
     NonRegularZetaError,
@@ -60,6 +59,7 @@ from .oracle import (
     QuadratureConfig,
     fiber_volume,
     lattice_count,
+    line_density,
     montecarlo_pushforward,
     numeric_laplace,
     numeric_laplace_spline,

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from decimal import Decimal
-from functools import cache
+from functools import cache, partial
 
 from . import conespline, hermitian, localize, oracle, polycone, verify
 from .conespline import atomic_write_text
@@ -151,25 +151,32 @@ def _emit(payload, out_path):
         sys.stdout.write("\n")
 
 
+def _of_dimension(flag, value, dim, unit):
+    """The value of flag if given (None otherwise), checked against the
+    input's dimension before any work, so a wrong one writes nothing."""
+    if value is not None and len(value) != dim:
+        raise ValueError(
+            f"{flag} has {len(value)} {unit} but the input has dimension {dim}"
+        )
+    return value
+
+
 # ---------------------------------------------------------------------------
 # cones
 
 
-def _check_directions(args, dim):
-    """Every --xi must have the input's dimension; checked before any LP."""
-    for xi in args.xi:
-        if len(xi) != dim:
-            raise ValueError(
-                f"--xi has {len(xi)} coordinates but the input has dimension {dim}"
-            )
+def _on_polyhedron(P):
+    return lambda xi: (polycone.bounded_below(P, xi), polycone.proper_projection_directions(P, xi))
 
 
 def cmd_cones(args) -> int:
     data = _load_json(args.input)
     report = {"input": args.input}
+    decide = None  # xi -> (bounded_below, proper_projection)
     if "halfspaces" in data and "generators" not in data:
         P = polycone.polyhedron_from_json(data)
-        _check_directions(args, P.dim)
+        for xi in args.xi:
+            _of_dimension("--xi", xi, P.dim, "coordinates")
         report["kind"] = "polyhedron"
         report["dim"] = P.dim
         feas = polycone.is_feasible(P)
@@ -178,20 +185,11 @@ def cmd_cones(args) -> int:
             report["feasible_point"] = [rat_str(x) for x in polycone.feasible_point(P)]
             report["compact"] = polycone.is_compact(P)
             report["proper"] = polycone.is_proper(P)
-            per_xi = []
-            for xi in args.xi:
-                per_xi.append(
-                    {
-                        "xi": [rat_str(x) for x in xi],
-                        "bounded_below": polycone.bounded_below(P, xi),
-                        "proper_projection": polycone.proper_projection_directions(P, xi),
-                    }
-                )
-            if per_xi:
-                report["directions"] = per_xi
+            decide = _on_polyhedron(P)
     else:
         C = polycone.cone_from_json(data)
-        _check_directions(args, C.dim)
+        for xi in args.xi:
+            _of_dimension("--xi", xi, C.dim, "coordinates")
         report["kind"] = "cone"
         report["dim"] = C.dim
         proper = polycone.cone_is_proper(C)
@@ -206,22 +204,20 @@ def cmd_cones(args) -> int:
             report["interior_point"] = None
         if C.normals is not None and C.generators is not None:
             report["representations_consistent"] = polycone.cone_consistency_check(C)
+        decide = (_on_polyhedron(polycone.polyhedron(C.dim, [(n, 0) for n in C.normals]))
+                  if C.normals is not None else partial(polycone.generator_directions, C))
+    if args.xi and decide:
+        report["directions"] = [
+            {"xi": [rat_str(x) for x in xi],
+             **dict(zip(("bounded_below", "proper_projection"), decide(xi)))}
+            for xi in args.xi
+        ]
     _emit(report, args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # transform checks and density grids, shared by abelian and orbit
-
-
-def _of_dimension(flag, value, dim, unit):
-    """The value of flag if given (None otherwise), checked against the
-    model's dimension before any work, so a wrong one writes nothing."""
-    if value is not None and len(value) != dim:
-        raise ValueError(
-            f"{flag} has {len(value)} {unit} but the model has dimension {dim}"
-        )
-    return value
 
 
 def _chamber(args, dim):
@@ -232,24 +228,31 @@ def _grid(args, dim):
     return _of_dimension("--grid", args.grid, dim, "axes")
 
 
+def _compare_samples(zetas, reference, **evaluations):
+    """At each zeta call the two named evaluations, in the order given, and
+    record both values and their difference relative to the one named
+    reference."""
+    samples = []
+    for zeta in zetas:
+        values = {name: f(zeta) for name, f in evaluations.items()}
+        a, b = values.values()
+        sample = {name: [v.real, v.imag] for name, v in values.items()}
+        sample["zeta"] = [[z.real, z.imag] for z in zeta]
+        sample["rel_difference"] = abs(a - b) / max(abs(values[reference]), 1e-300)
+        samples.append(sample)
+    return samples
+
+
 def _localization_samples(S, M, region, rng, count):
     """Draw count zetas in the region's tube, around its interior direction,
     and at each compare the spline's closed transform with the fixed-point
     sum, in that order."""
-    samples = []
-    direction = region.sample_interior()
-    for zeta in localize.tube_zetas(rng, direction, region.factors, count):
-        closed = conespline.spline_laplace(S, zeta)
-        loc = localize.localization_sum(M, zeta, region)
-        samples.append(
-            {
-                "zeta": [[z.real, z.imag] for z in zeta],
-                "spline_transform": [closed.real, closed.imag],
-                "localization_sum": [loc.real, loc.imag],
-                "rel_difference": abs(closed - loc) / max(abs(loc), 1e-300),
-            }
-        )
-    return samples
+    return _compare_samples(
+        localize.tube_zetas(rng, region.sample_interior(), region.factors, count),
+        "localization_sum",
+        spline_transform=lambda zeta: conespline.spline_laplace(S, zeta),
+        localization_sum=lambda zeta: localize.localization_sum(M, zeta, region),
+    )
 
 
 def _worst(samples):
@@ -373,21 +376,12 @@ def cmd_orbit(args) -> int:
 
     if want_k:
         Sk = hermitian.k_type_measure(O)
-        zsamples = []
-        for zeta in localize.tube_zetas(
-            rng, pair.center_vector, pair.noncompact, args.zeta_samples
-        ):
-            symbolic = hermitian.laplace_nu_symbolic(O, zeta)
-            numeric, _ = oracle.numeric_laplace_spline(Sk, zeta, method="mapped")
-            zsamples.append(
-                {
-                    "zeta": [[z.real, z.imag] for z in zeta],
-                    "symbolic": [symbolic.real, symbolic.imag],
-                    "numeric": [numeric.real, numeric.imag],
-                    "rel_difference": abs(symbolic - numeric)
-                    / max(abs(symbolic), 1e-300),
-                }
-            )
+        zsamples = _compare_samples(
+            localize.tube_zetas(rng, pair.center_vector, pair.noncompact, args.zeta_samples),
+            "symbolic",
+            symbolic=lambda zeta: hermitian.laplace_nu_symbolic(O, zeta),
+            numeric=lambda zeta: oracle.numeric_laplace_spline(Sk, zeta, method="mapped")[0],
+        )
         worst = _worst(zsamples)
         report["k_measure"] = {
             "terms": len(Sk.terms),

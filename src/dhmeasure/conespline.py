@@ -21,12 +21,10 @@ that are numbers, for one point, or numpy object arrays, for an N x d batch
 such as a density grid. heaviside_density and spline_density put the point
 or the batch over one common denominator D and run it on Python integers:
 the density is the integer result over (root denominator) * D^(n - d), an
-exact rational with error bound 0, and a batch gives a tuple of them.
-DensityEvaluator runs the same recursion at float points, as the
-integrand of oracle's one-dimensional box route; it takes no polynomial
-multiplier. write_density_csv writes coordinates as the nearest doubles
-of the exact points and each density as its nearest double, with the
-caller's bound on that rounding.
+exact rational with error bound 0, and a batch gives a tuple of them;
+there is no float density path. write_density_csv writes coordinates as
+the nearest doubles of the exact points and each density as its nearest
+double, with the caller's bound on that rounding.
 
 On a wall, where the density jumps, the value is the limit from inside the
 term's cone: along mu + eps*c + eps^2*e_1 + ... + eps^(d+1)*e_d for small
@@ -55,6 +53,7 @@ import numpy as np
 from . import polycone
 from .rational import (
     ZERO,
+    PureDeltaError,
     _gauss_jordan,
     dimension,
     integer_vector,
@@ -74,10 +73,6 @@ class NonProperConeError(ValueError):
 
 
 class NonRegularZetaError(ValueError):
-    pass
-
-
-class PureDeltaError(ValueError):
     pass
 
 
@@ -375,9 +370,9 @@ def _leaf_masks(program, X):
     """(dots, masks): each primitive row of the kernel applied to X once, and
     per leaf where every lambda_p >= 0, or > 0 on the side its tie excludes.
 
-    X is d coordinates: numbers for one point (Python ints, or floats), or
-    numpy object N-arrays of Python ints for N points. Both run this code
-    and _truncated_powers, with the same +, -, *, comparisons and &."""
+    X is d coordinates: Python ints for one point, or numpy object
+    N-arrays of Python ints for N points. Both run this code and
+    _truncated_powers, with the same +, -, *, comparisons and &."""
     table, leaves = program[:2]
     dots = []
     for (j, a), *rest in table:  # entries are mostly +-1: add and subtract
@@ -569,34 +564,6 @@ def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
         phase = 1j * sum(float(b) * z for b, z in zip(t.base, zeta))
         total += t.sign * np.exp(phase) * laplace_factor(t.factors, zeta)
     return complex(total)
-
-
-# ---------------------------------------------------------------------------
-# float front end (the integrand of the one-dimensional box route)
-
-
-class DensityEvaluator:
-    """Float evaluation of a spline's density, for quadrature: per term, the
-    recursion of heaviside_density run on the float coordinates of
-    mu - base, top * T / Q. A polynomial multiplier is refused."""
-
-    def __init__(self, S: SignedConeSpline):
-        if S.poly is not None:
-            raise ValueError("the float evaluator takes no polynomial multiplier")
-        if S.nfactors == 0 and S.terms:
-            raise PureDeltaError("point-mass spline has no density function")
-        self._terms = [
-            (t.sign, tuple(float(b) for b in t.base), *_kernel(t.factors)[1:])
-            for t in S.terms
-        ]
-
-    def __call__(self, point) -> float:
-        mu = [float(x) for x in point]
-        total = 0.0
-        for sign, base, den, program in self._terms:
-            x = [m - b for m, b in zip(mu, base)]
-            total += sign * (program[-1] * _truncated_powers(program, *_leaf_masks(program, x)) / den)
-        return total
 
 
 # ---------------------------------------------------------------------------

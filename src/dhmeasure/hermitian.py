@@ -54,6 +54,7 @@ from .conespline import (
     Polynomial,
     SignedConeSpline,
     _certify_proper,
+    _check_interior,
     spline_term,
 )
 from .rational import (
@@ -600,11 +601,7 @@ def laplace_nu_symbolic(O: OrbitSpec, zeta) -> complex:
     """
     pair = O.pair
     zeta = tuple(complex(z) for z in zeta)
-    for b in pair.noncompact:
-        if sum(float(x) * z.imag for x, z in zip(b, zeta)) <= 0:
-            raise NonRegularZetaError(
-                "Im(zeta) is not strictly inside the noncompact dual cone"
-            )
+    _check_interior(pair.noncompact, zeta)
     power = (len(pair.noncompact) - pair.k) % 4
     return (1j**power) * _evaluate(O.transform, zeta)
 

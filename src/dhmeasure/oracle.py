@@ -5,17 +5,17 @@ recursion, where the engine recurses over bases. Pushforwards are sampled
 by Monte Carlo on the model space, and partition counts are found by
 fiber enumeration over a weight basis, in integer arithmetic; none of the
 three uses the engine. Transforms have two routes, and the caller names
-one. The box route takes one-dimensional splines only: it integrates
-the engine's own compiled density (conespline.DensityEvaluator, which
-takes no multiplier) by one quadrature, so it checks the closed-form
-transform formulas against the density, not the density itself; its
-truncation interval and tail bound are closed forms over each term's
-damped simplex, with no LP. The mapped route expands each term's
-multiplier in orthant coordinates and sums closed-form one-dimensional
-moments: it reads only the spline's terms and multiplier, shares no code
-with the closed-form or symbolic transforms, and calls no scipy function.
-Without a multiplier it reduces, by Fubini, to the same product of factor
-transforms as conespline.laplace_factor.
+one. The box route takes one-dimensional splines without a multiplier:
+it integrates its own closed-form line density (line_density, each term
+a truncated power on one side of its base) by one quadrature, so it
+checks the closed-form transform against a density written apart from
+the engine; its truncation interval and tail bound are closed forms over
+each term's damped simplex, with no LP. The mapped route expands each
+term's multiplier in orthant coordinates and sums closed-form
+one-dimensional moments: it reads only the spline's terms and multiplier,
+shares no code with the closed-form or symbolic transforms, and calls no
+scipy function. Without a multiplier it reduces, by Fubini, to the same
+product of factor transforms as conespline.laplace_factor.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from scipy import integrate
 
 from . import polycone
-from .rational import ONE, ZERO, det, rank, rat, solve, vdot, vec
+from .rational import ONE, ZERO, PureDeltaError, det, rank, rat, solve, vdot, vec
 
 
 class ImproperConeError(ValueError):
@@ -236,6 +236,38 @@ def spline_truncation(S, im_zeta, decay_log: float):
     return box, tail
 
 
+def line_density(S):
+    """The density of a one-dimensional spline with no multiplier, as a
+    function of (x,): per term the truncated power sign * y^(n-1) /
+    ((n-1)! prod |b_i|) at y = s (x - base) >= 0, with s the common sign
+    of its (proper) factors b_i, and 0 elsewhere; closed at the base. Exact
+    at a rational x, a float at a float x."""
+    if S.poly is not None:
+        raise ValueError("the box route takes no polynomial multiplier")
+    if S.dim != 1:
+        raise ValueError("the box route takes one-dimensional splines only")
+    if S.nfactors == 0 and S.terms:
+        raise PureDeltaError("point-mass spline has no density function")
+    exact = []
+    for t in S.terms:
+        b = [f[0] for f in t.factors]
+        c = ONE / (math.factorial(len(b) - 1) * math.prod(abs(x) for x in b))
+        exact.append((t.sign * c, 1 if b[0] > 0 else -1, t.base[0], len(b) - 1))
+    # float constants keep a float x in floats: an mpq scalar would make it an mpfr
+    floats = [(float(c), s, float(base), k) for c, s, base, k in exact]
+
+    def density(point):
+        (x,) = point
+        terms, total = (floats, 0.0) if isinstance(x, float) else (exact, ZERO)
+        for c, s, base, k in terms:
+            y = s * (x - base)
+            if y >= 0:
+                total += c * y**k
+        return total
+
+    return density
+
+
 @lru_cache(maxsize=512)
 def _orthant_poly(poly, base, factors):
     """Expand poly(base + factors^T s) into orthant-coordinate monomials.
@@ -321,8 +353,8 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
                            decay_log: float = 30.0, *, method: str):
     """Transform of a spline's density by the named numeric route.
 
-    Returns (value, tail_bound). method="box" integrates the compiled
-    density of a one-dimensional spline times the oscillating kernel by
+    Returns (value, tail_bound). method="box" integrates line_density, the
+    density of a one-dimensional spline, times the oscillating kernel by
     quadrature over a truncation interval holding all but e^(-decay_log)
     of the damped mass, and bounds the rest (spline_truncation, closed
     form, no LP); it takes no polynomial multiplier. cfg and decay_log set
@@ -340,14 +372,9 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
         return complex(value), 0.0
     if method != "box":
         raise ValueError("method must be 'box' or 'mapped'")
-    if S.poly is not None:
-        raise ValueError("the box route takes no polynomial multiplier")
-    if S.dim != 1:
-        raise ValueError("the box route takes one-dimensional splines only")
-    from .conespline import DensityEvaluator
-
+    density = line_density(S)
     box, tail = spline_truncation(S, [z.imag for z in zeta], decay_log)
-    return numeric_laplace(DensityEvaluator(S), zeta, box, cfg), tail
+    return numeric_laplace(density, zeta, box, cfg), tail
 
 
 # ---------------------------------------------------------------------------

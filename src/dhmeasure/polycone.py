@@ -247,6 +247,17 @@ def proper_projection_directions(P: PolyhedralSet, xi) -> bool:
     return _cone_is_trivial(asymptotic_cone(P).normals, P.dim, extra_eq=xi)
 
 
+def generator_directions(C: Cone, xi) -> tuple:
+    """(bounded_below, proper_projection) of <xi, .> on a generator-form
+    cone, from the signs of <xi, g> over its nonzero generators g, with no
+    LP. It is bounded below iff no sign is negative. It is proper iff no
+    sign is zero and the signs agree, or the generators span a line (a
+    line through 0 meets ker xi only at 0 when xi is not 0 on it)."""
+    xi, gens = vec(xi), [g for g in C.generators if not is_zero_vec(g)]
+    signs = {(p > 0) - (p < 0) for p in (vdot(xi, g) for g in gens)}
+    return -1 not in signs, 0 not in signs and (len(signs) < 2 or rank(gens) == 1)
+
+
 def is_compact(P: PolyhedralSet) -> bool:
     """Compact iff feasible with trivial asymptotic cone, i.e. positively
     spanning normals: one rank and at most one LP beside P's feasibility LP,

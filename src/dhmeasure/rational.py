@@ -62,6 +62,10 @@ ZERO = rat(0)
 ONE = rat(1)
 
 
+class PureDeltaError(ValueError):
+    """A point mass has no density function (engine and oracles alike)."""
+
+
 def dimension(value) -> int:
     """A dimension read from input: an integer at least 0, where an integral
     float such as 2.0 reads as 2. Anything else, a boolean included, is a

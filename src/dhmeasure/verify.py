@@ -451,18 +451,21 @@ LAPLACE_REL = {"box": 1e-6, "mapped": 1e-12}
 def laplace_suite(seed: int = 0, sets: int = 25, zetas: int = 5) -> dict:
     """Closed-form cone transforms against numeric routes.
 
-    One-dimensional sets take the box route, which integrates the compiled
-    density by quadrature: that is the part that checks the transform
-    against the density. Higher-dimensional sets take the mapped route,
-    which sums closed-form orthant moments; for these single cones without
-    a multiplier that is laplace_factor again by Fubini, so those sets
-    check only its factorisation into per-factor transforms. Each route is
-    gated at its own relative bound, LAPLACE_REL.
+    One-dimensional sets take the box route, which integrates the oracle's
+    own line density by quadrature: that is the part that checks the
+    transform against a density. That density must == spline_density at the
+    base, base + one factor and base + half the factor sum (no draw).
+    Higher-dimensional sets take the mapped route, which sums closed-form
+    orthant moments; for these single cones without a multiplier that is
+    laplace_factor again by Fubini, so those sets check only its
+    factorisation into per-factor transforms. Each route is gated at its
+    own relative bound, LAPLACE_REL.
     """
     rng = suite_rng(seed, "laplace")
     t0 = time.time()
     failures = []
     worst = dict.fromkeys(LAPLACE_REL, 0.0)
+    checks = sets * zetas
     for i in range(sets):
         dim = int(rng.integers(1, 4))
         if dim == 3:
@@ -474,6 +477,12 @@ def laplace_suite(seed: int = 0, sets: int = 25, zetas: int = 5) -> dict:
             dim, [conespline.spline_term(+1, (0,) * dim, factors)]
         )
         route = "box" if dim == 1 else "mapped"
+        if dim == 1:
+            checks += 3
+            density = oracle.line_density(S)
+            for x in (0, factors[0][0], Fraction(sum(f[0] for f in factors), 2)):
+                if density((x,)) != conespline.spline_density(S, (x,)).value:
+                    failures.append({"case": i, "factors": factors, "line_density_at": str(x)})
         for k, zeta in enumerate(localize.tube_zetas(rng, eta, factors, zetas)):
             closed = conespline.laplace_factor(factors, zeta)
             num, _tail = oracle.numeric_laplace_spline(S, zeta, method=route)
@@ -484,7 +493,7 @@ def laplace_suite(seed: int = 0, sets: int = 25, zetas: int = 5) -> dict:
                     {"case": (i, k), "route": route, "factors": factors,
                      "zeta": [[z.real, z.imag] for z in zeta], "rel": rel}
                 )
-    return _report("laplace", seed, sets * zetas, failures, t0,
+    return _report("laplace", seed, checks, failures, t0,
                    {"worst_rel": max(worst.values()), "worst_rel_by_route": worst})
 
 

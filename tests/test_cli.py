@@ -101,6 +101,36 @@ def test_cones_with_generators_and_an_offset_exits_two(tmp_path, capsys):
     assert "origin" in capsys.readouterr().err
 
 
+# (generators, normals, {xi: (bounded_below, proper_projection)}), by hand
+_HAND_CONES = [
+    # the quadrant: <xi, .> is proper on it iff xi is strictly + or - on both axes
+    ([[1, 0], [0, 1]], [[1, 0], [0, 1]],
+     {"1,1": (True, True), "1,-1": (False, False), "1,0": (True, False),
+      "-1,-2": (False, True)}),
+    # the line through (1, 1): never bounded below unless xi vanishes on it
+    ([[1, 1], [-1, -1]], [[1, -1], [-1, 1]],
+     {"1,0": (False, True), "1,-1": (True, False)}),
+    # the upper half-plane: its boundary line lies in every kernel it meets
+    ([[1, 0], [-1, 0], [0, 1]], [[0, 1]],
+     {"0,1": (True, False), "1,1": (False, False), "0,-1": (False, False)}),
+]
+
+
+@pytest.mark.parametrize("generators,normals,want", _HAND_CONES)
+@pytest.mark.parametrize("form", ["generators", "both"])
+def test_cones_reports_directions_for_cones(generators, normals, want, form, tmp_path, capsys):
+    payload = {"dim": 2, "generators": generators}
+    if form == "both":
+        payload["halfspaces"] = [{"normal": n, "offset": 0} for n in normals]
+    path = write(tmp_path / "cone.json", payload)
+    assert cli.main(["cones", "--input", path, *(f"--xi={xi}" for xi in want)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["kind"] == "cone" and rep.get("representations_consistent", True)
+    got = {",".join(d["xi"]): (d["bounded_below"], d["proper_projection"])
+           for d in rep["directions"]}
+    assert got == want
+
+
 def test_cones_accepts_space_separated_dash_values(cone_input, capsys):
     rc = cli.main(["cones", "--input", cone_input, "--xi", "-1,0"])
     assert rc == 0

@@ -10,7 +10,6 @@ from hypothesis import given
 
 from dhmeasure import cli, conespline, hermitian, localize, polycone, verify
 from dhmeasure.conespline import (
-    DensityEvaluator,
     NonProperConeError,
     Polynomial,
     atomic_write_text,
@@ -131,22 +130,6 @@ def test_polynomial_algebra():
     assert Polynomial.product_of_linear([(1, 0), (1, 0)]).eval_exact((3, 9)) == 9
 
 
-def test_density_evaluator_matches_pointwise():
-    rng = np.random.default_rng(3)
-    for factors in (
-        [(1, 0), (0, 1), (1, 1)],
-        [(1, 0), (1, 0), (0, 1), (2, 1)],
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 2)],
-        [(rat(1, 2), 0), (rat(1, 3), rat(2, 3))],  # a root leaf of weight 3
-    ):
-        d = len(factors[0])
-        S = spline(d, [spline_term(1, (0,) * d, factors)])
-        ev = DensityEvaluator(S)
-        for _ in range(25):
-            mu = tuple(rng.uniform(-1, 4, d))
-            assert ev(mu) == pytest.approx(spline_density(S, mu).value, abs=1e-12)
-
-
 def test_laplace_requires_damping_when_strict():
     S = spline(1, [spline_term(1, (0,), [(1,)])])
     with pytest.raises(conespline.NonRegularZetaError):
@@ -235,8 +218,6 @@ def test_heaviside_rank_deficient_direction():
         heaviside_density([(1, 0)], (0, 1))
     with pytest.raises(ValueError):
         heaviside_density([(1, 0), (2, 0)], (3, 0))
-    with pytest.raises(ValueError):
-        DensityEvaluator(spline(2, [spline_term(1, (0, 0), [(1, 0)])]))
 
 
 def test_density_error_bound_is_reported():
@@ -403,33 +384,6 @@ def test_zero_spline_density_is_an_exact_zero():
         assert type(batch) is tuple
         assert [(dv.value, type(dv.value)) for dv in batch] == [(0, type(rat(0)))] * 3
         assert spline_density(S, np.empty((0, 2))) == ()
-
-
-def test_density_evaluator_takes_the_exact_tie_side_on_walls():
-    # dyadic wall points are floats exactly, so the float recursion decides
-    # each lambda_p = 0 exactly too; a wrong tie side is then an O(1) error.
-    # The evaluator takes no multiplier, so each spline's terms go without it
-    rng = np.random.default_rng(29)
-    checked = nonzero = 0
-    for S in _batch_splines():
-        if any(Fraction(float(b)) != b for t in S.terms for b in t.base):
-            continue
-        S = spline(S.dim, S.terms)
-        ev = DensityEvaluator(S)
-        for mu in _wall_points(rng, S):
-            if any(Fraction(float(x)) != x for x in mu):
-                continue
-            exact = spline_density(S, mu).value
-            assert ev(tuple(float(x) for x in mu)) == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
-            checked += 1
-            nonzero += exact != 0
-    assert checked >= 40 and nonzero >= 20
-
-
-def test_density_evaluator_refuses_a_multiplier():
-    S = spline(1, [spline_term(1, (0,), [(1,)])], poly=Polynomial.linear((1,)))
-    with pytest.raises(ValueError, match="multiplier"):
-        DensityEvaluator(S)
 
 
 def test_batch_edge_cases():

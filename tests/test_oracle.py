@@ -167,6 +167,8 @@ def _refuse_lp(monkeypatch):
 def test_numeric_laplace_spline_box_route_one_dim(monkeypatch):
     S = spline(1, [spline_term(1, (2,), [(1,)])])
     _refuse_lp(monkeypatch)
+    # the box route integrates its own line density, not the engine's
+    monkeypatch.setattr(conespline, "_kernel", None)
     z = 0.6 + 1.2j
     closed = conespline.spline_laplace(S, (z,))
     val, tail = numeric_laplace_spline(
@@ -700,6 +702,44 @@ def test_box_route_takes_one_dimension_only():
     S = spline(2, [spline_term(1, (0, 0), [(1, 0), (0, 1), (1, 1)])])
     with pytest.raises(ValueError, match="one-dimensional"):
         numeric_laplace_spline(S, (0.4 + 1.3j, -0.2 + 1.5j), method="box")
+
+
+def test_line_density_equals_the_engine_density():
+    # per n = 1..5, seeded splines whose terms have their own signs, bases
+    # and factor signs, rational factors; points: every base, every base
+    # plus a factor, and seeded rationals around them
+    rng = np.random.default_rng(32)
+    checked = nonzero = 0
+    for n in range(1, 6):
+        for _ in range(8):
+            terms = []
+            for _ in range(int(rng.integers(1, 4))):
+                s = int(rng.choice((-1, 1)))
+                factors = [(s * Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 4))),)
+                           for _ in range(n)]
+                base = (Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 4))),)
+                terms.append(spline_term(int(rng.choice((-1, 1))), base, factors))
+            S = spline(1, terms)
+            density = oracle.line_density(S)
+            points = [t.base for t in S.terms] + [(t.base[0] + t.factors[0][0],) for t in S.terms]
+            points += [(Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 7))),)
+                       for _ in range(50)]
+            for mu in points:
+                exact = density(mu)
+                assert exact == conespline.spline_density(S, mu).value, (S, mu)
+                assert type(exact) is type(rat(0))
+                approx = density((float(mu[0]),))
+                assert type(approx) is float
+                assert approx == pytest.approx(float(exact), rel=1e-9, abs=1e-6)
+                checked += 1
+                nonzero += exact != 0
+    assert checked >= 2000 and nonzero >= checked // 4
+
+
+def test_box_route_refuses_a_point_mass():
+    S = spline(1, [spline_term(1, (2,), [])])
+    with pytest.raises(conespline.PureDeltaError):
+        numeric_laplace_spline(S, (0.5 + 1.0j,), method="box")
 
 
 def test_box_route_refuses_polynomial_multiplier():

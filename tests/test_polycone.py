@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from dhmeasure import cli, lp, polycone
-from dhmeasure.rational import rat, vdot
+from dhmeasure.rational import nullspace, rank, rat, vdot
 
 
 def quadrant_with_cap():
@@ -118,6 +118,33 @@ def test_bounded_below_and_projection():
     assert not polycone.bounded_below(P, (-1, 0))
     assert polycone.proper_projection_directions(P, (1, 1))
     assert not polycone.proper_projection_directions(P, (-1, 0))
+
+
+def test_generator_rule_equals_the_halfspace_route():
+    # a spanning G's cone in halfspace form too: its normals are the extreme
+    # rays of the dual cone {y : <g, y> >= 0}, which is pointed as G spans
+    rng = np.random.default_rng(32)
+    seen = set()
+    for _ in range(80):
+        dim = int(rng.integers(1, 4))
+        gens = [tuple(int(x) for x in rng.integers(-2, 3, size=dim))
+                for _ in range(int(rng.integers(dim, dim + 3)))]
+        if rank(gens) < dim:
+            continue
+        normals = polycone.extreme_rays(polycone.cone_from_normals(dim, gens))
+        both = polycone.Cone(dim, normals=tuple(normals),
+                             generators=polycone.cone_from_generators(dim, gens).generators)
+        assert polycone.cone_consistency_check(both)
+        P = polycone.PolyhedralSet(dim, tuple(polycone.halfspace(n) for n in normals))
+        live = [g for g in gens if any(g)]
+        xis = [tuple(int(x) for x in rng.integers(-2, 3, size=dim)), (0,) * dim]
+        xis += [nullspace([list(live[0])], ncols=dim)[0]] if dim > 1 else []
+        for xi in xis:
+            got = polycone.generator_directions(polycone.cone_from_generators(dim, gens), xi)
+            assert got == (polycone.bounded_below(P, xi),
+                           polycone.proper_projection_directions(P, xi)), (gens, xi)
+            seen.add(got)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_strict_positive_functional():

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -358,10 +359,10 @@ class OrbitSpec:
         return orbit_model(self)
 
     @cached_property
-    def transform(self) -> tuple:
-        """The reduced transform compiled to float terms on first use, by
-        one integer derivative chain per fixed point over the pair's
-        frames."""
+    def transform(self) -> "CompiledTransform":
+        """The reduced transform compiled to indexed float terms on first
+        use, by one integer derivative chain per fixed point over the
+        pair's frames."""
         return _compile_transform(self)
 
 
@@ -502,38 +503,41 @@ def _float_forms(forms) -> list:
     return out
 
 
-def _evaluate(terms, zeta) -> complex:
-    """Sum of float terms (coeff, exponent, ((form, |form|, mult), ...)) at
-    zeta: coeff * e^{i<exponent, zeta>} / prod <form, zeta>^mult, term by
-    term in the given order. Each distinct phase and denominator power is
-    computed once; they are the same floats either way."""
+class CompiledTransform(NamedTuple):
+    """A sum of float terms coeff * e^{i<exponent, zeta>} / prod <form, zeta>^mult,
+    each term given by indices into the distinct exponents and the distinct
+    denominator powers."""
+
+    exponents: tuple  # distinct float exponents
+    powers: tuple  # distinct (float form, its norm, mult), a block of mults per form
+    terms: tuple  # (coeff, exponent index, power indices)
+
+
+def _evaluate(transform, zeta) -> complex:
+    """The CompiledTransform's sum at zeta, term by term in the given order.
+    Each distinct phase and denominator power is computed once, before the
+    sum; a form that vanishes at zeta raises NonRegularZetaError."""
     zeta = tuple(complex(z) for z in zeta)
     zn = math.sqrt(sum(abs(z) ** 2 for z in zeta))
-    phases = {}
-    powers = {}
+    phases = [np.exp(1j * sum(x * z for x, z in zip(expo, zeta)))
+              for expo in transform.exponents]
+    powers = []
+    for form, norm, mult in transform.powers:
+        fz = sum(x * z for x, z in zip(form, zeta))
+        if abs(fz) <= REGULARITY_RTOL * norm * zn:
+            raise NonRegularZetaError("a denominator form vanishes at zeta")
+        powers.append(fz**mult)
     total = 0.0 + 0.0j
-    for coeff, expo, denom in terms:
-        phase = phases.get(expo)
-        if phase is None:
-            phase = np.exp(1j * sum(x * z for x, z in zip(expo, zeta)))
-            phases[expo] = phase
-        val = coeff * phase
-        for form, norm, mult in denom:
-            key = (form, mult)
-            power = powers.get(key)
-            if power is None:
-                fz = sum(x * z for x, z in zip(form, zeta))
-                if abs(fz) <= REGULARITY_RTOL * norm * zn:
-                    raise NonRegularZetaError("a denominator form vanishes at zeta")
-                power = fz**mult
-                powers[key] = power
-            val /= power
+    for coeff, e, indices in transform.terms:
+        val = coeff * phases[e]
+        for i in indices:
+            val /= powers[i]
         total += val
     return complex(total)
 
 
-def _compile_transform(O: OrbitSpec) -> tuple:
-    """Float terms of the reduced transform, before its prefactor.
+def _compile_transform(O: OrbitSpec) -> CompiledTransform:
+    """The reduced transform as a CompiledTransform, before its prefactor.
 
     Starts from the fixed-point sum with noncompact denominators only and
     applies one directional derivative per compact root d_i, in the
@@ -549,16 +553,19 @@ def _compile_transform(O: OrbitSpec) -> tuple:
     multiplies by i, so every term of multiplicity sum n_c + j took k - j of
     them: its coefficient is real times i^(k - j). Terms come out sorted by
     (exponent, denominator), with exact zeros pruned. The images w*lam are
-    distinct (lam is off every compact wall), so no two points share an
-    exponent.
+    distinct (lam is off every compact wall), so each point adds one
+    exponent; each term names its denominator powers by index.
     """
     pair = O.pair
     n_c = len(pair.noncompact)
     points = sorted(
         zip(O.model.model.points, pair.frames, pair.signs), key=lambda pfs: pfs[0].image
     )
-    terms = []
+    top = pair.k + 1  # multiplicities start at 1, and each derivative adds at most 1
+    exponents, blocks, terms = [], {}, []
     for pt, frame, sign in points:
+        # each distinct (form, norm) owns the powers of mult 1..top, in one block
+        offsets = [blocks.setdefault(fn, len(blocks) * top) - 1 for fn in frame.float_forms]
         image, L = integer_vector(pt.image)
         acc = {(1,) * n_c: sign}
         den = 1
@@ -573,16 +580,17 @@ def _compile_transform(O: OrbitSpec) -> tuple:
                     bumped = mults[:j] + (mults[j] + 1,) + mults[j + 1 :]
                     nxt[bumped] = nxt.get(bumped, 0) - c * mults[j] * slope * L
             acc = {mults: c for mults, c in nxt.items() if c != 0}
-        expo = tuple(x / L for x in image)
+        exponents.append(tuple(x / L for x in image))
         for mults in sorted(acc):
             c = acc[mults] / den
             # c * i^(k - j)
             re, im = ((c, 0.0), (0.0, c), (-c, 0.0), (0.0, -c))[
                 (pair.k + n_c - sum(mults)) % 4
             ]
-            denom = tuple((f, n, m) for (f, n), m in zip(frame.float_forms, mults))
-            terms.append((complex(re, im), expo, denom))
-    return tuple(terms)
+            indices = tuple(map(operator.add, offsets, mults))
+            terms.append((complex(re, im), len(exponents) - 1, indices))
+    powers = tuple((f, n, m) for f, n in blocks for m in range(1, top + 1))
+    return CompiledTransform(tuple(exponents), powers, tuple(terms))
 
 
 def laplace_nu_symbolic(O: OrbitSpec, zeta) -> complex:

@@ -10,12 +10,16 @@ it integrates its own closed-form line density (line_density, each term
 a truncated power on one side of its base) by one quadrature, so it
 checks the closed-form transform against a density written apart from
 the engine; its truncation interval and tail bound are closed forms over
-each term's damped simplex, with no LP. The mapped route expands each
-term's multiplier in orthant coordinates and sums closed-form
-one-dimensional moments: it reads only the spline's terms and multiplier,
-shares no code with the closed-form or symbolic transforms, and calls no
-scipy function. Without a multiplier it reduces, by Fubini, to the same
-product of factor transforms as conespline.laplace_factor.
+each term's damped simplex, with no LP. The mapped route writes each
+term in orthant coordinates and sums closed-form one-dimensional moments.
+Its multiplier is split at the term's base into exact Taylor coefficients
+(_taylor_table) and the base-free expansions of the orthant substitution
+(_orthant_poly), cached per factor tuple and multiplier exponents and so
+shared by every term and every orbit of a family; a zeta needs one table
+of moment sums per factor tuple. It reads only the spline's terms and
+multiplier, shares no code with the closed-form or symbolic transforms,
+and calls no scipy function. Without a multiplier it reduces, by Fubini,
+to the same product of factor transforms as conespline.laplace_factor.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import numpy as np
 from scipy import integrate
 
 from . import polycone
-from .rational import ONE, ZERO, PureDeltaError, det, rank, rat, solve, vdot, vec
+from .rational import (ONE, ZERO, PureDeltaError, det, integer_vector, rank, rat, solve,
+                       vdot, vec)
 
 
 class ImproperConeError(ValueError):
@@ -268,85 +273,147 @@ def line_density(S):
     return density
 
 
-@lru_cache(maxsize=512)
-def _orthant_poly(poly, base, factors):
-    """Expand poly(base + factors^T s) into orthant-coordinate monomials.
+def _lower_set(e):
+    """Every multi-index beta <= e, in lexicographic order."""
+    return itertools.product(*(range(k + 1) for k in e))
 
-    Returns ((exponent tuple over s, float coefficient), ...). The identity
-    holds for any factor count because the multiplier is constant on
-    the fibers of the orthant map. Cached: a spline's terms are expanded
-    once, not once per zeta.
+
+@lru_cache(maxsize=64)
+def _shift_plan(coeffs):
+    """The base-free half of the Taylor shift of a multiplier P, given by its
+    (exponent, coefficient) pairs: P(base + y) = sum_beta T_beta y^beta with
+
+        T_beta = d^beta P(base) / beta! = sum_{e >= beta} c_e C(e, beta) base^(e - beta),
+
+    C(e, beta) the product of binomials. Returns (betas, den, top, rows):
+    betas the multi-indices below some exponent, sorted; c_e = n_e / den
+    over the common denominator; top the degree of P; rows[b] the pairs
+    (index of e - beta in betas, n_e C(e, beta)) of betas[b]."""
+    betas = tuple(sorted({b for e, _ in coeffs for b in _lower_set(e)}))
+    index = {b: i for i, b in enumerate(betas)}
+    den = math.lcm(*(int(c.denominator) for _, c in coeffs))
+    top = max((sum(e) for e, _ in coeffs), default=0)
+    rows = [[] for _ in betas]
+    for e, c in coeffs:
+        n = int(c.numerator) * (den // int(c.denominator))
+        for b in _lower_set(e):
+            binom = math.prod(math.comb(x, y) for x, y in zip(e, b))
+            rows[index[b]].append((index[tuple(x - y for x, y in zip(e, b))], n * binom))
+    return betas, den, top, tuple(map(tuple, rows))
+
+
+@lru_cache(maxsize=256)
+def _taylor_table(coeffs, bases):
+    """(betas of _shift_plan(coeffs), per base ((beta index, T_beta), ...)
+    for its nonzero Taylor coefficients). Exact in Python ints: with
+    base = image / L, T_beta is sum n_e C(e, beta) image^g L^(top - |g|)
+    over den L^top, g = e - beta, and one int true division rounds it."""
+    betas, den, top, rows = _shift_plan(coeffs)
+    out = []
+    for base in bases:
+        image, L = integer_vector(base)
+        mono = [math.prod(x**k for x, k in zip(image, g)) * L ** (top - sum(g)) for g in betas]
+        scale = den * L**top
+        out.append(tuple((b, n / scale) for b, row in enumerate(rows)
+                         if (n := sum(a * mono[g] for g, a in row))))
+    return betas, tuple(out)
+
+
+@lru_cache(maxsize=128)
+def _orthant_poly(factors, betas):
+    """The base-free substitution of the mapped route for one factor tuple F:
+    each (F^T s)^beta = prod_i (sum_j F_ji s_j)^(beta_i) expanded over
+    orthant monomials in s, exactly, and rounded once. betas is a lower set
+    (the multiplier's, from _shift_plan), so each beta extends an earlier
+    one by a linear form. Cached: every term and every orbit with these
+    factors and this multiplier's exponents shares it.
+
+    Returns (float factors, top degree per factor, monomials, rows), rows[b]
+    the pairs (monomial index, float coefficient) of betas[b].
     """
     n = len(factors)
-    one = {(0,) * n: 1.0}
-    if poly is None:
-        return tuple(one.items())
-
-    def poly_mul(a, b):
+    forms = {}  # coordinate i -> the linear form sum_j F_ji s_j, built on first use
+    expansions = {}
+    for beta in betas:
+        if not any(beta):
+            expansions[beta] = {(0,) * n: 1}
+            continue
+        i = max(i for i, k in enumerate(beta) if k)
+        if i not in forms:
+            # integral entries as ints, so that the expansion runs in int arithmetic
+            forms[i] = [(j, int(f[i]) if f[i].denominator == 1 else f[i])
+                        for j, f in enumerate(factors) if f[i] != 0]
         acc = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc[e] = acc.get(e, 0.0) + ca * cb
-        return acc
-
-    # linear form for each volume coordinate: mu_i = base_i + sum_j F_ji s_j
-    coords = []
-    for i in range(len(base)):
-        lin = {(0,) * n: float(base[i])}
-        for j, f in enumerate(factors):
-            fij = float(f[i])
-            if fij != 0.0:
-                e = tuple(1 if k == j else 0 for k in range(n))
-                lin[e] = lin.get(e, 0.0) + fij
-        coords.append(lin)
-    out = {}
-    for e, c in poly.coeffs:
-        mono = one
-        for i, k in enumerate(e):
-            for _ in range(k):
-                mono = poly_mul(mono, coords[i])
-        for es, cs in mono.items():
-            out[es] = out.get(es, 0.0) + float(c) * cs
-    return tuple((e, c) for e, c in out.items() if c != 0.0)
+        for es, c in expansions[beta[:i] + (beta[i] - 1,) + beta[i + 1:]].items():
+            for j, x in forms[i]:
+                e = es[:j] + (es[j] + 1,) + es[j + 1:]
+                acc[e] = acc.get(e, 0) + c * x
+        expansions[beta] = {e: c for e, c in acc.items() if c != 0}
+    index = {}  # monomial -> its index, in order of first appearance
+    rows = tuple(tuple((index.setdefault(e, len(index)), float(c))
+                       for e, c in expansions[b].items()) for b in betas)
+    monomials = tuple(index)
+    top = tuple(map(max, zip(*monomials))) if monomials else (0,) * n
+    return tuple(tuple(map(float, f)) for f in factors), top, monomials, rows
 
 
-def _mapped_term_transform(term, poly, zeta):
-    """Transform of one signed term via orthant-coordinate factorization.
+def _pairing(f, zeta) -> complex:
+    """w = <f, zeta> for a factor f, which zeta must damp: Im w > 0."""
+    w = complex(sum(float(x) * z for x, z in zip(f, zeta)))
+    if w.imag <= 0:
+        raise ValueError("Im(zeta) does not damp every factor direction")
+    return w
 
-    With mu = base + sum_j s_j f_j over the orthant s >= 0, the kernel splits
-    into one factor e^{i s_j w_j} per factor, w_j = <f_j, zeta>, and each
-    orthant monomial of the multiplier into a product of one-dimensional
-    moments, exact when Im w > 0:
+
+def _moment_sums(substitution, zeta):
+    """M_beta = int_{s >= 0} (F^T s)^beta e^{i<F^T s, zeta>} ds for each row
+    of the substitution: with w_j = <f_j, zeta>, the kernel splits into one
+    factor e^{i s_j w_j} per factor and each orthant monomial into a
+    product of one-dimensional moments, exact when Im w > 0:
 
         int_0^inf s^k e^{isw} ds = k! (i/w)^{k+1}.
-
-    Nothing is truncated, so no tail bound arises.
     """
-    phase = np.exp(1j * sum(float(b) * z for b, z in zip(term.base, zeta)))
-    if not term.factors:
-        pval = float(poly.eval_exact(term.base)) if poly is not None else 1.0
-        return term.sign * pval * complex(phase)
-    expansion = _orthant_poly(poly, term.base, term.factors)
+    factors, top, monomials, rows = substitution
     tables = []
-    for j, f in enumerate(term.factors):
-        w = complex(sum(float(x) * z for x, z in zip(f, zeta)))
-        if w.imag <= 0:
-            raise ValueError("Im(zeta) does not damp every factor direction")
-        # moments[k] = k! (i/w)^(k+1), up to the top degree of this factor
-        ratio = 1j / w
+    for f, k_top in zip(factors, top):
+        ratio = 1j / _pairing(f, zeta)
         moments = [ratio]
-        top = max((es[j] for es, _ in expansion), default=0)
-        for k in range(1, top + 1):
+        for k in range(1, k_top + 1):
             moments.append(moments[-1] * k * ratio)
         tables.append(moments)
-    value = 0.0 + 0.0j
-    for es, c in expansion:
-        m = c
+    products = []
+    for es in monomials:
+        m = 1.0
         for moments, k in zip(tables, es):
             m *= moments[k]
-        value += m
-    return term.sign * complex(value * phase)
+        products.append(m)
+    return [sum(c * products[i] for i, c in row) for row in rows]
+
+
+def _mapped_transform(S, zeta) -> complex:
+    """The mapped route: per term, sign * e^{i<base, zeta>} * sum_beta
+    T_beta M_beta. Without a multiplier (P = 1, T_0 = 1, M_0 the product
+    of the first moments i/w_j) that is Fubini's product, formed directly."""
+    value = 0.0 + 0.0j
+    if S.poly is None:
+        for term in S.terms:
+            m = 1.0
+            for f in term.factors:
+                m *= 1j / _pairing(f, zeta)
+            phase = np.exp(1j * sum(float(b) * z for b, z in zip(term.base, zeta)))
+            value += term.sign * complex(m * phase)
+        return value
+    betas, table = _taylor_table(S.poly.coeffs, tuple(t.base for t in S.terms))
+    factors = None
+    for term, taylor in zip(S.terms, table):
+        # terms sharing a factor tuple sit together (a reduced measure's
+        # terms all share one), so a comparison finds each group's end
+        if term.factors != factors:
+            factors = term.factors
+            sums = _moment_sums(_orthant_poly(factors, betas), zeta)
+        phase = np.exp(1j * sum(float(b) * z for b, z in zip(term.base, zeta)))
+        value += term.sign * complex(sum(t * sums[b] for b, t in taylor) * phase)
+    return value
 
 
 def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
@@ -365,11 +432,7 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
     """
     zeta = tuple(complex(z) for z in zeta)
     if method == "mapped":
-        value = sum(
-            (_mapped_term_transform(term, S.poly, zeta) for term in S.terms),
-            0.0 + 0.0j,
-        )
-        return complex(value), 0.0
+        return complex(_mapped_transform(S, zeta)), 0.0
     if method != "box":
         raise ValueError("method must be 'box' or 'mapped'")
     density = line_density(S)

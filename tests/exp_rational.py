@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from dhmeasure.hermitian import _evaluate, _float_forms
+from dhmeasure.hermitian import CompiledTransform, _evaluate, _float_forms
 from dhmeasure.rational import ZERO, rat, vdot, vec
 
 
@@ -78,16 +78,15 @@ class ExpRationalSum:
         return ExpRationalSum.build(self.dim, out)
 
     @cached_property
-    def _float_terms(self) -> tuple:
-        out = []
+    def _float_terms(self) -> CompiledTransform:
+        exponents, powers, out = {}, {}, []
         for coeff, expo, denom in self.terms:
             forms = _float_forms(form for form, _ in denom)
-            out.append((
-                complex(exact_float(coeff[0]), exact_float(coeff[1])),
-                tuple(exact_float(x) for x in expo),
-                tuple((f, n, mult) for (f, n), (_, mult) in zip(forms, denom)),
-            ))
-        return tuple(out)
+            e = exponents.setdefault(tuple(exact_float(x) for x in expo), len(exponents))
+            indices = tuple(powers.setdefault((f, n, mult), len(powers))
+                            for (f, n), (_, mult) in zip(forms, denom))
+            out.append((complex(exact_float(coeff[0]), exact_float(coeff[1])), e, indices))
+        return CompiledTransform(tuple(exponents), tuple(powers), tuple(out))
 
     def evaluate(self, zeta) -> complex:
         return _evaluate(self._float_terms, zeta)

@@ -348,6 +348,20 @@ def test_compiled_transform_equals_from_scratch_route(family, params, lam):
         assert laplace_nu_symbolic(spec, zeta) == (1j**power) * scratch
 
 
+@pytest.mark.parametrize("family,params,lam", COMPILED_CASES[1:5])
+def test_evaluate_refuses_a_zeta_on_a_denominator_wall(family, params, lam):
+    # laplace_nu_symbolic refuses such a zeta earlier, as outside the tube,
+    # so only a direct call reaches the evaluator's own check
+    transform = orbit_spec(build_pair(family, params), lam).transform
+    rng = np.random.default_rng(33)
+    for form, _, _ in transform.powers:
+        f = np.array(form)
+        v = rng.uniform(-1, 1, len(f)) + 1j * rng.uniform(0.5, 1.5, len(f))
+        zeta = v - (f @ v) / (f @ f) * f  # in the form's kernel, up to rounding
+        with pytest.raises(conespline.NonRegularZetaError, match="vanishes"):
+            hermitian._evaluate(transform, zeta)
+
+
 # ---------------------------------------------------------------------------
 # the per-family construction that the family table replaced, kept as the
 # reference: each family in its own coordinates

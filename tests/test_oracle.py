@@ -204,6 +204,12 @@ def test_mapped_route_requires_damping():
     S = spline(2, [spline_term(1, (0, 0), [(1, 0), (0, -1)])])
     with pytest.raises(ValueError, match="damp"):
         numeric_laplace_spline(S, (1j, 1j), method="mapped")
+    # with a multiplier, a zeta that damps one factor and not the other
+    P = conespline.Polynomial.from_dict(2, {(3, 0): 1, (1, 1): -2})
+    S = spline(2, [spline_term(1, (0, 0), [(1, 0), (0, 1)]),
+                   spline_term(-1, (1, 1), [(1, 0), (0, 1)])], poly=P)
+    with pytest.raises(ValueError, match="damp"):
+        numeric_laplace_spline(S, (0.3 + 1.0j, 0.5 - 0.2j), method="mapped")
 
 
 def test_mapped_route_handles_polynomial_multiplier():
@@ -616,6 +622,47 @@ def test_numeric_laplace_spline_names_its_route():
         numeric_laplace_spline(S, (1j,), method="auto")
 
 
+def _orthant_expansion(poly, base, factors):
+    """Expand poly(base + factors^T s) into orthant-coordinate monomials.
+
+    Returns ((exponent tuple over s, float coefficient), ...). The identity
+    holds for any factor count because the multiplier is constant on
+    the fibers of the orthant map.
+    """
+    n = len(factors)
+    one = {(0,) * n: 1.0}
+    if poly is None:
+        return tuple(one.items())
+
+    def poly_mul(a, b):
+        acc = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                acc[e] = acc.get(e, 0.0) + ca * cb
+        return acc
+
+    # linear form for each volume coordinate: mu_i = base_i + sum_j F_ji s_j
+    coords = []
+    for i in range(len(base)):
+        lin = {(0,) * n: float(base[i])}
+        for j, f in enumerate(factors):
+            fij = float(f[i])
+            if fij != 0.0:
+                e = tuple(1 if k == j else 0 for k in range(n))
+                lin[e] = lin.get(e, 0.0) + fij
+        coords.append(lin)
+    out = {}
+    for e, c in poly.coeffs:
+        mono = one
+        for i, k in enumerate(e):
+            for _ in range(k):
+                mono = poly_mul(mono, coords[i])
+        for es, cs in mono.items():
+            out[es] = out.get(es, 0.0) + float(c) * cs
+    return tuple((e, c) for e, c in out.items() if c != 0.0)
+
+
 def _term_by_term_mapped(S, zeta):
     """The mapped route written out per term and per monomial: every moment
     k! (i/w)^(k+1) is evaluated afresh from its own power."""
@@ -624,7 +671,7 @@ def _term_by_term_mapped(S, zeta):
         phase = np.exp(1j * sum(float(b) * z for b, z in zip(term.base, zeta)))
         ws = [complex(sum(float(x) * z for x, z in zip(f, zeta))) for f in term.factors]
         term_value = 0.0 + 0.0j
-        for es, c in oracle._orthant_poly.__wrapped__(S.poly, term.base, term.factors):
+        for es, c in _orthant_expansion(S.poly, term.base, term.factors):
             term_value += c * math.prod(
                 math.factorial(k) * (1j / w) ** (k + 1) for k, w in zip(es, ws)
             )
@@ -634,7 +681,14 @@ def _term_by_term_mapped(S, zeta):
 
 @pytest.mark.parametrize(
     "family,params,lam",
-    [("AIII", (2, 1), (3, 1, -4)), ("CI", (2,), (5, 2)), ("AIII", (3, 2), (5, 3, 1, -1, -4))],
+    [("AIII", (2, 1), (3, 1, -4)), ("CI", (2,), (5, 2)), ("AIII", (3, 2), (5, 3, 1, -1, -4))]
+    # every other supported pair, and AIII(3, 2) again, with rational fixed points
+    + [("AIII", (1, 1), ("7/3", -1)), ("AIII", (1, 2), ("9/2", -1, -3)),
+       ("AIII", (1, 3), (5, -1, "-5/2", -4)), ("AIII", (1, 4), (6, -1, -2, "-7/2", -5)),
+       ("AIII", (2, 2), ("11/3", 1, -1, -3)), ("AIII", (2, 3), (5, "5/2", -1, -2, -4)),
+       ("AIII", (3, 1), (6, 4, "3/2", -2)), ("AIII", (4, 1), (7, 5, "7/2", 1, -3)),
+       ("AIII", (3, 2), ("11/2", 3, "1/3", -1, "-9/2")), ("CI", (1,), ("5/2",)),
+       ("CI", (3,), (7, "9/2", 1))],
 )
 def test_shared_mapped_oracle_equals_term_by_term_sum(family, params, lam):
     from dhmeasure import hermitian
@@ -692,6 +746,59 @@ def test_mapped_route_calls_no_quadrature(monkeypatch):
     value, tail = numeric_laplace_spline(S, zeta, method="mapped")
     assert value == pytest.approx(_term_by_term_mapped(S, zeta), rel=1e-13)
     assert tail == 0.0
+
+
+def _assert_mapped_equals_term_by_term(S, zeta):
+    value, tail = numeric_laplace_spline(S, zeta, method="mapped")
+    want = _term_by_term_mapped(S, zeta)
+    assert abs(value - want) <= 1e-13 * abs(want), (S, zeta)
+    assert tail == 0.0
+
+
+_CUBIC = conespline.Polynomial.from_dict(
+    2, {(3, 0): 1, (1, 2): Fraction(-2, 3), (0, 1): 5, (0, 0): Fraction(1, 7)})
+
+
+@pytest.mark.parametrize("poly", [None, _CUBIC])
+def test_mapped_route_point_masses(poly):
+    # a term with no factors is sign * P(base) * e^{i<base, zeta>}
+    S = spline(2, [spline_term(1, (Fraction(1, 2), -3), []),
+                   spline_term(-1, (2, Fraction(1, 3)), [])], poly=poly)
+    zeta = (0.4 + 0.7j, -1.1 + 0.2j)
+    _assert_mapped_equals_term_by_term(S, zeta)
+    value, _ = numeric_laplace_spline(S, zeta, method="mapped")
+    want = sum(t.sign * (float(poly.eval_exact(t.base)) if poly else 1.0)
+               * np.exp(1j * sum(float(b) * z for b, z in zip(t.base, zeta))) for t in S.terms)
+    assert value == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("poly", [None, _CUBIC])
+def test_mapped_route_of_no_terms_is_zero(poly):
+    assert numeric_laplace_spline(spline(2, [], poly=poly), (0.3 + 1j, 1j),
+                                  method="mapped") == (0j, 0.0)
+
+
+def test_mapped_route_two_factor_groups_share_a_cubic():
+    # the groups alternate, so the first one's moment sums are needed again
+    # after the second's
+    F, G = [(1, 0), (1, 1), (1, 2)], [(0, 1), (2, -1), (Fraction(1, 3), 1)]
+    S = spline(2, [spline_term(1, (1, Fraction(-1, 2)), F),
+                   spline_term(-1, (0, 2), G),
+                   spline_term(1, (Fraction(3, 4), 1), F)], poly=_CUBIC)
+    for zeta in ((0.3 + 1.1j, -0.2 + 0.9j), (-1.7 + 0.8j, 0.6 + 1.3j)):
+        _assert_mapped_equals_term_by_term(S, zeta)
+
+
+def test_mapped_route_keys_its_substitution_on_the_multiplier():
+    # one factor tuple under two multipliers of different exponents: a
+    # substitution cached on the factors alone would serve the second the
+    # first one's expansions
+    factors = [(1, 0), (1, 1), (Fraction(1, 2), 3)]
+    terms = [spline_term(1, (1, 2), factors), spline_term(-1, (Fraction(-2, 3), 0), factors)]
+    zeta = (0.5 + 1.2j, -0.3 + 0.7j)
+    for coeffs in ({(2, 0): 1}, {(1, 1): 1}, {(2, 0): 1, (0, 3): -4}):
+        S = spline(2, terms, poly=conespline.Polynomial.from_dict(2, coeffs))
+        _assert_mapped_equals_term_by_term(S, zeta)
 
 
 def test_box_route_takes_one_dimension_only():

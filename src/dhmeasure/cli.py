@@ -97,14 +97,18 @@ DEFAULT_GRID_POINTS = 25**3  # the whole default grid, at most 25 per axis
 def default_grid(images, dim):
     """Per axis, from a quarter of the images' span (at least 1) below them
     to three quarters above, exact. Each axis takes 25 points, or as many as
-    keep the whole grid within DEFAULT_GRID_POINTS."""
+    keep the whole grid within DEFAULT_GRID_POINTS. An axis that leaves the
+    float range is bad input."""
     count = next(c for c in range(25, 0, -1) if c**dim <= DEFAULT_GRID_POINTS)
     axes = []
     for j in range(dim):
         lo = min(im[j] for im in images)
         hi = max(im[j] for im in images)
         span = max(hi - lo, 1)
-        axes.append((lo - span / 4, hi + 3 * span / 4, count))
+        lo, hi = lo - span / 4, hi + 3 * span / 4
+        if max(-lo, hi) > sys.float_info.max:
+            raise ValueError(f"default grid axis {j + 1} leaves the float range; give --grid")
+        axes.append((lo, hi, count))
     return tuple(axes)
 
 
@@ -265,22 +269,24 @@ def _rounded(value):
     power-of-two denominator can be exact, so other values skip the
     round-trip check; both read the integers through int()."""
     num, den = int(value.numerator), int(value.denominator)
-    f = num / den
+    try:
+        f = num / den
+    except OverflowError:
+        raise ValueError(f"density {Decimal(num) / den:.6g} does not fit a float") from None
     if den & (den - 1) == 0 and f.as_integer_ratio() == (num, den):
         return f, 0.0
     return f, math.ulp(f) / 2
 
 
-def _write_density(path, S, axes):
-    """S's density on the grid as CSV. The points are exact; their float
-    coordinates, the nearest doubles, are read off each axis's values,
-    converted once. Each density is written as its nearest double, with
-    error_bound bounding that rounding."""
+def _density_rows(S, axes):
+    """S's density on the grid as CSV rows, computed before any file is
+    written. The points are exact; their float coordinates, the nearest
+    doubles, are read off each axis's values, converted once. Each density
+    is its nearest double, with error_bound bounding that rounding."""
     lin = _axis_values(axes)
     values = conespline.spline_density(S, list(itertools.product(*lin)))
     coords = itertools.product(*[[float(x) for x in axis] for axis in lin])
-    rows = [(mu, *_rounded(dv.value)) for mu, dv in zip(coords, values)]
-    conespline.write_density_csv(path, S.dim, rows)
+    return [(mu, *_rounded(dv.value)) for mu, dv in zip(coords, values)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +297,7 @@ def cmd_abelian(args) -> int:
     M = localize.model_from_json(_load_json(args.input))
     _check_float_range("model", [v for p in M.points for v in (p.image, *p.weights)])
     grid = _grid(args, M.dim)
+    axes = (grid or default_grid([p.image for p in M.points], M.dim)) if args.out else None
     xi = _chamber(args, M.dim) or localize.default_chamber(M)
     S = localize.dh_measure(M, xi)
     region = localize.gamma_region(M, xi)
@@ -307,7 +314,7 @@ def cmd_abelian(args) -> int:
             "factors": [[rat_str(x) for x in f] for f in region.factors],
             "interior_direction": [rat_str(x) for x in region.sample_interior()],
         },
-        "support_min": rat_str(localize.support_min(M, xi)),
+        "support_min": rat_str(region.support_min),
     }
     samples = _localization_samples(S, M, region, rng, args.zeta_samples)
     report["laplace_samples"] = samples
@@ -316,9 +323,9 @@ def cmd_abelian(args) -> int:
     report["passed"] = report["laplace_worst_rel"] <= args.tol
 
     if args.out:
+        rows = _density_rows(S, axes)
         os.makedirs(args.out, exist_ok=True)
-        axes = grid or default_grid([p.image for p in M.points], M.dim)
-        _write_density(os.path.join(args.out, "density.csv"), S, axes)
+        conespline.write_density_csv(os.path.join(args.out, "density.csv"), S.dim, rows)
         write_json(os.path.join(args.out, "spline.json"), conespline.spline_to_json(S))
         write_json(os.path.join(args.out, "report.json"), report)
         log.info("wrote %s", args.out)
@@ -338,6 +345,8 @@ def cmd_orbit(args) -> int:
     grid = _grid(args, pair.rank)
     om = O.model
     M = om.model
+    _check_float_range("fixed-point image", [p.image for p in M.points])
+    axes = (grid or default_grid([p.image for p in M.points], pair.rank)) if args.out else None
     rng = verify.suite_rng(args.seed, 202)
 
     report = {
@@ -395,17 +404,17 @@ def cmd_orbit(args) -> int:
     report["passed"] = passed
 
     if args.out:
+        measures = [
+            (tag, S, _density_rows(S, axes)) for tag, S in (("t", St), ("k", Sk)) if S is not None
+        ]
         os.makedirs(args.out, exist_ok=True)
-        axes = grid or default_grid([p.image for p in M.points], pair.rank)
         write_json(os.path.join(args.out, "weyl.json"), hermitian.weyl_to_json(pair))
-        for tag, S in (("t", St), ("k", Sk)):
-            if S is None:
-                continue
+        for tag, S, rows in measures:
             write_json(
                 os.path.join(args.out, f"{tag}_spline.json"),
                 conespline.spline_to_json(S),
             )
-            _write_density(os.path.join(args.out, f"{tag}_density.csv"), S, axes)
+            conespline.write_density_csv(os.path.join(args.out, f"{tag}_density.csv"), S.dim, rows)
         write_json(os.path.join(args.out, "report.json"), report)
         log.info("wrote %s", args.out)
     else:

@@ -524,13 +524,16 @@ def _check_regular(factors, zeta):
     return vals
 
 
+def in_tube(factors, eta) -> bool:
+    """Is eta = Im(zeta), in floats, strictly positive on every factor?"""
+    return all(sum(float(x) * y for x, y in zip(f, eta)) > 0 for f in factors)
+
+
 def _check_interior(factors, zeta):
-    for f in factors:
-        s = sum(float(x) * z.imag for x, z in zip(f, zeta))
-        if s <= 0:
-            raise NonRegularZetaError(
-                "Im(zeta) is not strictly inside the dual of the factor cone"
-            )
+    if not in_tube(factors, [z.imag for z in zeta]):
+        raise NonRegularZetaError(
+            "Im(zeta) is not strictly inside the dual of the factor cone"
+        )
 
 
 def laplace_factor(factors, zeta) -> complex:
@@ -557,8 +560,7 @@ def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
         )
     zeta = tuple(complex(z) for z in zeta)
     if strict:
-        for t in S.terms:
-            _check_interior(t.factors, zeta)
+        _check_interior([f for t in S.terms for f in t.factors], zeta)
     total = 0.0 + 0.0j
     for t in S.terms:
         phase = 1j * sum(float(b) * z for b, z in zip(t.base, zeta))

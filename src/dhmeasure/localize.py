@@ -7,9 +7,12 @@ becomes the sign of the point's Heaviside-convolution term. The resulting
 signed cone spline is the pushforward measure, and its closed-form transform
 matches the oscillatory fixed-point sum on the tube where both converge.
 
-The flipped weights span a proper cone, and xi is the certificate: the flip
-makes it pair strictly positively with every one of them, so renormalization
-needs no properness check and runs no LP.
+renormalize(M, xi) makes that choice once. The RenormalizedModel it
+returns is the chamber: its signed points give dh_measure's terms, and
+its distinct flipped weights the tube of localization_sum (gamma_region
+returns the same object). They span a proper cone, and xi is the
+certificate: it pairs strictly positively with every one of them, so
+renormalization needs no properness check and runs no LP.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import polycone
-from .conespline import SignedConeSpline, _certify_proper, laplace_factor, spline_term
+from .conespline import SignedConeSpline, _certify_proper, in_tube, laplace_factor, spline_term
 from .rational import dimension, is_zero_vec, rat_str, vdot, vec
 
 MAX_MOMENT_CURVE_TRIES = 1000
@@ -146,11 +149,8 @@ def default_chamber(M: FixedPointModel):
     then take a rational interior point of the dual cone. The result pairs
     strictly positively with every renormalized weight, hence is regular."""
     xi = _seed_direction(M)
-    factors = _distinct_factors(renormalize(M, xi))
-    if not factors:
-        return xi
-    cone = polycone.cone_from_normals(M.dim, factors)
-    return polycone.interior_point(cone)
+    R = renormalize(M, xi)
+    return R.sample_interior() if R.factors else xi
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +167,35 @@ class RenormalizedPoint:
 
 @dataclass(frozen=True)
 class RenormalizedModel:
+    """A chamber: the points, weights flipped to pair positively with
+    chamber_point, and the tube where Im(zeta) pairs positively with them."""
+
     dim: int
     chamber_point: tuple
     points: tuple
+
+    @cached_property
+    def factors(self):
+        """The distinct flipped weights, in order of first appearance."""
+        return tuple(dict.fromkeys(f for p in self.points for f in p.factors))
+
+    @property
+    def cone(self):
+        """The dual cone in halfspace form (boundary included)."""
+        return polycone.cone_from_normals(self.dim, self.factors)
+
+    def contains_im(self, eta) -> bool:
+        return in_tube(self.factors, [float(x) for x in eta])
+
+    def sample_interior(self):
+        """A rational point strictly inside the cone, scaled to primitive
+        form; polycone finds it once per cone."""
+        return polycone.interior_point(self.cone)
+
+    @property
+    def support_min(self):
+        """Exact minimum of <mu, chamber_point> over the measure's support."""
+        return min(vdot(p.image, self.chamber_point) for p in self.points)
 
 
 def renormalize(M: FixedPointModel, xi=None) -> RenormalizedModel:
@@ -200,15 +226,6 @@ def renormalize(M: FixedPointModel, xi=None) -> RenormalizedModel:
     return RenormalizedModel(M.dim, xi, tuple(pts))
 
 
-def _distinct_factors(R: RenormalizedModel):
-    seen = []
-    for p in R.points:
-        for f in p.factors:
-            if f not in seen:
-                seen.append(f)
-    return tuple(seen)
-
-
 def dh_measure(M: FixedPointModel, xi=None) -> SignedConeSpline:
     """Pushforward measure as a signed cone spline.
 
@@ -223,42 +240,12 @@ def dh_measure(M: FixedPointModel, xi=None) -> SignedConeSpline:
     return SignedConeSpline(M.dim, terms)
 
 
-@dataclass(frozen=True)
-class GammaRegion:
-    """Tube data: transforms converge where Im(zeta) pairs strictly
-    positively with every renormalized weight."""
-
-    dim: int
-    chamber_point: tuple
-    factors: tuple  # deduplicated renormalized weights
-
-    @property
-    def cone(self):
-        """The dual cone in halfspace form (boundary included)."""
-        return polycone.cone_from_normals(self.dim, self.factors)
-
-    def contains_im(self, eta) -> bool:
-        eta = [float(x) for x in eta]
-        return all(
-            sum(float(a) * b for a, b in zip(f, eta)) > 0 for f in self.factors
-        )
-
-    def sample_interior(self):
-        """A rational point strictly inside, scaled to primitive form; found
-        once per region."""
-        return self._interior
-
-    @cached_property
-    def _interior(self):
-        return polycone.interior_point(self.cone)
+def gamma_region(M: FixedPointModel, xi=None) -> RenormalizedModel:
+    """The tube of the chamber of xi: the renormalized model itself."""
+    return renormalize(M, xi)
 
 
-def gamma_region(M: FixedPointModel, xi=None) -> GammaRegion:
-    R = renormalize(M, xi)
-    return GammaRegion(M.dim, R.chamber_point, _distinct_factors(R))
-
-
-def localization_sum(M: FixedPointModel, zeta, region: GammaRegion) -> complex:
+def localization_sum(M: FixedPointModel, zeta, region: RenormalizedModel) -> complex:
     """Oscillatory fixed-point sum with the raw weights, at a zeta whose
     imaginary part lies in the given tube region."""
     zeta = tuple(complex(z) for z in zeta)
@@ -314,9 +301,7 @@ def support_min(M: FixedPointModel, xi):
     support lies in finitely many xi-bounded-below cones and the minimum is
     attained at a moment image.
     """
-    xi = vec(xi)
-    renormalize(M, xi)  # raises if xi is not regular
-    return min(vdot(p.image, xi) for p in M.points)
+    return renormalize(M, xi).support_min
 
 
 # ---------------------------------------------------------------------------

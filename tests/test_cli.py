@@ -506,6 +506,34 @@ def test_coordinate_outside_the_float_range_exits_two(
     assert err.startswith("error:") and f"coordinate {value} does not fit a float" in err
 
 
+@pytest.mark.parametrize(
+    "command,payload,with_out,message",
+    [
+        # the default grid reaches about 2.5e308
+        ("abelian", {"dim": 1, "points": [{"image": ["1e308"], "weights": [["-1"]]},
+                                          {"image": ["-1e308"], "weights": [["1"]]}]},
+         True, "default grid axis 1 leaves the float range"),
+        # a density beyond the double range (the t-measure's, computed first)
+        ("orbit", {"family": "CI", "params": [2], "lambda": ["1e308", "5e307"]},
+         True, "density 1.08507e+612 does not fit a float"),
+        # lambda fits, but the measured images B * lambda are +-2e308
+        ("orbit", {"family": "AIII", "params": [1, 1], "lambda": ["1e308", "-1e308"]},
+         False, "fixed-point image coordinate 2e+308 does not fit a float"),
+    ],
+    ids=["abelian-default-grid", "orbit-density", "orbit-images"],
+)
+def test_values_beyond_the_double_range_exit_two_and_write_nothing(
+    command, payload, with_out, message, tmp_path, capsys
+):
+    # each ended in an OverflowError traceback (exit 1)
+    out = tmp_path / "out"
+    argv = [command, "--input", write(tmp_path / "in.json", payload)]
+    assert cli.main(argv + ([f"--out={out}"] if with_out else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,chamber", [("bisphere_23", "1000,2"), ("plane_proj_5h", "-200,3")])
 def test_tube_direction_stays_balanced_in_a_chamber_far_from_the_axes(
     name, chamber, tmp_path, capsys

@@ -92,10 +92,12 @@ def test_localization_rejects_zeta_outside_tube():
 
 def test_strict_localization_sum_decides_the_tube_without_renormalizing(monkeypatch):
     cases = [
-        (M, localize.gamma_region(M, xi))
+        (M, localize.gamma_region(M, xi), localize.dh_measure(M, xi))
         for _, M, chambers in verify.model_library()
         for xi in chambers
     ]
+    for _, region, S in cases:
+        assert region.factors == tuple(dict.fromkeys(f for t in S.terms for f in t.factors))
     calls = []
     for name in ("renormalize", "gamma_region"):
         real = getattr(localize, name)
@@ -104,17 +106,20 @@ def test_strict_localization_sum_decides_the_tube_without_renormalizing(monkeypa
         )
     rng = np.random.default_rng(17)
     inside = outside = 0
-    for M, region in cases:
+    for M, region, S in cases:
         for _ in range(12):
             # small integers put some draws exactly on a tube wall
             eta = rng.integers(-2, 3, size=M.dim) * rng.choice([1.0, 0.3])
             zeta = tuple(complex(r, i) for r, i in zip(rng.uniform(-1, 1, M.dim), eta))
             if region.contains_im(eta):
                 localize.localization_sum(M, zeta, region)
+                conespline.spline_laplace(S, zeta)
                 inside += 1
             else:
                 with pytest.raises(localize.NonRegularXiError, match="tube"):
                     localize.localization_sum(M, zeta, region)
+                with pytest.raises(conespline.NonRegularZetaError):
+                    conespline.spline_laplace(S, zeta)
                 outside += 1
     assert calls == []
     with pytest.raises(localize.NonRegularXiError, match="pairs to zero"):

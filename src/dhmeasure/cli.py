@@ -299,8 +299,8 @@ def cmd_abelian(args) -> int:
     grid = _grid(args, M.dim)
     axes = (grid or default_grid([p.image for p in M.points], M.dim)) if args.out else None
     xi = _chamber(args, M.dim) or localize.default_chamber(M)
-    S = localize.dh_measure(M, xi)
     region = localize.gamma_region(M, xi)
+    S = localize.dh_measure(region)
     rng = verify.suite_rng(args.seed, 101)
 
     report = {
@@ -370,13 +370,13 @@ def cmd_orbit(args) -> int:
 
     St = Sk = None
     if want_t:
-        xi = chamber or om.chamber
-        St = hermitian.t_type_measure(O, xi)
-        region = localize.gamma_region(M, xi)
+        # one chamber gives the measure and the tube of its check
+        region = hermitian.t_chamber(O, chamber)
+        St = hermitian.t_type_measure(O, region)
         samples = _localization_samples(St, M, region, rng, args.zeta_samples)
         worst = _worst(samples)
         report["t_measure"] = {
-            "chamber": [rat_str(x) for x in xi],
+            "chamber": [rat_str(x) for x in region.chamber_point],
             "terms": len(St.terms),
             "localization_samples": samples,
             "localization_worst_rel": worst,

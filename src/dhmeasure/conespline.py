@@ -46,7 +46,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -230,6 +230,28 @@ class SignedConeSpline:
     def nfactors(self) -> int:
         return len(self.terms[0].factors) if self.terms else 0
 
+    @cached_property
+    def cones(self) -> tuple:
+        """The terms grouped by cone, derived once per spline: per distinct
+        factor multiset, in order of first appearance, the factors of its
+        first term as given and the indices of its terms. Each distinct
+        factor is hashed once, to a small int, and a multiset is keyed by its
+        sorted ints."""
+        ids, groups = {}, {}
+        for j, t in enumerate(self.terms):
+            key = tuple(sorted(ids.setdefault(f, len(ids)) for f in t.factors))
+            groups.setdefault(key, []).append(j)
+        return tuple((self.terms[js[0]].factors, tuple(js)) for js in groups.values())
+
+    @cached_property
+    def float_terms(self) -> tuple:
+        """Per term, derived once per spline: its sign, its base in floats
+        and _float_factors of its factors."""
+        return tuple(
+            (t.sign, tuple(float(b) for b in t.base), _float_factors(t.factors))
+            for t in self.terms
+        )
+
 
 def spline(dim, terms, poly=None) -> SignedConeSpline:
     return SignedConeSpline(dim, tuple(terms), poly)
@@ -284,21 +306,23 @@ def _plan(factors) -> tuple:
     """
     d = len(factors[0])
     total = tuple(sum(f[j] for f in factors) for j in range(d))
+    # integral entries as Python ints, which the elimination reads as they are
+    entries = [[int(x) if x.denominator == 1 else x for x in f] for f in factors]
     nodes, dens = [], []
     index = {}
 
-    def build(vectors):
-        if vectors in index:
-            return index[vectors]
-        k = len(vectors)
+    def build(ids):
+        if ids in index:
+            return index[ids]
+        k = len(ids)
         m, pivots, den, _, scales = _gauss_jordan(
-            [[v[j] for v in vectors] + [int(i == j) for i in range(d)] for j in range(d)]
+            [[entries[i][j] for i in ids] + [int(i == j) for i in range(d)] for j in range(d)]
         )
         if k == d:
             kept, children = range(d), None
         else:
             kept = [r for r in range(d) if any(m[r][c] for c in range(k) if c not in pivots)]
-            children = tuple(build(vectors[:pivots[r]] + vectors[pivots[r] + 1:]) for r in kept)
+            children = tuple(build(ids[:pivots[r]] + ids[pivots[r] + 1:]) for r in kept)
         rows = [m[r][k:] for r in kept]
         g = math.gcd(den, *(a for row in rows for a in row)) * (-1 if den < 0 else 1)
         rows = [[a // g for a in row] for row in rows]
@@ -317,14 +341,16 @@ def _plan(factors) -> tuple:
         rows = tuple(tuple(a * mult for a in row) for row, mult in zip(rows, mults))
         nodes.append((scale, rows, children, ties))
         dens.append(q)
-        index[vectors] = len(nodes) - 1
-        return index[vectors]
+        index[ids] = len(nodes) - 1
+        return index[ids]
 
     if rank([[f[j] for f in factors] for j in range(d)]) < d:
         raise ValueError(
             "factors do not span the ambient space: the measure has no density function"
         )
-    build(factors)
+    # a node is keyed by the indices of its factors, each equal factor read
+    # as its first copy's index, so a sub-multiset has one key
+    build(tuple(factors.index(f) for f in factors))
     return tuple(nodes), dens[-1], _program(nodes)
 
 
@@ -465,27 +491,41 @@ def spline_density(S: SignedConeSpline, mu) -> DensityValue:
 
     mu may also be an N x d batch of points; the result is then a tuple of
     N DensityValues. The points and the term bases are put over one common
-    denominator D, and each term is one heaviside_density call on its
-    shifted integer points x = D * (mu - base), which is D^(n - d) times the
-    density at mu - base. The terms are added up over the lcm of their
-    denominators, the polynomial multiplier is evaluated in integers too, and
-    each point is divided once. A spline with no terms has density 0.
+    denominator D, and each cone of the spline (S.cones) is one
+    heaviside_density call: on the shifted integer points x = D * (mu - base)
+    of its terms, stacked term by term, which gives D^(n - d) times the
+    density at each mu - base. A cone of one term is called on its points as
+    they are, a single point as a point. The terms are added up over the lcm
+    of their denominators, the polynomial multiplier is evaluated in
+    integers too, and each point is divided once. A spline with no terms has
+    density 0.
     """
     if S.nfactors == 0 and S.terms:
         raise PureDeltaError("point-mass spline has no density function")
-    X, common, count = _integer_points(mu, S.dim)
+    d = S.dim
+    X, common, count = _integer_points(mu, d)
     bases, q = integer_vector([b for t in S.terms for b in t.base])
     D = math.lcm(common, q)
     X = [x * (D // common) for x in X]
+    size = 1 if count is None else count
     num, den = 0, 1
-    for j, t in enumerate(S.terms):
-        x = [a - b * (D // q) for a, b in zip(X, bases[j * S.dim:(j + 1) * S.dim])]
-        values = heaviside_density(t.factors, x if count is None else np.stack(x, axis=1))
-        nums, q_t = integer_vector((values,) if count is None else values)
-        q_t *= D ** (S.nfactors - S.dim)
+    for factors, members in S.cones:
+        shifted = [[a - b * (D // q) for a, b in zip(X, bases[j * d:(j + 1) * d])] for j in members]
+        if count is not None:
+            shifted = [np.stack(x, axis=1) for x in shifted]
+        if len(members) == 1:
+            values = heaviside_density(factors, shifted[0])
+            values = (values,) if count is None else values
+        else:
+            values = heaviside_density(factors, shifted if count is None else np.concatenate(shifted))
+        nums, q_t = integer_vector(values)
+        q_t *= D ** (S.nfactors - d)
+        signed = 0
+        for k, j in enumerate(members):
+            part = nums[k * size:(k + 1) * size]
+            signed = signed + S.terms[j].sign * (part[0] if count is None else np.array(part, dtype=object))
         lcm = math.lcm(den, q_t)
-        nums = nums[0] if count is None else np.array(nums, dtype=object)
-        num = num * (lcm // den) + t.sign * (lcm // q_t) * nums
+        num = num * (lcm // den) + (lcm // q_t) * signed
         den = lcm
     if S.poly is not None:
         pnum, pden = _poly_integers(S.poly, X, D)
@@ -511,17 +551,33 @@ def _poly_integers(poly, X, common):
 # Laplace transforms (closed form)
 
 
-def _check_regular(factors, zeta):
-    zn = math.sqrt(sum(abs(z) ** 2 for z in zeta))
-    vals = []
+def _float_factors(factors) -> tuple:
+    """(factor, its floats, their Euclidean norm) per exact factor."""
+    out = []
     for f in factors:
-        fb = [float(x) for x in f]
+        fb = tuple(float(x) for x in f)
+        out.append((f, fb, math.sqrt(sum(x * x for x in fb))))
+    return tuple(out)
+
+
+def _factor_transform(float_factors, zeta, zn) -> complex:
+    """(i)^n / prod <b_i, zeta> from _float_factors, with zn the norm of
+    zeta; a factor with |<b, zeta>| within REGULARITY_RTOL * |b| * zn of 0
+    raises NonRegularZetaError."""
+    vals = []
+    for f, fb, fn in float_factors:
         p = sum(x * z for x, z in zip(fb, zeta))
-        fn = math.sqrt(sum(x * x for x in fb))
         if abs(p) <= REGULARITY_RTOL * fn * zn:
             raise NonRegularZetaError(f"zeta is non-regular for factor {f}")
         vals.append(p)
-    return vals
+    out = 1j ** len(vals)
+    for p in vals:
+        out /= p
+    return out
+
+
+def _norm(zeta) -> float:
+    return math.sqrt(sum(abs(z) ** 2 for z in zeta))
 
 
 def in_tube(factors, eta) -> bool:
@@ -540,11 +596,7 @@ def laplace_factor(factors, zeta) -> complex:
     """(i)^n / prod <b_i, zeta>: the transform of H_{b1} * ... * H_{bn}."""
     factors = tuple(vec(f) for f in factors)
     zeta = tuple(complex(z) for z in zeta)
-    vals = _check_regular(factors, zeta)
-    out = 1j ** len(factors)
-    for p in vals:
-        out /= p
-    return out
+    return _factor_transform(_float_factors(factors), zeta, _norm(zeta))
 
 
 def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
@@ -552,7 +604,9 @@ def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
 
     strict=True insists Im(zeta) lies in the common dual-cone interior of all
     terms; strict=False evaluates the same closed form anywhere regular
-    (analytic continuation, e.g. real-limit samples).
+    (analytic continuation, e.g. real-limit samples). The terms' floats are
+    read once per spline (S.float_terms), with each term's operations in
+    laplace_factor's order.
     """
     if S.poly is not None:
         raise ValueError(
@@ -560,11 +614,12 @@ def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
         )
     zeta = tuple(complex(z) for z in zeta)
     if strict:
-        _check_interior([f for t in S.terms for f in t.factors], zeta)
+        _check_interior([fb for _, _, ffs in S.float_terms for _, fb, _ in ffs], zeta)
+    zn = _norm(zeta)
     total = 0.0 + 0.0j
-    for t in S.terms:
-        phase = 1j * sum(float(b) * z for b, z in zip(t.base, zeta))
-        total += t.sign * np.exp(phase) * laplace_factor(t.factors, zeta)
+    for sign, base, ffs in S.float_terms:
+        phase = 1j * sum(b * z for b, z in zip(base, zeta))
+        total += sign * np.exp(phase) * _factor_transform(ffs, zeta, zn)
     return complex(total)
 
 

@@ -126,17 +126,18 @@ class HermitianPairData:
     @cached_property
     def frames(self) -> tuple:
         """The WeylFrame of each Weyl element, in the order of weyl, shared
-        by every orbit of the pair. Roots are integral (checked with the
-        pair), so every slope is an integer."""
+        by every orbit of the pair. The roots and the Weyl matrices are
+        integral (checked with the pair), so the weights, forms and slopes
+        are Python ints, computed in ints."""
         duals = [integer_vector(d) for d in self.killing_duals]
         out = []
         for m in self.weyl:
-            weights = tuple(tuple(-x for x in mat_vec(m, a)) for a in self.compact)
-            weights += tuple(mat_vec(m, b) for b in self.noncompact)
+            weights = tuple(tuple(-x for x in _apply(m, a)) for a in self.compact)
+            weights += tuple(_apply(m, b) for b in self.noncompact)
             forms = tuple(sorted(weights[self.k :]))
             walls = []
             for dual, s in duals:
-                slopes = [(j, int(vdot(f, dual))) for j, f in enumerate(forms)]
+                slopes = [(j, _dot(f, dual)) for j, f in enumerate(forms)]
                 walls.append((dual, s, tuple((j, x) for j, x in slopes if x != 0)))
             fforms = tuple(_float_forms(forms))
             out.append(WeylFrame(weights, forms, fforms, tuple(walls)))
@@ -203,18 +204,22 @@ FAMILIES = {
 }
 
 
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
+
+
+def _apply(m, v) -> tuple:
+    """m * v, for a matrix m by rows: in ints for integer m and v."""
+    return tuple(_dot(row, v) for row in m)
+
+
 def _mat_mul(A, B):
-    n = len(A)
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(n)), ZERO) for j in range(n))
-        for i in range(n)
-    )
+    columns = tuple(zip(*B))
+    return tuple(tuple(_dot(row, col) for col in columns) for row in A)
 
 
 def _weyl_closure(dim, generators):
-    ident = tuple(
-        tuple(rat(1) if i == j else ZERO for j in range(dim)) for i in range(dim)
-    )
+    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     seen = {ident}
     frontier = [ident]
     while frontier:
@@ -234,13 +239,22 @@ def _weyl_closure(dim, generators):
 
 
 def _reflection(root, dual):
-    """s(x) = x - 2<x, dual>/<root, dual> root, as a matrix by rows."""
-    f = 2 / vdot(root, dual)
-    n = len(root)
-    return tuple(
-        tuple((ONE if r == c else ZERO) - f * root[r] * dual[c] for c in range(n))
-        for r in range(n)
-    )
+    """s(x) = x - 2<x, dual>/<root, dual> root, as an integer matrix by rows,
+    for an integer root. s does not change when dual is scaled, so it is
+    computed on dual's integers; an entry that is no integer raises
+    ValueError."""
+    dual, _ = integer_vector(dual)
+    pairing = _dot(root, dual)
+    rows = []
+    for r, a in enumerate(root):
+        row = []
+        for c, b in enumerate(dual):
+            q, rest = divmod(2 * a * b, pairing)
+            if rest:
+                raise ValueError("a compact reflection is not integral in torus coordinates")
+            row.append(int(r == c) - q)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def build_pair(family, params) -> HermitianPairData:
@@ -263,9 +277,15 @@ def build_pair(family, params) -> HermitianPairData:
 
 @lru_cache(maxsize=16)
 def _build_pair(family, params) -> HermitianPairData:
+    """The pair's data: roots and Weyl matrices as Python ints (a root that
+    is not integral in torus coordinates raises ValueError, and so does a
+    compact reflection), duals and the center vector exact."""
     spec = FAMILIES[family]
     basis, inverse = _coordinates(family, params)
     flagged = [(mat_vec(basis, a), compact) for a, compact in spec.roots(*params)]
+    if any(x.denominator != 1 for a, _ in flagged for x in a):
+        raise ValueError("a root is not integral in torus coordinates")
+    flagged = [(tuple(int(x.numerator) for x in a), compact) for a, compact in flagged]
     compact = tuple(a for a, c in flagged if c)
     roots = compact + tuple(a for a, c in flagged if not c)
     k = len(compact)
@@ -301,7 +321,7 @@ def _compact_match_sign(pair, m) -> int:
     root up to sign means corrupt group data, a hard error."""
     sign = 1
     for a in pair.compact:
-        wa = mat_vec(m, a)
+        wa = _apply(m, a)
         if wa not in pair.compact:
             if tuple(-x for x in wa) not in pair.compact:
                 raise ValueError("compact-root relabelling failed")
@@ -309,21 +329,32 @@ def _compact_match_sign(pair, m) -> int:
     return sign
 
 
+def _over_common(vectors):
+    """The exact vectors as integer vectors over one common denominator:
+    (integer vectors, the denominator)."""
+    ints, scale = integer_vector([x for v in vectors for x in v])
+    n = len(vectors[0]) if vectors else 0
+    return [ints[i : i + n] for i in range(0, len(ints), n)], scale
+
+
 def _verify_pair(pair):
-    roots, duals, nc, xi0 = pair.roots, pair.duals, pair.noncompact, pair.center_vector
-    if any(x.denominator != 1 for a in roots for x in a):
-        raise ValueError("a root is not integral in torus coordinates")
+    """Every structural invariant, in ints: the roots and Weyl matrices are
+    integral, and the duals and the center vector are read over one common
+    denominator each."""
+    roots, nc = pair.roots, pair.noncompact
+    duals, _ = _over_common(pair.duals)
+    (xi0,), unit = _over_common([pair.center_vector])
     if any(
-        vdot(a, db) != vdot(b, da)
+        _dot(a, db) != _dot(b, da)
         for a, da in zip(roots, duals)
         for b, db in zip(roots, duals)
     ):
         raise ValueError("trace-form duals are not symmetric")
-    if any(vdot(a, xi0) != 0 for a in pair.compact):
+    if any(_dot(a, xi0) != 0 for a in pair.compact):
         raise ValueError("center vector does not annihilate a compact root")
-    if any(vdot(b, xi0) != 1 for b in nc):
+    if any(_dot(b, xi0) != unit for b in nc):
         raise ValueError("center vector is not 1 on a noncompact root")
-    if any(vdot(a, db) < 0 for a in nc for db in duals[pair.k :]):
+    if any(_dot(a, db) < 0 for a in nc for db in duals[pair.k :]):
         raise ValueError("negative pairing between noncompact roots")
     # Weyl group: noncompact roots stable, closed under every compact
     # reflection (|W| * k products), determinants (units, checked first)
@@ -332,7 +363,7 @@ def _verify_pair(pair):
     reflections = [_reflection(a, b) for a, b in zip(pair.compact, pair.killing_duals)]
     base = sorted(nc)
     for m in pair.weyl:
-        if sorted(mat_vec(m, b) for b in nc) != base:
+        if sorted(_apply(m, b) for b in nc) != base:
             raise ValueError("noncompact root set moves under the Weyl group")
         if any(_mat_mul(s, m) not in elements for s in reflections):
             raise ValueError("Weyl set is not closed under the compact reflections")
@@ -418,16 +449,22 @@ class OrbitModel:
 def orbit_model(O: OrbitSpec) -> OrbitModel:
     """One fixed point per Weyl element: image w*lam, and the tangent
     weights there, -w*a per compact root a (compact first) and w*b per
-    noncompact root b."""
+    noncompact root b.
+
+    With lam = X / L over its common denominator, each image is w*X / L and
+    its wall value P(w*lam) = prod_i <w*X, s_i*d_i> / prod_i (s_i * L), with
+    the integer compact duals s_i*d_i of the frames: both in ints."""
     pair = O.pair
-    P = wall_polynomial(pair)
+    X, L = integer_vector(O.lam)
+    walls = pair.frames[0].walls
+    wall_den = math.prod(s * L for _, s, _ in walls)
     pts = []
     wall_values = []
     for wi, (m, frame) in enumerate(zip(pair.weyl, pair.frames)):
-        image = mat_vec(m, O.lam)
+        image = _apply(m, X)
         label = f"w{wi}"
-        pts.append(localize.fixed_point(image, frame.weights, label))
-        pv = P.eval_exact(image)
+        pts.append(localize.fixed_point([rat(x, L) for x in image], frame.weights, label))
+        pv = rat(math.prod(_dot(image, dual) for dual, _, _ in walls), wall_den)
         if pv == 0:
             raise OrbitValidationError(
                 f"moment image at {label} lies on a compact wall"
@@ -437,19 +474,34 @@ def orbit_model(O: OrbitSpec) -> OrbitModel:
     return OrbitModel(M, orbit_chamber(O), tuple(wall_values))
 
 
+def t_chamber(O: OrbitSpec, xi=None) -> localize.RenormalizedModel:
+    """The chamber of the full-torus measure: the orbit model renormalized
+    by xi, which must lie in the chamber of lambda; the default is the
+    trace-form dual of lambda. It gives both the measure (t_type_measure)
+    and the tube of its transform check."""
+    om = O.model
+    xi = vec(xi) if xi is not None else om.chamber
+    _check_lambda_chamber(O, xi)
+    return localize.renormalize(om.model, xi)
+
+
 def t_type_measure(O: OrbitSpec, xi=None) -> SignedConeSpline:
     """Full-torus orbit measure: the synthesis of the orbit model, a
     nonnegative density whose transform is the model's localization sum.
 
     The chamber must be the one containing lambda; the default is the
-    trace-form dual of lambda. The term sign at w*lam must be (-1)^k times
-    the Weyl determinant of w, and this is checked.
+    trace-form dual of lambda. xi is a chamber point, or the chamber of
+    O's orbit model itself (t_chamber), which is then used as it is. The
+    term sign at w*lam must be (-1)^k times the Weyl determinant of w, and
+    this is checked.
     """
-    om = O.model
     pair = O.pair
-    xi = vec(xi) if xi is not None else om.chamber
-    _check_lambda_chamber(O, xi)
-    S = localize.dh_measure(om.model, xi)
+    if isinstance(xi, localize.RenormalizedModel):
+        _check_lambda_chamber(O, xi.chamber_point)
+        R = xi
+    else:
+        R = t_chamber(O, xi)
+    S = localize.dh_measure(R)
     parity = (-1) ** pair.k
     for wi, (sign, t) in enumerate(zip(pair.signs, S.terms)):
         if t.sign != parity * sign:
@@ -465,7 +517,7 @@ def _check_lambda_chamber(O: OrbitSpec, xi):
     pair = O.pair
     for idx, a in enumerate(pair.roots):
         lam_side = vdot(O.lam, pair.duals[idx])
-        xi_side = vdot(a, xi)
+        xi_side = vdot(xi, a)
         if xi_side == 0:
             raise localize.NonRegularXiError("xi pairs to zero with a root")
         if (lam_side > 0) != (xi_side > 0):
@@ -480,7 +532,7 @@ def k_type_measure(O: OrbitSpec) -> SignedConeSpline:
     Weyl-stable, so every term carries the same canonically ordered factors.
     """
     pair = O.pair
-    factors = tuple(sorted(pair.noncompact))
+    factors = tuple(vec(b) for b in sorted(pair.noncompact))
     _certify_proper(factors, pair.center_vector)
     terms = tuple(
         spline_term(sign, pt.image, factors)

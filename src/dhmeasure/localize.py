@@ -10,9 +10,10 @@ matches the oscillatory fixed-point sum on the tube where both converge.
 renormalize(M, xi) makes that choice once. The RenormalizedModel it
 returns is the chamber: its signed points give dh_measure's terms, and
 its distinct flipped weights the tube of localization_sum (gamma_region
-returns the same object). They span a proper cone, and xi is the
-certificate: it pairs strictly positively with every one of them, so
-renormalization needs no properness check and runs no LP.
+returns the same object, and dh_measure takes it in place of the model).
+They span a proper cone, and xi is the certificate: it pairs strictly
+positively with every one of them, so renormalization needs no properness
+check and runs no LP.
 """
 
 from __future__ import annotations
@@ -226,18 +227,25 @@ def renormalize(M: FixedPointModel, xi=None) -> RenormalizedModel:
     return RenormalizedModel(M.dim, xi, tuple(pts))
 
 
-def dh_measure(M: FixedPointModel, xi=None) -> SignedConeSpline:
+def dh_measure(M, xi=None) -> SignedConeSpline:
     """Pushforward measure as a signed cone spline.
 
     xi picks the chamber; omitted, a deterministic interior point of the
     dual cone is used. Different regular xi give different-looking term data
-    with the same total measure.
+    with the same total measure. M may also be a chamber already made, the
+    RenormalizedModel of renormalize or gamma_region, whose terms are then
+    read off with no second renormalization (xi is not given then).
     """
-    R = renormalize(M, xi)
+    if isinstance(M, RenormalizedModel):
+        if xi is not None:
+            raise ValueError("a renormalized model has its chamber already")
+        R = M
+    else:
+        R = renormalize(M, xi)
     for p in R.points:
         _certify_proper(p.factors, R.chamber_point)
     terms = tuple(spline_term(p.sign, p.image, p.factors) for p in R.points)
-    return SignedConeSpline(M.dim, terms)
+    return SignedConeSpline(R.dim, terms)
 
 
 def gamma_region(M: FixedPointModel, xi=None) -> RenormalizedModel:

@@ -136,8 +136,9 @@ def _gauss_jordan(rows):
     quotient by den, the last pivot (1 if none), is the reduced row echelon
     form; pivots are its pivot columns and sign the parity of the row swaps.
     A square matrix of full rank has det = sign * den / prod(scales).
+    Python ints are read as they are, anything else through rat().
     """
-    scaled = [integer_vector([rat(x) for x in r]) for r in rows]
+    scaled = [integer_vector([x if type(x) is int else rat(x) for x in r]) for r in rows]
     m = [ints for ints, _ in scaled]
     pivots = []
     r, den, sign = 0, 1, 1

@@ -406,12 +406,16 @@ def test_batch_edge_cases():
             spline_density(S, bad)
 
 
-def test_a_grid_makes_one_kernel_lookup_per_term(monkeypatch):
+def test_a_grid_makes_one_kernel_lookup_per_cone(monkeypatch):
     O = hermitian.orbit_spec(hermitian.build_pair("CI", (3,)), (5, 3, 1))
     S = hermitian.t_type_measure(O)
+    # the six terms of the orbit measure share one cone up to order
+    assert len(S.terms) == 6 and len(S.cones) == 1
     lookups = []
     real = conespline._kernel
     monkeypatch.setattr(conespline, "_kernel", lambda factors: lookups.append(factors) or real(factors))
     grid = cli.grid_points(((rat(0), rat(6), 5),) * 3)
     assert len(spline_density(S, grid)) == 125
-    assert len(lookups) == len(S.terms)
+    assert lookups == [S.terms[0].factors]
+    spline_density(S, grid[7])
+    assert len(lookups) == 2

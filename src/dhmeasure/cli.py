@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 a verification or tolerance check failed,
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
 import logging
@@ -21,6 +22,8 @@ import os
 import sys
 from decimal import Decimal
 from functools import cache, partial
+
+import numpy as np
 
 from . import conespline, hermitian, localize, oracle, polycone, verify
 from .conespline import atomic_write_text
@@ -235,14 +238,25 @@ def _grid(args, dim):
 def _compare_samples(zetas, reference, **evaluations):
     """At each zeta call the two named evaluations, in the order given, and
     record both values and their difference relative to the one named
-    reference."""
+    reference. A reference that is 0 or not finite (its terms left the
+    float range) would compare nothing: that is bad input, a ValueError.
+    numpy does not warn on such overflow; the values are checked here. An
+    other value that is not finite is a failed comparison."""
     samples = []
     for zeta in zetas:
-        values = {name: f(zeta) for name, f in evaluations.items()}
+        with np.errstate(all="ignore"):
+            values = {name: f(zeta) for name, f in evaluations.items()}
+        ref = values[reference]
+        if not (cmath.isfinite(ref) and ref != 0):
+            raise ValueError(
+                f"the {reference} transform is {ref} at a drawn zeta, so the check would "
+                "compare nothing: the input's scale leaves the float range"
+            )
         a, b = values.values()
         sample = {name: [v.real, v.imag] for name, v in values.items()}
         sample["zeta"] = [[z.real, z.imag] for z in zeta]
-        sample["rel_difference"] = abs(a - b) / max(abs(values[reference]), 1e-300)
+        rel = abs(a - b) / abs(ref)
+        sample["rel_difference"] = rel if math.isfinite(rel) else math.inf
         samples.append(sample)
     return samples
 
@@ -316,6 +330,8 @@ def cmd_abelian(args) -> int:
         },
         "support_min": rat_str(region.support_min),
     }
+    # the densities, then the transform check, all before any file is written
+    rows = _density_rows(S, axes) if args.out else None
     samples = _localization_samples(S, M, region, rng, args.zeta_samples)
     report["laplace_samples"] = samples
     report["laplace_worst_rel"] = _worst(samples)
@@ -323,7 +339,6 @@ def cmd_abelian(args) -> int:
     report["passed"] = report["laplace_worst_rel"] <= args.tol
 
     if args.out:
-        rows = _density_rows(S, axes)
         os.makedirs(args.out, exist_ok=True)
         conespline.write_density_csv(os.path.join(args.out, "density.csv"), S.dim, rows)
         write_json(os.path.join(args.out, "spline.json"), conespline.spline_to_json(S))
@@ -373,6 +388,14 @@ def cmd_orbit(args) -> int:
         # one chamber gives the measure and the tube of its check
         region = hermitian.t_chamber(O, chamber)
         St = hermitian.t_type_measure(O, region)
+    if want_k:
+        Sk = hermitian.k_type_measure(O)
+    # the densities, then the transform checks, all before any file is written
+    measures = [
+        (tag, S, _density_rows(S, axes)) for tag, S in (("t", St), ("k", Sk)) if S is not None
+    ] if args.out else []
+
+    if want_t:
         samples = _localization_samples(St, M, region, rng, args.zeta_samples)
         worst = _worst(samples)
         report["t_measure"] = {
@@ -384,7 +407,6 @@ def cmd_orbit(args) -> int:
         passed = passed and worst <= args.tol
 
     if want_k:
-        Sk = hermitian.k_type_measure(O)
         zsamples = _compare_samples(
             localize.tube_zetas(rng, pair.center_vector, pair.noncompact, args.zeta_samples),
             "symbolic",
@@ -404,9 +426,6 @@ def cmd_orbit(args) -> int:
     report["passed"] = passed
 
     if args.out:
-        measures = [
-            (tag, S, _density_rows(S, axes)) for tag, S in (("t", St), ("k", Sk)) if S is not None
-        ]
         os.makedirs(args.out, exist_ok=True)
         write_json(os.path.join(args.out, "weyl.json"), hermitian.weyl_to_json(pair))
         for tag, S, rows in measures:

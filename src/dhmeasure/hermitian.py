@@ -14,7 +14,12 @@ build_pair, derives the rest:
            sorted)
   signs    the determinant of each Weyl element, in the order of weyl
 
-and checks every structural invariant. An orbit's lambda is given in
+and checks every structural invariant. The roots and the reflections are
+integral (checked once; anything else raises), so the roots and the Weyl
+matrices are held in Python ints, and the closure, the checks, the signs,
+the frames and each orbit's images w*lam run in ints; the duals and the
+center vector stay exact rationals, read over one common denominator
+where they meet the integer data. An orbit's lambda is given in
 ambient coordinates and measured as B * lambda. The trace form fixes the
 compact-root duals and the wall polynomial up to one positive scalar per
 family; every check downstream is scale-free.
@@ -597,7 +602,8 @@ def _compile_transform(O: OrbitSpec) -> CompiledTransform:
     w*b stay fixed and a derivative only moves coefficients between
     multiplicity tuples, so the chain runs per point on {multiplicities:
     coefficient}. It runs in Python ints, with everything lam-free read off
-    the pair's WeylFrame: with w*lam = image / L over its common
+    the pair's WeylFrame, whose forms, integer duals s_i*d_i and slopes are
+    ints too: with w*lam = image / L over its common
     denominator, each step multiplies both branches by s_i * L, the pairing
     branch by <image, s_i*d_i> and the slope branch by m_j * slope * L, so
     a coefficient is its integer over prod s_i * L^k, and one int true

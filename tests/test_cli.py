@@ -209,6 +209,38 @@ def test_orbit_wall_lambda_exits_two(tmp_path, capsys):
     assert "wall" in err
 
 
+# the transform checks compare nothing when the reference value left the
+# float range: e^{i<image, zeta>} overflows at images near 1e308 (the check
+# used to exit 1 with NaN in its report and numpy RuntimeWarnings), and the
+# orbit's transforms underflow to 0 at lambda of size 1e3 (both sides read
+# [0.0, 0.0], and the check used to pass with rel_difference 0.0)
+_HUGE_IMAGES = {"dim": 1, "points": [{"image": ["1e308"], "weights": [["-1"]]},
+                                    {"image": ["-1e308"], "weights": [["1"]]}]}
+_LARGE_LAMBDA = {"family": "AIII", "params": [2, 1], "lambda": [3000, 1000, -4000]}
+
+
+@pytest.mark.parametrize(
+    "payload,argv",
+    [
+        (_HUGE_IMAGES, ["abelian", "--grid=-1:1:3"]),
+        (_LARGE_LAMBDA, ["orbit", "--grid=-1:1:3,-1:1:3", "--measure", "t"]),
+        (_LARGE_LAMBDA, ["orbit", "--grid=-1:1:3,-1:1:3", "--measure", "k"]),
+    ],
+)
+def test_a_zeta_check_with_no_finite_reference_exits_two(payload, argv, tmp_path, capsys):
+    path = write(tmp_path / "input.json", payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main([*argv, "--input", path, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and "compare nothing" in captured.err
+    assert len([line for line in captured.err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_missing_input_exits_two(tmp_path, capsys):
     rc = cli.main(["cones", "--input", str(tmp_path / "nope.json")])
     assert rc == 2

@@ -419,3 +419,47 @@ def test_a_grid_makes_one_kernel_lookup_per_cone(monkeypatch):
     assert lookups == [S.terms[0].factors]
     spline_density(S, grid[7])
     assert len(lookups) == 2
+
+
+def _cone_splines():
+    """Every model-library chamber, the t- and k-measures of four orbits
+    (each one cone up to order), and a spline whose terms lie on two cones,
+    one of them given in two orders."""
+    for _name, M, chambers in verify.model_library():
+        for xi in chambers:
+            yield localize.dh_measure(M, xi)
+    for family, params, lam in (
+        ("AIII", (2, 1), (3, 1, -4)), ("CI", (2,), (5, 2)),
+        ("AIII", (2, 2), (5, 2, -1, -4)), ("CI", (3,), (5, 3, 1)),
+    ):
+        O = hermitian.orbit_spec(hermitian.build_pair(family, params), lam)
+        for S in (hermitian.t_type_measure(O), hermitian.k_type_measure(O)):
+            assert len(S.cones) == 1
+            yield S
+    S = spline(2, [
+        spline_term(1, (0, 0), [(1, 0), (1, 2), (1, 0)]),
+        spline_term(-1, (rat(1, 2), 1), [(0, 1), (1, 1), (1, 1)]),
+        spline_term(1, (2, rat(-1, 3)), [(1, 0), (1, 0), (1, 2)]),
+    ], poly=Polynomial.linear((1, -2)))
+    assert [members for _, members in S.cones] == [(0, 2), (1,)]
+    yield S
+
+
+def test_grouped_density_is_the_sum_of_its_terms(monkeypatch):
+    rng = np.random.default_rng(35)
+    calls = []
+    real = conespline.heaviside_density
+    monkeypatch.setattr(conespline, "heaviside_density",
+                        lambda factors, mu: calls.append(factors) or real(factors, mu))
+    for S in _cone_splines():
+        points = [vec(mu) for mu in _probe_points(rng, S, 12)]
+        want = [
+            sum((t.sign * heaviside_density(t.factors, vsub(mu, t.base)) for t in S.terms), rat(0))
+            * (S.poly.eval_exact(mu) if S.poly is not None else 1)
+            for mu in points
+        ]
+        calls.clear()
+        assert [dv.value for dv in spline_density(S, points)] == want
+        # one call per cone, with the factors of its first term as given
+        assert calls == [factors for factors, _ in S.cones]
+        assert [spline_density(S, mu).value for mu in points] == want

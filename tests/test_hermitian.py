@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from dhmeasure.hermitian import (
     t_type_measure,
     weyl_det,
 )
-from dhmeasure.rational import ZERO, integer_vector, mat_vec, rat, vdot, vec
+from dhmeasure.rational import ZERO, det, integer_vector, mat_vec, rat, solve, vdot, vec
 from exp_rational import ExpRationalSum, exact_float
 
 
@@ -606,3 +607,126 @@ def test_pair_signs_are_the_weyl_determinants():
         pair = build_pair(family, params)
         assert pair.signs == tuple(weyl_det(m) for m in pair.weyl)
         assert [w["det"] for w in hermitian.weyl_to_json(pair)] == list(pair.signs)
+
+
+# ---------------------------------------------------------------------------
+# the pair data as it was built in Fractions before it moved to Python ints,
+# kept as the reference for the integer construction
+
+
+def _fraction_mat_mul(A, B):
+    n = len(A)
+    return tuple(
+        tuple(sum((A[i][k] * B[k][j] for k in range(n)), ZERO) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _fraction_closure(dim, generators):
+    ident = tuple(tuple(rat(int(i == j)) for j in range(dim)) for i in range(dim))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in generators:
+                prod = _fraction_mat_mul(g, m)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return (ident,) + tuple(sorted(seen - {ident}))
+
+
+def _fraction_reflection(root, dual):
+    f = 2 / vdot(root, dual)
+    n = len(root)
+    return tuple(
+        tuple(rat(int(r == c)) - f * root[r] * dual[c] for c in range(n)) for r in range(n)
+    )
+
+
+def _fraction_pair(family, params):
+    """(roots, k, duals, weyl, center vector, signs, frames), all in
+    Fractions: roots B * root, compact first; duals (B B^T)^-1 root / scale;
+    the Weyl group closed from the simple compact reflections; and per Weyl
+    element its tangent weights, sorted noncompact forms, their floats and
+    norms, and per compact dual its integers, their scale and the nonzero
+    slopes of the forms."""
+    spec = hermitian.FAMILIES[family]
+    basis = tuple(vec(row) for row in spec.basis(*params))
+    d = len(basis)
+    inverse = solve([[vdot(u, v) for v in basis] for u in basis],
+                    [[rat(int(i == j)) for j in range(d)] for i in range(d)])
+    flagged = [(mat_vec(basis, vec(a)), compact) for a, compact in spec.roots(*params)]
+    compact = tuple(a for a, c in flagged if c)
+    roots = compact + tuple(a for a, c in flagged if not c)
+    k = len(compact)
+    duals = tuple(tuple(x / spec.scale for x in mat_vec(inverse, a)) for a in roots)
+    center = solve(roots, [0] * k + [1] * (len(roots) - k))
+    simple = [
+        _fraction_reflection(a, b)
+        for a, b in zip(compact, duals)
+        if not any(tuple(x - y for x, y in zip(a, c)) in compact for c in compact)
+    ]
+    weyl = _fraction_closure(d, simple)
+    signs = tuple(int(det(m)) for m in weyl)
+    frames = []
+    for m in weyl:
+        weights = tuple(tuple(-x for x in mat_vec(m, a)) for a in compact)
+        weights += tuple(mat_vec(m, b) for b in roots[k:])
+        forms = tuple(sorted(weights[k:]))
+        floats = tuple(
+            (tuple(float(x) for x in f), math.sqrt(sum(float(x) ** 2 for x in f))) for f in forms
+        )
+        walls = []
+        for dual in duals[:k]:
+            ints, scale = integer_vector(dual)
+            slopes = [(j, vdot(f, ints)) for j, f in enumerate(forms)]
+            walls.append((ints, scale, tuple((j, x) for j, x in slopes if x != 0)))
+        frames.append((weights, forms, floats, tuple(walls)))
+    return roots, k, duals, weyl, center, signs, tuple(frames)
+
+
+@pytest.mark.parametrize("family,params", SUPPORTED_PAIRS)
+def test_integer_pair_data_equals_the_fraction_construction(family, params):
+    pair = build_pair(family, params)
+    got = (pair.roots, pair.k, pair.duals, pair.weyl, pair.center_vector, pair.signs,
+           pair.frames)
+    assert got == _fraction_pair(family, params)
+    for frame in pair.frames:
+        assert all(type(x) is int for w in frame.weights for x in w)
+        assert all(type(x) is int for _, _, slopes in frame.walls for _, x in slopes)
+
+
+@pytest.mark.parametrize(
+    "basis,message",
+    [
+        # B * (e_0 - e_1) = (1, -1/2)
+        ([[1, 0], [0, rat(1, 2)]], "a root is not integral"),
+        # the root (1, -3) is integral, its dual (1, -1/3) makes the
+        # reflection [[0, 1/3], [3, 0]]
+        ([[1, 0], [0, 3]], "a compact reflection is not integral"),
+    ],
+)
+def test_non_integral_pair_data_raises(basis, message, monkeypatch):
+    family = hermitian.Family(
+        ((2,),), 1, lambda n: basis, lambda n: [([1, -1], True), ([1, 1], False)]
+    )
+    # a fresh name per case: the torus coordinates are cached per family
+    name = f"TEST{basis}"
+    monkeypatch.setitem(hermitian.FAMILIES, name, family)
+    with pytest.raises(ValueError, match=message):
+        build_pair(name, (2,))
+
+
+@pytest.mark.parametrize("family,params,lam", COMPILED_CASES)
+def test_orbit_images_and_wall_values_equal_the_fraction_route(family, params, lam):
+    # the images and wall values are computed in ints over lam's common
+    # denominator; non-integral lam make that denominator L > 1
+    spec = orbit_spec(build_pair(family, params), lam)
+    P = hermitian.wall_polynomial(spec.pair)
+    om = orbit_model(spec)
+    images = [mat_vec(m, spec.lam) for m in spec.pair.weyl]
+    assert [p.image for p in om.model.points] == images
+    assert om.wall_values == tuple((f"w{i}", P.eval_exact(im)) for i, im in enumerate(images))
+    assert {type(x) for p in om.model.points for x in p.image} == {type(ZERO)}

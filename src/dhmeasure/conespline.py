@@ -507,7 +507,6 @@ def spline_density(S: SignedConeSpline, mu) -> DensityValue:
     bases, q = integer_vector([b for t in S.terms for b in t.base])
     D = math.lcm(common, q)
     X = [x * (D // common) for x in X]
-    size = 1 if count is None else count
     num, den = 0, 1
     for factors, members in S.cones:
         shifted = [[a - b * (D // q) for a, b in zip(X, bases[j * d:(j + 1) * d])] for j in members]
@@ -520,12 +519,13 @@ def spline_density(S: SignedConeSpline, mu) -> DensityValue:
             values = heaviside_density(factors, shifted if count is None else np.concatenate(shifted))
         nums, q_t = integer_vector(values)
         q_t *= D ** (S.nfactors - d)
-        signed = 0
-        for k, j in enumerate(members):
-            part = nums[k * size:(k + 1) * size]
-            signed = signed + S.terms[j].sign * (part[0] if count is None else np.array(part, dtype=object))
+        if count is not None:
+            nums = np.array(nums, dtype=object).reshape(len(members), count)
         lcm = math.lcm(den, q_t)
-        num = num * (lcm // den) + (lcm // q_t) * signed
+        num, scale = num * (lcm // den), lcm // q_t
+        # per term of the cone, its values: a number, or a row of the block
+        for j, term_nums in zip(members, nums):
+            num = num + S.terms[j].sign * scale * term_nums
         den = lcm
     if S.poly is not None:
         pnum, pden = _poly_integers(S.poly, X, D)

@@ -730,3 +730,16 @@ def test_orbit_images_and_wall_values_equal_the_fraction_route(family, params, l
     assert [p.image for p in om.model.points] == images
     assert om.wall_values == tuple((f"w{i}", P.eval_exact(im)) for i, im in enumerate(images))
     assert {type(x) for p in om.model.points for x in p.image} == {type(ZERO)}
+
+
+@pytest.mark.parametrize("family,params,lam", COMPILED_CASES[:5])
+def test_t_measure_of_a_chamber_is_the_t_measure_of_its_point(family, params, lam):
+    spec = orbit_spec(build_pair(family, params), lam)
+    chamber = hermitian.t_chamber(spec)
+    assert chamber.chamber_point == spec.model.chamber
+    S = t_type_measure(spec, chamber)
+    assert S == t_type_measure(spec) == t_type_measure(spec, chamber.chamber_point)
+    # a chamber that is not lambda's is refused as a point is
+    other = localize.renormalize(spec.model.model, tuple(-x for x in spec.model.chamber))
+    with pytest.raises(OrbitValidationError, match="chamber of lambda"):
+        t_type_measure(spec, other)

@@ -127,6 +127,21 @@ def test_strict_localization_sum_decides_the_tube_without_renormalizing(monkeypa
     assert inside > 10 and outside > 10
 
 
+def test_dh_measure_of_a_chamber_renormalizes_nothing(monkeypatch):
+    cases = [(M, xi, localize.gamma_region(M, xi)) for _, M, chambers in verify.model_library()
+             for xi in chambers]
+    calls = []
+    real = localize.renormalize
+    monkeypatch.setattr(localize, "renormalize", lambda *a: calls.append(a) or real(*a))
+    for M, xi, region in cases:
+        from_chamber = localize.dh_measure(region)
+        assert calls == []
+        assert from_chamber == localize.dh_measure(M, xi)
+        calls.clear()
+    with pytest.raises(ValueError, match="chamber already"):
+        localize.dh_measure(region, xi)
+
+
 def test_tube_zetas_land_in_tube():
     rng = verify.suite_rng(4, "laplace")
     cases = [verify.random_proper_factors(rng, dim, dim + 1) for dim in (1, 2, 3)]

@@ -63,7 +63,7 @@ def main():
         print(f"  zeta={tuple(f'{z:.3f}' for z in zeta)}  "
               f"sym={sym:.6e}  rel diff={rel:.2e}")
 
-    region = localize.gamma_region(om.model, om.chamber)
+    region = localize.gamma_region(om.model, spec.chamber)
     zeta = (0.3 + 1.2j, -0.2 + 1.5j)
     loc = localize.localization_sum(om.model, zeta, region)
     closed = conespline.spline_laplace(St, zeta)

@@ -50,7 +50,6 @@ from .localize import (
     model_from_json,
     model_to_json,
     renormalize,
-    support_min,
     validate_model,
 )
 from .oracle import (

@@ -89,11 +89,6 @@ def _axis_values(axes):
     ]
 
 
-def grid_points(axes):
-    """The grid's points, exact, the last axis varying fastest."""
-    return list(itertools.product(*_axis_values(axes)))
-
-
 DEFAULT_GRID_POINTS = 25**3  # the whole default grid, at most 25 per axis
 
 

@@ -180,9 +180,13 @@ def _proper_factor_cone(factors) -> bool:
 def _certify_proper(factors, certificate) -> bool:
     """_proper_factor_cone with a candidate proof: a covector that pairs
     strictly positively with every factor, checked exactly. A certificate
-    that does not prove it leaves the question to the LP."""
-    if factors not in _proven and all(vdot(f, certificate) > 0 for f in factors):
+    that proves it seeds the cache and answers; one that does not leaves the
+    question to the LP."""
+    if factors in _proven:
+        return True
+    if all(vdot(f, certificate) > 0 for f in factors):
         _remember_proper(factors)
+        return True
     return _proper_factor_cone(factors)
 
 

@@ -36,9 +36,9 @@ exact Gaussian-rational coefficients, and compiled to float terms.
 Exact data is derived once and evaluated many times: build_pair caches the
 root data per family, with the lam-free part of every fixed point (its
 tangent weights, noncompact forms and their slopes, HermitianPairData.frames)
-derived on first use, and an OrbitSpec builds its orbit model and compiles
-its symbolic transform on first use, so every further zeta only evaluates
-float terms.
+derived on first use, and an OrbitSpec derives its chamber point, builds its
+orbit model and compiles its symbolic transform on first use, so every
+further zeta only evaluates float terms.
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ import numpy as np
 from . import localize
 from .conespline import (
     REGULARITY_RTOL,
+    ConeSplineTerm,
     NonRegularZetaError,
     Polynomial,
     SignedConeSpline,
     _certify_proper,
     _check_interior,
-    spline_term,
 )
 from .rational import (
     ONE,
@@ -390,6 +390,14 @@ class OrbitSpec:
     lam_native: tuple  # as supplied, in ambient coordinates
 
     @cached_property
+    def chamber(self) -> tuple:
+        """The dual of lambda, (B B^T)^-1 lambda: the canonical chamber
+        point, the trace-form dual of lambda up to the family's positive
+        scale."""
+        _, inverse = _coordinates(self.pair.family, self.pair.params)
+        return mat_vec(inverse, self.lam)
+
+    @cached_property
     def model(self) -> "OrbitModel":
         """The orbit model, built on first use."""
         return orbit_model(self)
@@ -416,16 +424,20 @@ def orbit_spec(pair: HermitianPairData, lam_native) -> OrbitSpec:
 
 
 def _validate_orbit(O: OrbitSpec):
+    """lambda pairs positively with every noncompact dual and lies off every
+    compact wall: P(lambda) = prod <lambda, d_i> is 0 iff one factor is."""
     pair = O.pair
-    for idx in range(pair.k, len(pair.roots)):
-        val = vdot(O.lam, pair.duals[idx])
-        if val <= 0:
+    on_wall = False
+    for idx, dual in enumerate(pair.duals):
+        val = vdot(O.lam, dual)
+        if idx < pair.k:
+            on_wall = on_wall or val == 0
+        elif val <= 0:
             raise OrbitValidationError(
                 "lambda pairs nonpositively with a noncompact root "
                 f"({[str(x) for x in pair.roots[idx]]}: {val})"
             )
-    pval = wall_polynomial(pair).eval_exact(O.lam)
-    if pval == 0:
+    if on_wall:
         raise OrbitValidationError("P(lambda)=0: lambda lies on a compact wall")
 
 
@@ -436,18 +448,9 @@ def wall_polynomial(pair: HermitianPairData) -> Polynomial:
     return Polynomial.product_of_linear(pair.killing_duals)
 
 
-def orbit_chamber(O: OrbitSpec) -> tuple:
-    """The dual of lambda, (B B^T)^-1 lambda: the canonical chamber point.
-
-    It is the trace-form dual up to the family's positive scale."""
-    _, inverse = _coordinates(O.pair.family, O.pair.params)
-    return mat_vec(inverse, O.lam)
-
-
 @dataclass(frozen=True)
 class OrbitModel:
     model: localize.FixedPointModel
-    chamber: tuple  # dual of lambda
     wall_values: tuple  # (label, exact P(w*lam)) per fixed point
 
 
@@ -476,7 +479,7 @@ def orbit_model(O: OrbitSpec) -> OrbitModel:
             )
         wall_values.append((label, pv))
     M = localize.model(pair.rank, pts)
-    return OrbitModel(M, orbit_chamber(O), tuple(wall_values))
+    return OrbitModel(M, tuple(wall_values))
 
 
 def t_chamber(O: OrbitSpec, xi=None) -> localize.RenormalizedModel:
@@ -484,10 +487,9 @@ def t_chamber(O: OrbitSpec, xi=None) -> localize.RenormalizedModel:
     by xi, which must lie in the chamber of lambda; the default is the
     trace-form dual of lambda. It gives both the measure (t_type_measure)
     and the tube of its transform check."""
-    om = O.model
-    xi = vec(xi) if xi is not None else om.chamber
+    xi = vec(xi) if xi is not None else O.chamber
     _check_lambda_chamber(O, xi)
-    return localize.renormalize(om.model, xi)
+    return localize.renormalize(O.model.model, xi)
 
 
 def t_type_measure(O: OrbitSpec, xi=None) -> SignedConeSpline:
@@ -540,7 +542,7 @@ def k_type_measure(O: OrbitSpec) -> SignedConeSpline:
     factors = tuple(vec(b) for b in sorted(pair.noncompact))
     _certify_proper(factors, pair.center_vector)
     terms = tuple(
-        spline_term(sign, pt.image, factors)
+        ConeSplineTerm(sign, pt.image, factors)
         for sign, pt in zip(pair.signs, O.model.model.points)
     )
     poly = wall_polynomial(pair) if pair.k > 0 else None

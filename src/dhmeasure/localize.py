@@ -13,7 +13,8 @@ its distinct flipped weights the tube of localization_sum (gamma_region
 returns the same object, and dh_measure takes it in place of the model).
 They span a proper cone, and xi is the certificate: it pairs strictly
 positively with every one of them, so renormalization needs no properness
-check and runs no LP.
+check and runs no LP. A model with nonzero weights always has a regular
+element, so validation searches for none (_seed_direction).
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import polycone
-from .conespline import SignedConeSpline, _certify_proper, in_tube, laplace_factor, spline_term
+from .conespline import ConeSplineTerm, SignedConeSpline, _certify_proper, in_tube, laplace_factor
 from .rational import dimension, is_zero_vec, rat_str, vdot, vec
-
-MAX_MOMENT_CURVE_TRIES = 1000
 
 
 class ModelValidationError(ValueError):
@@ -78,19 +77,14 @@ def model(dim, points, energy_direction=None) -> FixedPointModel:
         tuple(pts),
         vec(energy_direction) if energy_direction is not None else None,
     )
-    v = validate_model(M)
-    if not v.ok:
-        raise ModelValidationError("; ".join(v.issues))
+    validate_model(M)
     return M
 
 
-@dataclass(frozen=True)
-class ModelValidation:
-    ok: bool
-    issues: tuple
-
-
-def validate_model(M: FixedPointModel) -> ModelValidation:
+def validate_model(M: FixedPointModel):
+    """Raise ModelValidationError naming every issue of M. A model that
+    passes has a regular element (_seed_direction), so none is searched
+    for here."""
     issues = []
     if M.dim < 1:
         issues.append("dimension must be at least 1")
@@ -113,18 +107,10 @@ def validate_model(M: FixedPointModel) -> ModelValidation:
                 issues.append(f"{p.label} carries a zero weight")
     if M.energy_direction is not None and len(M.energy_direction) != M.dim:
         issues.append("energy direction has the wrong dimension")
+    if not issues and M.energy_direction is not None and not is_regular(M, M.energy_direction):
+        issues.append("energy direction pairs to zero with some weight")
     if issues:
-        return ModelValidation(False, tuple(issues))
-    if M.energy_direction is not None and not is_regular(M, M.energy_direction):
-        return ModelValidation(
-            False, ("energy direction pairs to zero with some weight",)
-        )
-
-    try:
-        _seed_direction(M)
-    except NonRegularXiError as e:
-        return ModelValidation(False, (str(e),))
-    return ModelValidation(True, ())
+        raise ModelValidationError("; ".join(issues))
 
 
 def is_regular(M: FixedPointModel, xi) -> bool:
@@ -135,10 +121,17 @@ def is_regular(M: FixedPointModel, xi) -> bool:
 
 def _seed_direction(M: FixedPointModel):
     """Deterministic regular element: the energy direction if it works, else
-    the first point (1, t, t^2, ...) of the moment curve off all hyperplanes."""
+    the first point (1, t, t^2, ...) of the moment curve off all hyperplanes.
+
+    A nonzero weight pairs with (1, t, ..., t^(d-1)) to a nonzero polynomial
+    in t of degree below d, which has at most d - 1 roots. The N weights of
+    M thus rule out at most N(d - 1) values of t, and one of t = 1, ...,
+    N(d - 1) + 1 is regular: only a zero weight, which validate_model
+    rejects, exhausts that range."""
     if M.energy_direction is not None and is_regular(M, M.energy_direction):
         return M.energy_direction
-    for t in range(1, MAX_MOMENT_CURVE_TRIES):
+    n = sum(len(p.weights) for p in M.points)
+    for t in range(1, n * (M.dim - 1) + 2):
         xi = vec([t**j for j in range(M.dim)])
         if is_regular(M, xi):
             return xi
@@ -195,7 +188,8 @@ class RenormalizedModel:
 
     @property
     def support_min(self):
-        """Exact minimum of <mu, chamber_point> over the measure's support."""
+        """Exact minimum of <mu, chamber_point> over the measure's support,
+        which lies in cones bounded below along it, so is attained at an image."""
         return min(vdot(p.image, self.chamber_point) for p in self.points)
 
 
@@ -244,7 +238,7 @@ def dh_measure(M, xi=None) -> SignedConeSpline:
         R = renormalize(M, xi)
     for p in R.points:
         _certify_proper(p.factors, R.chamber_point)
-    terms = tuple(spline_term(p.sign, p.image, p.factors) for p in R.points)
+    terms = tuple(ConeSplineTerm(p.sign, p.image, p.factors) for p in R.points)
     return SignedConeSpline(R.dim, terms)
 
 
@@ -300,16 +294,6 @@ def tube_zetas(rng, direction, factors, count):
         re = rng.uniform(-1.0, 1.0, size=len(direction))
         out.append(tuple(complex(r, i) for r, i in zip(re, im)))
     return out
-
-
-def support_min(M: FixedPointModel, xi):
-    """Exact minimum of <mu, xi> over the measure's support.
-
-    Renormalizing by xi puts xi strictly inside the dual cone, so the
-    support lies in finitely many xi-bounded-below cones and the minimum is
-    attained at a moment image.
-    """
-    return renormalize(M, xi).support_min
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import stat
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from dhmeasure import cli, conespline, hermitian, localize, polycone, verify
+from dhmeasure import conespline, hermitian, localize, polycone, verify
 from dhmeasure.conespline import (
     NonProperConeError,
     Polynomial,
@@ -414,7 +415,7 @@ def test_a_grid_makes_one_kernel_lookup_per_cone(monkeypatch):
     lookups = []
     real = conespline._kernel
     monkeypatch.setattr(conespline, "_kernel", lambda factors: lookups.append(factors) or real(factors))
-    grid = cli.grid_points(((rat(0), rat(6), 5),) * 3)
+    grid = list(itertools.product([rat(3 * k, 2) for k in range(5)], repeat=3))
     assert len(spline_density(S, grid)) == 125
     assert lookups == [S.terms[0].factors]
     spline_density(S, grid[7])

@@ -115,7 +115,7 @@ def test_t_measure_matches_localization():
     spec = su21()
     St = t_type_measure(spec)
     om = orbit_model(spec)
-    region = localize.gamma_region(om.model, om.chamber)
+    region = localize.gamma_region(om.model, spec.chamber)
     eta = np.array([float(x) for x in region.sample_interior()])
     rng = np.random.default_rng(5)
     for _ in range(8):
@@ -214,6 +214,47 @@ def test_wall_values_nonzero():
 SUPPORTED_PAIRS = [
     ("AIII", (p, q)) for p in range(1, 5) for q in range(1, 5) if p + q <= 5
 ] + [("CI", (r,)) for r in (1, 2, 3)]
+
+
+def _blocks(family, params):
+    """The ambient sizes of the positive and the nonpositive block of a
+    lambda that pairs positively with every noncompact root."""
+    return params if family == "AIII" else (params[0], 0)
+
+
+@pytest.mark.parametrize("family,params", SUPPORTED_PAIRS)
+def test_every_compact_wall_is_refused(family, params):
+    pair = build_pair(family, params)
+    p, q = _blocks(family, params)
+    base = list(range(2 * p, p, -1)) + list(range(0, -q, -1))
+    compact = [a for a, is_compact in hermitian.FAMILIES[family].roots(*params) if is_compact]
+    assert len(compact) == pair.k
+    orbit_spec(pair, base)
+    for root in compact:
+        # e_i - e_j within a block: lambda_i = lambda_j is its wall
+        i, j = root.index(1), root.index(-1)
+        lam = list(base)
+        lam[j] = lam[i]
+        with pytest.raises(OrbitValidationError, match="compact wall"):
+            orbit_spec(pair, lam)
+
+
+@pytest.mark.parametrize("family,params", SUPPORTED_PAIRS)
+def test_wall_refusal_is_the_wall_polynomial_vanishing(family, params):
+    pair = build_pair(family, params)
+    P = hermitian.wall_polynomial(pair)
+    basis = [vec(row) for row in hermitian.FAMILIES[family].basis(*params)]
+    p, q = _blocks(family, params)
+    rng = np.random.default_rng(sum(params) + 7 * len(family))
+    for _ in range(20):
+        # 2n values for a block of n, so many lambda repeat one within a block
+        lam = [int(x) for x in rng.integers(1, 2 * p + 1, size=p)]
+        lam += [int(x) for x in rng.integers(1 - 2 * q, 1, size=q)]
+        if P.eval_exact(mat_vec(basis, lam)) == 0:
+            with pytest.raises(OrbitValidationError, match="compact wall"):
+                orbit_spec(pair, lam)
+        else:
+            assert orbit_spec(pair, lam).lam == mat_vec(basis, lam)
 
 
 def _duals_in_root_order(pair):
@@ -510,7 +551,7 @@ def test_family_table_reproduces_the_per_family_construction(family, params):
             continue
         spec = orbit_spec(pair, lam_native)
         assert spec.lam == _ref_lam(pair, lam_native)
-        assert hermitian.orbit_chamber(spec) == _ref_chamber(pair, lam_native)
+        assert spec.chamber == _ref_chamber(pair, lam_native)
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +594,12 @@ def test_orbit_model_synthesis_is_the_t_measure(family, params):
     rng = np.random.default_rng(sum(params) + 31 * len(family))
     spec = orbit_spec(build_pair(family, params), _regular_lambda(rng, family, params))
     om = spec.model
-    S = localize.dh_measure(om.model, om.chamber)
+    S = localize.dh_measure(om.model, spec.chamber)
     assert S.terms == t_type_measure(spec).terms
     values = [conespline.spline_density(S, mu).value for mu in _support_points(rng, spec, 10)]
     assert min(values) >= 0
     assert max(values) > 0
-    region = localize.gamma_region(om.model, om.chamber)
+    region = localize.gamma_region(om.model, spec.chamber)
     for zeta in localize.tube_zetas(rng, region.sample_interior(), region.factors, 3):
         closed = conespline.spline_laplace(S, zeta)
         loc = localize.localization_sum(om.model, zeta, region)
@@ -736,10 +777,10 @@ def test_orbit_images_and_wall_values_equal_the_fraction_route(family, params, l
 def test_t_measure_of_a_chamber_is_the_t_measure_of_its_point(family, params, lam):
     spec = orbit_spec(build_pair(family, params), lam)
     chamber = hermitian.t_chamber(spec)
-    assert chamber.chamber_point == spec.model.chamber
+    assert chamber.chamber_point == spec.chamber
     S = t_type_measure(spec, chamber)
     assert S == t_type_measure(spec) == t_type_measure(spec, chamber.chamber_point)
     # a chamber that is not lambda's is refused as a point is
-    other = localize.renormalize(spec.model.model, tuple(-x for x in spec.model.chamber))
+    other = localize.renormalize(spec.model.model, tuple(-x for x in spec.chamber))
     with pytest.raises(OrbitValidationError, match="chamber of lambda"):
         t_type_measure(spec, other)

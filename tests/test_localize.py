@@ -1,8 +1,11 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
-from dhmeasure import conespline, localize, verify
-from dhmeasure.rational import rat, vdot
+from dhmeasure import cli, conespline, localize, verify
+from dhmeasure.rational import rat, vdot, vec
 
 
 def sphere(lam=2):
@@ -17,13 +20,95 @@ def test_model_construction_and_halfdim():
 
 
 def test_validate_model_reports_chamber():
-    rep = localize.validate_model(sphere())
-    assert rep.ok
+    assert localize.validate_model(sphere()) is None
 
 
 def test_zero_weight_rejected():
     with pytest.raises(localize.ModelValidationError):
         localize.model(1, [localize.fixed_point((0,), [(0,)])])
+
+
+def test_validation_names_every_issue():
+    M = localize.FixedPointModel(
+        1, 1, (localize.fixed_point((0, 0), [(0,)], "a"), localize.fixed_point((1,), [(1,)], "a"))
+    )
+    with pytest.raises(localize.ModelValidationError) as info:
+        localize.validate_model(M)
+    assert str(info.value) == "; ".join([
+        "fixed-point labels must be distinct",
+        "moment image of a has the wrong dimension",
+        "a carries a zero weight",
+    ])
+
+
+def _old_seed_direction(M):
+    """The seed search as it was before its range was bounded: at most 999
+    points of the moment curve."""
+    if M.energy_direction is not None and localize.is_regular(M, M.energy_direction):
+        return M.energy_direction
+    for t in range(1, 1000):
+        xi = vec([t**j for j in range(M.dim)])
+        if localize.is_regular(M, xi):
+            return xi
+    raise localize.NonRegularXiError("could not find a regular element")
+
+
+def _pencil(count):
+    """One fixed point with the weights (a, -1), a = 1..count: t = a puts
+    (1, t) on the wall of (a, -1), so the first regular t is count + 1."""
+    return localize.model(2, [localize.fixed_point((0, 0), [(a, -1) for a in range(1, count + 1)])])
+
+
+def test_seed_of_the_five_weight_pencil():
+    assert localize._seed_direction(_pencil(5)) == (1, 6)
+
+
+def test_seed_direction_equals_the_999_point_search():
+    models = [M for _name, M, _chambers in verify.model_library()]
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        models.append(verify.random_model(rng, 1 + seed % 3, 4, 1 + seed % 4))
+    for M in models:
+        assert localize._seed_direction(M) == _old_seed_direction(M)
+
+
+def test_a_model_past_999_curve_points_is_valid_at_once():
+    start = time.perf_counter()
+    M = _pencil(999)
+    assert time.perf_counter() - start < 1.0
+    assert M.halfdim == 999
+
+
+def _plane2(xi0=None):
+    return localize.model(2, verify.projective_plane_model(2).points, xi0)
+
+
+def test_energy_direction_survives_a_json_round_trip():
+    M = _plane2((2, 1))
+    M2 = localize.model_from_json(localize.model_to_json(M))
+    assert M2.energy_direction == M.energy_direction == vec((2, 1))
+
+
+def test_a_regular_energy_direction_is_the_seed():
+    # the moment curve alone gives (1, 2): (1, 1) pairs to zero with (-1, 1)
+    assert localize._seed_direction(_plane2()) == (1, 2)
+    assert localize._seed_direction(_plane2((2, 1))) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "xi0,issue",
+    [((1, 1), "pairs to zero"), ((1, 2, 3), "wrong dimension")],
+)
+def test_a_bad_energy_direction_is_refused(xi0, issue, tmp_path, capsys):
+    with pytest.raises(localize.ModelValidationError, match=issue):
+        _plane2(xi0)
+    data = {**localize.model_to_json(_plane2()), "xi0": [str(x) for x in xi0]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["abelian", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and issue in err
+    assert len(err.splitlines()) == 1
 
 
 def test_regularity_detection():
@@ -174,13 +259,13 @@ def test_gamma_region_membership():
 
 def test_support_min():
     M = sphere(2)
-    assert localize.support_min(M, (1,)) == -2
-    assert localize.support_min(M, (-1,)) == -2
+    assert localize.renormalize(M, (1,)).support_min == -2
+    assert localize.renormalize(M, (-1,)).support_min == -2
 
 
 def test_support_min_flat_space():
     M = verify.flat_space_model([(1, 0), (0, 1)], (1, 1))
-    assert localize.support_min(M, (1, 1)) == 2
+    assert localize.renormalize(M, (1, 1)).support_min == 2
 
 
 def test_default_chamber_is_deterministic():
@@ -230,6 +315,17 @@ def test_dh_measure_signs_sum_to_zero_on_compact_models():
     assert sum(t.sign for t in S.terms) == 0
 
 
+def test_dh_measure_checks_a_chamber_certificate(monkeypatch):
+    # a hand-made chamber whose point pairs to zero with its factors, which
+    # span a line: the certificate proves nothing, and the LP refuses them
+    monkeypatch.setattr(conespline, "_proven", {})
+    R = localize.RenormalizedModel(
+        2, vec((0, 1)), (localize.RenormalizedPoint("p0", vec((0, 0)), (vec((1, 0)), vec((-1, 0))), 1),)
+    )
+    with pytest.raises(conespline.NonProperConeError):
+        localize.dh_measure(R)
+
+
 def test_renormalisation_runs_no_lp(monkeypatch):
     from dhmeasure import lp
 
@@ -249,7 +345,7 @@ def test_renormalisation_runs_no_lp(monkeypatch):
     localize.dh_measure(M, xi)
     localize.gamma_region(M, xi)
     localize.localization_sum(M, zeta, region)
-    localize.support_min(M, xi)
+    localize.renormalize(M, xi).support_min
     assert solves == []
 
 

@@ -7,6 +7,7 @@ verifiers that keep the closed forms honest.
 
 from .conespline import (
     DensityValue,
+    Lattice,
     NonProperConeError,
     NonRegularZetaError,
     Polynomial,
@@ -34,7 +35,6 @@ from .hermitian import (
     orbit_spec,
     orbit_to_json,
     t_type_measure,
-    wall_polynomial,
     weyl_to_json,
 )
 from .localize import (

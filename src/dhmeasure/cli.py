@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import itertools
 import json
 import logging
 import math
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import conespline, hermitian, localize, oracle, polycone, verify
 from .conespline import atomic_write_text
-from .rational import rat, rat_str, vec
+from .rational import integer_vector, rat, rat_str, vec
 
 log = logging.getLogger("dhmeasure")
 
@@ -80,13 +79,22 @@ def parse_grid(text: str):
     return tuple(axes)
 
 
-def _axis_values(axes):
-    """Each axis's exact values: lo + k * (hi - lo) / (count - 1), or lo
-    alone when count is 1."""
-    return [
-        [lo + k * (hi - lo) / (count - 1) for k in range(count)] if count > 1 else [lo]
-        for lo, hi, count in axes
-    ]
+def _axis_integers(lo, hi, count):
+    """(ints, q): the axis's values lo + k * (hi - lo) / (count - 1), k <
+    count (lo alone when count is 1), as the Python ints ints over q > 0.
+    Exact ends take two rational operations per axis: the values are
+    (lo * q + k * step * q) / q, with q the lcm of the denominators of lo
+    and the step, which is the lcm of the values' own denominators. Float
+    ends, which default_grid gives an axis whose images span less than 1,
+    are evaluated in float arithmetic, each value then read exactly."""
+    if isinstance(lo, float):
+        return integer_vector([rat(lo + k * (hi - lo) / (count - 1)) for k in range(count)]
+                              if count > 1 else [rat(lo)])
+    step = (hi - lo) / (count - 1) if count > 1 else rat(0)
+    q = math.lcm(int(lo.denominator), int(step.denominator))
+    a = int(lo.numerator) * (q // int(lo.denominator))
+    b = int(step.numerator) * (q // int(step.denominator))
+    return [a + k * b for k in range(count)], q
 
 
 DEFAULT_GRID_POINTS = 25**3  # the whole default grid, at most 25 per axis
@@ -272,30 +280,48 @@ def _worst(samples):
     return max((s["rel_difference"] for s in samples), default=0.0)
 
 
-def _rounded(value):
-    """(f, bound): the nearest double f to an exact rational and a bound on
-    |f - value|, 0.0 when f is the value and half an ulp otherwise. Only a
-    power-of-two denominator can be exact, so other values skip the
-    round-trip check; both read the integers through int()."""
-    num, den = int(value.numerator), int(value.denominator)
+def _rounded(num, den):
+    """(f, bound): the nearest double f to num / den, den > 0 and the
+    fraction not necessarily in lowest terms, and a bound on |f - num / den|:
+    0.0 when f is the value and half an ulp otherwise. Only a value whose
+    lowest-terms denominator is a power of two can be exact, that is when
+    den's odd part divides num, so other values skip the round-trip check,
+    which cross-multiplies."""
     try:
         f = num / den
     except OverflowError:
         raise ValueError(f"density {Decimal(num) / den:.6g} does not fit a float") from None
-    if den & (den - 1) == 0 and f.as_integer_ratio() == (num, den):
-        return f, 0.0
+    if num % (den // (den & -den)) == 0:
+        p, q = f.as_integer_ratio()
+        if p * den == num * q:
+            return f, 0.0
     return f, math.ulp(f) / 2
 
 
-def _density_rows(S, axes):
-    """S's density on the grid as CSV rows, computed before any file is
-    written. The points are exact; their float coordinates, the nearest
-    doubles, are read off each axis's values, converted once. Each density
-    is its nearest double, with error_bound bounding that rounding."""
-    lin = _axis_values(axes)
-    values = conespline.spline_density(S, list(itertools.product(*lin)))
-    coords = itertools.product(*[[float(x) for x in axis] for axis in lin])
-    return [(mu, *_rounded(dv.value)) for mu, dv in zip(coords, values)]
+def _lattice(axes):
+    """(lattice, coords): the grid of the axes as one conespline.Lattice, in
+    itertools.product order, and each axis's values as their nearest
+    doubles. Each axis is read as integers once (_axis_integers), and the
+    grid's columns are their product over the lcm of the axes'
+    denominators, with no rational per point."""
+    per_axis = [_axis_integers(*axis) for axis in axes]
+    D = math.lcm(*(q for _, q in per_axis))
+    shape = [len(ints) for ints, _ in per_axis]
+    index = np.unravel_index(np.arange(math.prod(shape)), shape)
+    columns = tuple(
+        np.array([a * (D // q) for a in ints], dtype=object)[k] for (ints, q), k in zip(per_axis, index)
+    )
+    coords = [[a / q for a in ints] for ints, q in per_axis]
+    return conespline.Lattice(columns, D), coords
+
+
+def _density_rows(S, grid):
+    """S's density on the grid (lattice, coords) as write_density_csv's
+    (axes, values), computed before any file is written: each density is
+    its nearest double, with error_bound bounding that rounding."""
+    lattice, coords = grid
+    nums, den = conespline.spline_density(S, lattice)
+    return coords, [_rounded(num, den) for num in nums.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +331,8 @@ def _density_rows(S, axes):
 def cmd_abelian(args) -> int:
     M = localize.model_from_json(_load_json(args.input))
     _check_float_range("model", [v for p in M.points for v in (p.image, *p.weights)])
-    grid = _grid(args, M.dim)
-    axes = (grid or default_grid([p.image for p in M.points], M.dim)) if args.out else None
+    axes = _grid(args, M.dim)
+    grid = _lattice(axes or default_grid([p.image for p in M.points], M.dim)) if args.out else None
     xi = _chamber(args, M.dim) or localize.default_chamber(M)
     region = localize.gamma_region(M, xi)
     S = localize.dh_measure(region)
@@ -326,7 +352,7 @@ def cmd_abelian(args) -> int:
         "support_min": rat_str(region.support_min),
     }
     # the densities, then the transform check, all before any file is written
-    rows = _density_rows(S, axes) if args.out else None
+    rows = _density_rows(S, grid) if args.out else None
     samples = _localization_samples(S, M, region, rng, args.zeta_samples)
     report["laplace_samples"] = samples
     report["laplace_worst_rel"] = _worst(samples)
@@ -335,7 +361,7 @@ def cmd_abelian(args) -> int:
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        conespline.write_density_csv(os.path.join(args.out, "density.csv"), S.dim, rows)
+        conespline.write_density_csv(os.path.join(args.out, "density.csv"), *rows)
         write_json(os.path.join(args.out, "spline.json"), conespline.spline_to_json(S))
         write_json(os.path.join(args.out, "report.json"), report)
         log.info("wrote %s", args.out)
@@ -352,11 +378,12 @@ def cmd_orbit(args) -> int:
     O = hermitian.orbit_from_json(_load_json(args.input))
     _check_float_range("lambda", [O.lam_native])
     pair = O.pair
-    grid = _grid(args, pair.rank)
+    axes = _grid(args, pair.rank)
     om = O.model
     M = om.model
     _check_float_range("fixed-point image", [p.image for p in M.points])
-    axes = (grid or default_grid([p.image for p in M.points], pair.rank)) if args.out else None
+    # one lattice for both measures
+    grid = _lattice(axes or default_grid([p.image for p in M.points], pair.rank)) if args.out else None
     rng = verify.suite_rng(args.seed, 202)
 
     report = {
@@ -387,7 +414,7 @@ def cmd_orbit(args) -> int:
         Sk = hermitian.k_type_measure(O)
     # the densities, then the transform checks, all before any file is written
     measures = [
-        (tag, S, _density_rows(S, axes)) for tag, S in (("t", St), ("k", Sk)) if S is not None
+        (tag, S, _density_rows(S, grid)) for tag, S in (("t", St), ("k", Sk)) if S is not None
     ] if args.out else []
 
     if want_t:
@@ -428,7 +455,7 @@ def cmd_orbit(args) -> int:
                 os.path.join(args.out, f"{tag}_spline.json"),
                 conespline.spline_to_json(S),
             )
-            conespline.write_density_csv(os.path.join(args.out, f"{tag}_density.csv"), S.dim, rows)
+            conespline.write_density_csv(os.path.join(args.out, f"{tag}_density.csv"), *rows)
         write_json(os.path.join(args.out, "report.json"), report)
         log.info("wrote %s", args.out)
     else:
@@ -565,7 +592,7 @@ def main(argv=None) -> int:
         TypeError,
         ValueError,
     ) as exc:
-        log.error("%s", exc)
+        # printed, not logged: basicConfig's root handler would repeat it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,10 +21,13 @@ that are numbers, for one point, or numpy object arrays, for an N x d batch
 such as a density grid. heaviside_density and spline_density put the point
 or the batch over one common denominator D and run it on Python integers:
 the density is the integer result over (root denominator) * D^(n - d), an
-exact rational with error bound 0, and a batch gives a tuple of them;
-there is no float density path. write_density_csv writes coordinates as
-the nearest doubles of the exact points and each density as its nearest
-double, with the caller's bound on that rounding.
+exact rational with error bound 0; there is no float density path. The
+input's form selects the output's: a point gives one exact value, a batch
+of points a tuple of them, and a Lattice (integer columns over one
+denominator, as the CLI builds a grid) the integer numerators over one
+denominator, with no rational made per point. write_density_csv writes a
+grid's coordinates as the nearest doubles of the exact points and each
+density as its nearest double, with the caller's bound on that rounding.
 
 On a wall, where the density jumps, the value is the limit from inside the
 term's cone: along mu + eps*c + eps^2*e_1 + ... + eps^(d+1)*e_d for small
@@ -41,6 +44,7 @@ this normalization.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -270,6 +274,19 @@ class DensityValue:
     abs_error_bound: float
 
 
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """Points X / D of R^d held as integers: d coordinates X over one
+    denominator D > 0, Python ints for one point or numpy object N-arrays of
+    Python ints for N points. Given a lattice, heaviside_density and
+    spline_density return (numerators, denominator): the exact densities
+    are the numerators, an int or an N-array of Python ints, over one
+    positive int, not necessarily in lowest terms."""
+
+    columns: tuple
+    denominator: int
+
+
 # ---------------------------------------------------------------------------
 # density engine: the Dahmen-Micchelli recursion
 
@@ -438,7 +455,13 @@ def _integer_points(mu, d):
     denominators, as d coordinates: Python ints for a point, with N None,
     and numpy object N-arrays of Python ints for a batch. numpy's
     leading-axis convention tells them apart: a point is one-dimensional. A
-    batch of Python ints is read as it is, with D = 1."""
+    batch of Python ints is read as it is, with D = 1, and a Lattice is its
+    own columns over its own denominator."""
+    if isinstance(mu, Lattice):
+        X = list(mu.columns)
+        if len(X) != d:
+            raise ValueError("point/factor dimension mismatch")
+        return X, mu.denominator, len(X[0]) if isinstance(X[0], np.ndarray) else None
     if isinstance(mu, np.ndarray):
         batch = mu.ndim == 2
     else:
@@ -469,10 +492,12 @@ def heaviside_density(factors, mu):
     singular and has no density function).
 
     mu may also be an N x d batch of points (a 2-D array, or a sequence of
-    points); the result is then a tuple of N exact values. One point and a
-    batch run the same recursion, a batch on numpy object arrays: one kernel
-    lookup and one pass over all N points, whose inner nodes run only on
-    the points inside some leaf.
+    points); the result is then a tuple of N exact values. Given a Lattice
+    X / D, the result is (numerators, denominator) in the lattice's form,
+    the recursion's integers over Q * D^(n - d). One point and a batch run
+    the same recursion, a batch on numpy object arrays: one kernel lookup
+    and one pass over all N points, whose inner nodes run only on the
+    points inside some leaf.
     """
     factors = tuple(vec(f) for f in factors)
     if not factors:
@@ -483,26 +508,34 @@ def heaviside_density(factors, mu):
     top, den = program[-1], den * common ** (n - d)
     dots, masks = _leaf_masks(program, X)
     if count is None:
-        return rat(top * _truncated_powers(program, dots, masks), den)
-    live = np.flatnonzero(np.logical_or.reduce(masks))
-    values = np.zeros(count, dtype=object)
-    values[live] = _truncated_powers(program, [x[live] for x in dots], [m[live] for m in masks])
-    return tuple(rat(top * v, den) if v else ZERO for v in values.tolist())
+        values = top * _truncated_powers(program, dots, masks)
+    else:
+        live = np.flatnonzero(np.logical_or.reduce(masks))
+        values = np.zeros(count, dtype=object)
+        values[live] = _truncated_powers(program, [x[live] for x in dots], [m[live] for m in masks])
+        # a leaf root's values are its mask's bools: * top makes them ints
+        values = values * top
+    if isinstance(mu, Lattice):
+        return values, den
+    if count is None:
+        return rat(values, den)
+    return tuple(rat(v, den) if v else ZERO for v in values.tolist())
 
 
 def spline_density(S: SignedConeSpline, mu) -> DensityValue:
     """Signed density of the spline at mu (poly multiplier applied); exact.
 
     mu may also be an N x d batch of points; the result is then a tuple of
-    N DensityValues. The points and the term bases are put over one common
-    denominator D, and each cone of the spline (S.cones) is one
-    heaviside_density call: on the shifted integer points x = D * (mu - base)
-    of its terms, stacked term by term, which gives D^(n - d) times the
-    density at each mu - base. A cone of one term is called on its points as
-    they are, a single point as a point. The terms are added up over the lcm
-    of their denominators, the polynomial multiplier is evaluated in
-    integers too, and each point is divided once. A spline with no terms has
-    density 0.
+    N DensityValues. Given a Lattice, the result is (numerators,
+    denominator) in the lattice's form, with no DensityValue made. The
+    points and the term bases are put over one common denominator D, and
+    each cone of the spline (S.cones) is one heaviside_density call on the
+    Lattice of the shifted integer points x = D * (mu - base) of its terms,
+    stacked term by term, which gives the density at each mu - base as
+    integers over one denominator. The terms are added up over the lcm of
+    their denominators, the polynomial multiplier is evaluated in integers
+    too, and the point or each point of a batch is divided once. A spline
+    with no terms has density 0.
     """
     if S.nfactors == 0 and S.terms:
         raise PureDeltaError("point-mass spline has no density function")
@@ -514,29 +547,33 @@ def spline_density(S: SignedConeSpline, mu) -> DensityValue:
     num, den = 0, 1
     for factors, members in S.cones:
         shifted = [[a - b * (D // q) for a, b in zip(X, bases[j * d:(j + 1) * d])] for j in members]
-        if count is not None:
-            shifted = [np.stack(x, axis=1) for x in shifted]
         if len(members) == 1:
-            values = heaviside_density(factors, shifted[0])
-            values = (values,) if count is None else values
+            columns = shifted[0]
+        elif count is None:
+            columns = [np.array(c, dtype=object) for c in zip(*shifted)]
         else:
-            values = heaviside_density(factors, shifted if count is None else np.concatenate(shifted))
-        nums, q_t = integer_vector(values)
-        q_t *= D ** (S.nfactors - d)
-        if count is not None:
-            nums = np.array(nums, dtype=object).reshape(len(members), count)
+            columns = [np.concatenate(c) for c in zip(*shifted)]
+        nums, q_t = heaviside_density(factors, Lattice(tuple(columns), D))
+        # per term of the cone, its values: a number, or a row of the block
+        if len(members) == 1:
+            nums = (nums,)
+        elif count is not None:
+            nums = nums.reshape(len(members), count)
         lcm = math.lcm(den, q_t)
         num, scale = num * (lcm // den), lcm // q_t
-        # per term of the cone, its values: a number, or a row of the block
         for j, term_nums in zip(members, nums):
             num = num + S.terms[j].sign * scale * term_nums
         den = lcm
     if S.poly is not None:
         pnum, pden = _poly_integers(S.poly, X, D)
         num, den = num * pnum, den * pden
+    if count is not None and not isinstance(num, np.ndarray):
+        num = np.full(count, num, dtype=object)
+    if isinstance(mu, Lattice):
+        return num, den
     if count is None:
         return DensityValue(rat(num, den), 0.0)
-    return tuple(DensityValue(rat(v, den), 0.0) for v in (num + np.zeros(count, dtype=object)).tolist())
+    return tuple(DensityValue(rat(v, den), 0.0) for v in num.tolist())
 
 
 def _poly_integers(poly, X, common):
@@ -659,20 +696,26 @@ def spline_from_json(data) -> SignedConeSpline:
     return SignedConeSpline(dim, tuple(terms), poly)
 
 
-def write_density_csv(path, dim, rows):
-    """rows: iterable of (point, value, error). Header is fixed:
-    mu_1,...,mu_d,density,error_bound. The write is atomic: a temp file in
-    the target directory is renamed over the destination."""
-    header = ",".join([f"mu_{j + 1}" for j in range(dim)] + ["density", "error_bound"])
+def write_density_csv(path, axes, values):
+    """A density table on a grid: axes holds each axis's coordinates and
+    values each grid point's (density, error bound), in itertools.product
+    order over the axes. Header is fixed: mu_1,...,mu_d,density,error_bound.
+    Every cell is the repr of a double, with negative zero folded into
+    zero; an axis's cells are formatted once. The write is atomic: a temp
+    file in the target directory is renamed over the destination."""
+    header = ",".join([f"mu_{j + 1}" for j in range(len(axes))] + ["density", "error_bound"])
+    cells = [[_cell(x) for x in axis] for axis in axes]
     lines = [header]
-    for point, value, err in rows:
-        # + 0.0 folds negative zero into plain zero
-        cells = [repr(float(x) + 0.0) for x in point] + [
-            repr(float(value) + 0.0),
-            repr(float(err) + 0.0),
-        ]
-        lines.append(",".join(cells))
+    lines.extend(
+        ",".join((*point, _cell(value), _cell(err)))
+        for point, (value, err) in zip(itertools.product(*cells), values, strict=True)
+    )
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _cell(x) -> str:
+    # + 0.0 folds negative zero into plain zero
+    return repr(float(x) + 0.0)
 
 
 def atomic_write_text(path, text: str):

@@ -124,6 +124,14 @@ class HermitianPairData:
         return self.duals[: self.k]
 
     @cached_property
+    def wall_polynomial(self) -> Polynomial:
+        """Product of the compact-root wall functionals (constant 1 when
+        k=0), expanded once per pair."""
+        if self.k == 0:
+            return Polynomial.constant(self.rank, 1)
+        return Polynomial.product_of_linear(self.killing_duals)
+
+    @cached_property
     def signs(self) -> tuple:
         """The determinant of each Weyl element, in the order of weyl."""
         return tuple(weyl_det(m) for m in self.weyl)
@@ -441,13 +449,6 @@ def _validate_orbit(O: OrbitSpec):
         raise OrbitValidationError("P(lambda)=0: lambda lies on a compact wall")
 
 
-def wall_polynomial(pair: HermitianPairData) -> Polynomial:
-    """Product of the compact-root wall functionals (constant 1 when k=0)."""
-    if pair.k == 0:
-        return Polynomial.constant(pair.rank, 1)
-    return Polynomial.product_of_linear(pair.killing_duals)
-
-
 @dataclass(frozen=True)
 class OrbitModel:
     model: localize.FixedPointModel
@@ -545,7 +546,7 @@ def k_type_measure(O: OrbitSpec) -> SignedConeSpline:
         ConeSplineTerm(sign, pt.image, factors)
         for sign, pt in zip(pair.signs, O.model.model.points)
     )
-    poly = wall_polynomial(pair) if pair.k > 0 else None
+    poly = pair.wall_polynomial if pair.k > 0 else None
     return SignedConeSpline(pair.rank, terms, poly)
 
 

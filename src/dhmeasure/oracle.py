@@ -454,12 +454,13 @@ class DensityTable:
     samples: int
     seed: int
 
+    def center_axes(self):
+        """Each axis's bin centres."""
+        return [[(e[i] + e[i + 1]) / 2 for i in range(len(e) - 1)] for e in self.edges]
+
     def centers(self):
         """Bin centres, in the C order of the flattened counts."""
-        axes = [
-            [(e[i] + e[i + 1]) / 2 for i in range(len(e) - 1)] for e in self.edges
-        ]
-        return list(itertools.product(*axes))
+        return list(itertools.product(*self.center_axes()))
 
     def to_json(self) -> dict:
         return {
@@ -475,11 +476,7 @@ class DensityTable:
     def to_csv(self, path):
         from .conespline import write_density_csv
 
-        rows = [
-            (c, v, s)
-            for c, v, s in zip(self.centers(), self.density, self.sigma)
-        ]
-        write_density_csv(path, self.dim, rows)
+        write_density_csv(path, self.center_axes(), zip(self.density, self.sigma))
 
 
 def _axis_bins(x, e):

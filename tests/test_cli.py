@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -681,6 +683,28 @@ def test_invalid_model_exits_two(weights, message, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_bad_input_error_reaches_stderr_once_from_a_process(tmp_path):
+    # in a fresh process logging is configured by main itself, so a logged
+    # copy of the error would reach stderr too
+    bad = write(tmp_path / "plane2bad.json", {"dim": 2, "xi0": [1, 1], "points": [
+        {"image": [0, 0], "weights": [[1, 0], [0, 1]]},
+        {"image": [2, 0], "weights": [[-1, 0], [-1, 1]]},
+        {"image": [0, 2], "weights": [[0, -1], [1, -1]]},
+    ]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("DHK_LOG", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dhmeasure", "abelian", "--input", bad, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: energy direction pairs to zero with some weight"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_suite_failure_exits_one(tmp_path, monkeypatch, capsys):
     def planted():
         return verify._report("circle", 0, 1, [{"case": "planted"}], time.time())
@@ -699,11 +723,15 @@ def test_grid_points_are_exact(sphere_input, tmp_path, monkeypatch):
     seen = []
     real = conespline.spline_density
     monkeypatch.setattr(conespline, "spline_density",
-                        lambda S, mu: seen.append([tuple(p) for p in mu]) or real(S, mu))
+                        lambda S, mu: seen.append(mu) or real(S, mu))
     out = tmp_path / "out"
     assert cli.main(["abelian", "--input", sphere_input, "--out", str(out), "--grid=0:1:4"]) == 0
-    # one call for the whole grid, at exact points
-    assert seen == [[(0,), (rat(1, 3),), (rat(2, 3),), (1,)]]
+    # one call for the whole grid, on a lattice of Python ints at exact points
+    [lattice] = seen
+    assert isinstance(lattice, conespline.Lattice) and lattice.denominator == 3
+    assert {type(x) for column in lattice.columns for x in column} == {int}
+    points = [tuple(rat(x, lattice.denominator) for x in p) for p in zip(*lattice.columns)]
+    assert points == [(0,), (rat(1, 3),), (rat(2, 3),), (1,)]
     rows = (out / "density.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == [repr(x) for x in (0.0, 1 / 3, 2 / 3, 1.0)]
 
@@ -738,7 +766,11 @@ def test_rounding_bound_is_zero_only_for_a_double():
     for value, want in ((rat(3, 4), (0.75, 0.0)), (rat(-5), (-5.0, 0.0)), (rat(0), (0.0, 0.0)),
                         (rat(1, 3), (1 / 3, math.ulp(1 / 3) / 2)),
                         (rat(2**53 + 1, 2**10), (2.0**43, math.ulp(2.0**43) / 2))):
-        assert cli._rounded(value) == want
+        num, den = int(value.numerator), int(value.denominator)
+        assert cli._rounded(num, den) == want
+        # the same value over a denominator that is not in lowest terms
+        for scale in (3, 2**60, 6 * 5**30):
+            assert cli._rounded(num * scale, den * scale) == want
 
 
 def test_default_grid_stays_within_its_point_budget():

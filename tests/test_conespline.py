@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from dhmeasure import conespline, hermitian, localize, polycone, verify
+from dhmeasure import cli, conespline, hermitian, localize, polycone, verify
 from dhmeasure.conespline import (
     NonProperConeError,
     Polynomial,
@@ -22,7 +22,7 @@ from dhmeasure.conespline import (
     spline_term,
     write_density_csv,
 )
-from dhmeasure.rational import rat, vec, vsub
+from dhmeasure.rational import integer_vector, rat, vec, vsub
 from fraction_plan import fraction_density, fraction_plan, lcm_kernel
 
 
@@ -160,7 +160,7 @@ def test_written_files_get_the_mode_open_would_give(tmp_path):
     # mkstemp creates its file 0o600, which the rename used to keep
     old = os.umask(0o022)
     try:
-        write_density_csv(tmp_path / "a.csv", 1, [((1.0,), 0.5, 0.0)])
+        write_density_csv(tmp_path / "a.csv", [(1.0,)], [(0.5, 0.0)])
         os.umask(0o077)
         atomic_write_text(tmp_path / "b.json", "{}\n")
     finally:
@@ -171,7 +171,7 @@ def test_written_files_get_the_mode_open_would_give(tmp_path):
 
 def test_write_density_csv_format(tmp_path):
     path = tmp_path / "density.csv"
-    write_density_csv(path, 2, [((1.0, -0.0), -0.0, 1e-12)])
+    write_density_csv(path, [(1.0,), (-0.0,)], [(-0.0, 1e-12)])
     lines = path.read_text().splitlines()
     assert lines[0] == "mu_1,mu_2,density,error_bound"
     assert lines[1] == "1.0,0.0,0.0,1e-12"
@@ -451,7 +451,7 @@ def test_grouped_density_is_the_sum_of_its_terms(monkeypatch):
     calls = []
     real = conespline.heaviside_density
     monkeypatch.setattr(conespline, "heaviside_density",
-                        lambda factors, mu: calls.append(factors) or real(factors, mu))
+                        lambda factors, mu: calls.append((factors, type(mu))) or real(factors, mu))
     for S in _cone_splines():
         points = [vec(mu) for mu in _probe_points(rng, S, 12)]
         want = [
@@ -461,6 +461,71 @@ def test_grouped_density_is_the_sum_of_its_terms(monkeypatch):
         ]
         calls.clear()
         assert [dv.value for dv in spline_density(S, points)] == want
-        # one call per cone, with the factors of its first term as given
-        assert calls == [factors for factors, _ in S.cones]
+        # one call per cone, with the factors of its first term as given, on
+        # the integer lattice of its shifted points
+        assert calls == [(factors, conespline.Lattice) for factors, _ in S.cones]
         assert [spline_density(S, mu).value for mu in points] == want
+
+
+def _lattice_of(points, scale=1):
+    """The points as a Lattice over scale times the lcm of their
+    denominators, so a scale above 1 gives a denominator that is not
+    minimal."""
+    d = len(points[0])
+    ints, D = integer_vector([rat(x) for p in points for x in p])
+    columns = [np.array([a * scale for a in ints[j::d]], dtype=object) for j in range(d)]
+    return conespline.Lattice(tuple(columns), D * scale)
+
+
+def test_lattice_densities_equal_the_fraction_batch():
+    rng = np.random.default_rng(38)
+    for S in _cone_splines():
+        points = [vec(mu) for mu in _probe_points(rng, S, 12)]  # wall points included
+        want = [dv.value for dv in spline_density(S, points)]
+        for scale in (1, 6):
+            lattice = _lattice_of(points, scale)
+            got = spline_density(S, lattice)
+            assert type(got) is tuple and isinstance(got[0], np.ndarray)
+            nums, den = got
+            assert {type(n) for n in nums.tolist()} == {int} and type(den) is int and den > 0
+            assert [rat(n, den) for n in nums.tolist()] == want
+            for factors, members in S.cones:
+                shifted = [vsub(mu, S.terms[members[-1]].base) for mu in points]
+                batch = heaviside_density(factors, shifted)
+                nums, den = heaviside_density(factors, _lattice_of(shifted, scale))
+                assert [rat(n, den) for n in nums.tolist()] == list(batch)
+                # one point as a lattice of Python ints
+                point = _lattice_of(shifted[-1:], scale)
+                num, den = heaviside_density(factors, conespline.Lattice(
+                    tuple(int(c[0]) for c in point.columns), point.denominator))
+                assert type(num) is int and rat(num, den) == batch[-1]
+
+
+def _fraction_rows(S, axes):
+    """The grid's rows by the Fraction route: exact axis values, their
+    product as Fraction points, their densities as Fractions, and each one
+    rounded from its lowest terms."""
+    values = [[lo + k * (hi - lo) / (count - 1) for k in range(count)] if count > 1 else [lo]
+              for lo, hi, count in axes]
+    dens = [dv.value for dv in spline_density(S, list(itertools.product(*values)))]
+    rows = [cli._rounded(int(v.numerator), int(v.denominator)) for v in dens]
+    return [[float(x) for x in axis] for axis in values], rows, values
+
+
+def test_lattice_rows_equal_the_fraction_route():
+    for S in _cone_splines():
+        base = S.terms[0].base
+        # fractional ends, with the first term's base (a wall point) on the grid
+        step = rat(5, 6)
+        grids = [tuple((b - 2 * step, b + 3 * step, 6) for b in base)]
+        # one axis of one point
+        grids.append(((base[0], base[0] + 1, 1),) + grids[0][1:])
+        for axes in grids:
+            coords, rows, values = _fraction_rows(S, axes)
+            lattice, got_coords = cli._lattice(axes)
+            points = [tuple(rat(x, lattice.denominator) for x in p) for p in zip(*lattice.columns)]
+            assert points == list(itertools.product(*values))
+            assert tuple(base) in points
+            assert cli._density_rows(S, (lattice, got_coords)) == (coords, rows)
+            if axes is grids[0]:  # the full grid meets the support
+                assert any(value for value, _bound in rows)

@@ -156,6 +156,18 @@ def test_k_measure_term_signs_are_weyl_determinants():
         assert [t.sign for t in Sk.terms] == dets
 
 
+@pytest.mark.parametrize("family,params,lams", [
+    ("AIII", (2, 1), [(3, 1, -4), (5, 2, -1)]),
+    ("CI", (3,), [(5, 3, 1), (9, 4, 2)]),
+])
+def test_k_measures_of_one_pair_share_its_wall_polynomial(family, params, lams):
+    pair = build_pair(family, params)
+    first, second = (k_type_measure(orbit_spec(pair, lam)).poly for lam in lams)
+    # expanded once per pair, not once per orbit
+    assert first is second is pair.wall_polynomial
+    assert first == conespline.Polynomial.product_of_linear(pair.killing_duals)
+
+
 def test_symbolic_transform_agrees_with_numeric():
     for spec in (su11(), su21(), sp2()):
         pair = spec.pair
@@ -242,7 +254,7 @@ def test_every_compact_wall_is_refused(family, params):
 @pytest.mark.parametrize("family,params", SUPPORTED_PAIRS)
 def test_wall_refusal_is_the_wall_polynomial_vanishing(family, params):
     pair = build_pair(family, params)
-    P = hermitian.wall_polynomial(pair)
+    P = pair.wall_polynomial
     basis = [vec(row) for row in hermitian.FAMILIES[family].basis(*params)]
     p, q = _blocks(family, params)
     rng = np.random.default_rng(sum(params) + 7 * len(family))
@@ -765,7 +777,7 @@ def test_orbit_images_and_wall_values_equal_the_fraction_route(family, params, l
     # the images and wall values are computed in ints over lam's common
     # denominator; non-integral lam make that denominator L > 1
     spec = orbit_spec(build_pair(family, params), lam)
-    P = hermitian.wall_polynomial(spec.pair)
+    P = spec.pair.wall_polynomial
     om = orbit_model(spec)
     images = [mat_vec(m, spec.lam) for m in spec.pair.weyl]
     assert [p.image for p in om.model.points] == images

@@ -692,7 +692,7 @@ def test_bad_input_error_reaches_stderr_once_from_a_process(tmp_path):
         {"image": [0, 2], "weights": [[0, -1], [1, -1]]},
     ]})
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("DHK_LOG", None)
     proc = subprocess.run(
         [sys.executable, "-m", "dhmeasure", "abelian", "--input", bad, "--out", str(tmp_path / "out")],

@@ -400,6 +400,12 @@ def test_batch_edge_cases():
     assert type(heaviside_density(factors, [mu, (1, 1)])) is tuple
     assert heaviside_density(factors, np.empty((0, 2))) == ()
     assert spline_density(S, np.empty((0, 2))) == ()
+    # a leaf root (n = d) of rational factors: its mask times 1/|det C| = 6
+    leaf = [(rat(1, 2), 0), (0, rat(1, 3))]
+    points = [(1, 1), (-1, 1), (rat(1, 2), 0)]
+    assert heaviside_density(leaf, points) == (6, 0, 6)
+    nums, den = heaviside_density(leaf, _lattice_of(points))
+    assert [rat(n, den) for n in nums.tolist()] == [6, 0, 6]
     for bad in ([(1, 2), (1, 2, 3)], np.zeros((3, 3)), (1, 2, 3)):
         with pytest.raises(ValueError):
             heaviside_density(factors, bad)

@@ -81,20 +81,10 @@ def parse_grid(text: str):
 
 def _axis_integers(lo, hi, count):
     """(ints, q): the axis's values lo + k * (hi - lo) / (count - 1), k <
-    count (lo alone when count is 1), as the Python ints ints over q > 0.
-    Exact ends take two rational operations per axis: the values are
-    (lo * q + k * step * q) / q, with q the lcm of the denominators of lo
-    and the step, which is the lcm of the values' own denominators. Float
-    ends, which default_grid gives an axis whose images span less than 1,
-    are evaluated in float arithmetic, each value then read exactly."""
-    if isinstance(lo, float):
-        return integer_vector([rat(lo + k * (hi - lo) / (count - 1)) for k in range(count)]
-                              if count > 1 else [rat(lo)])
-    step = (hi - lo) / (count - 1) if count > 1 else rat(0)
-    q = math.lcm(int(lo.denominator), int(step.denominator))
-    a = int(lo.numerator) * (q // int(lo.denominator))
-    b = int(step.numerator) * (q // int(step.denominator))
-    return [a + k * b for k in range(count)], q
+    count (lo alone when count is 1), read exactly as Python ints over one
+    denominator q > 0."""
+    return integer_vector([rat(lo + k * (hi - lo) / (count - 1)) for k in range(count)]
+                          if count > 1 else [rat(lo)])
 
 
 DEFAULT_GRID_POINTS = 25**3  # the whole default grid, at most 25 per axis

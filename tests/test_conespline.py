@@ -535,3 +535,23 @@ def test_lattice_rows_equal_the_fraction_route():
             assert cli._density_rows(S, (lattice, got_coords)) == (coords, rows)
             if axes is grids[0]:  # the full grid meets the support
                 assert any(value for value, _bound in rows)
+
+
+def test_default_grid_float_ends_equal_the_float_route():
+    # images spanning less than 1 on an axis give that axis float ends
+    # (default_grid's span is then the int 1): the lattice reads the float
+    # values lo + k * (hi - lo) / (count - 1) exactly, as the points were read
+    assert all(isinstance(x, float) for x in cli.default_grid([(0, 0), (2, 0)], 2)[1][:2])
+    planar = [S for S in _cone_splines() if S.dim == 2]
+    assert len(planar) > 3
+    for S in planar:
+        base = S.terms[0].base
+        axes = cli.default_grid([base, (base[0] + 2, base[1])], 2)
+        assert isinstance(axes[1][0], float) and not isinstance(axes[0][0], float)
+        coords, rows, values = _fraction_rows(S, axes)
+        lattice, got_coords = cli._lattice(axes)
+        points = [tuple(rat(x, lattice.denominator) for x in p) for p in zip(*lattice.columns)]
+        assert points == [tuple(rat(x) for x in p) for p in itertools.product(*values)]
+        assert got_coords == coords
+        assert cli._density_rows(S, (lattice, got_coords)) == (coords, rows)
+        assert any(value for value, _bound in rows)

@@ -100,7 +100,7 @@ def default_grid(images, dim):
     for j in range(dim):
         lo = min(im[j] for im in images)
         hi = max(im[j] for im in images)
-        span = max(hi - lo, 1)
+        span = rat(max(hi - lo, 1))  # exact, also where it is the int 1
         lo, hi = lo - span / 4, hi + 3 * span / 4
         if max(-lo, hi) > sys.float_info.max:
             raise ValueError(f"default grid axis {j + 1} leaves the float range; give --grid")

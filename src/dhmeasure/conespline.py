@@ -36,6 +36,11 @@ closed fiber. Factors that do not span R^d push forward to a measure with
 no density function: evaluating such a term raises ValueError, as a point
 mass (no factors) raises PureDeltaError.
 
+A spline's closed-form transform, localize's fixed-point sum and
+hermitian's reduced transform are all sums of c * e^{i<phi, zeta>} / prod
+<w, zeta>^m: each is compiled once per spline, model or orbit into one
+CompiledTransform, and every zeta is one call of its one evaluator.
+
 All measures here are unit-normalized: H_b integrates f along t -> t*b with
 plain dt and no 2*pi factors. The Monte-Carlo calibration suite in
 dhmeasure.verify measures how Darboux-coordinate Lebesgue measure relates to
@@ -51,6 +56,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,13 +258,10 @@ class SignedConeSpline:
         return tuple((self.terms[js[0]].factors, tuple(js)) for js in groups.values())
 
     @cached_property
-    def float_terms(self) -> tuple:
-        """Per term, derived once per spline: its sign, its base in floats
-        and _float_factors of its factors."""
-        return tuple(
-            (t.sign, tuple(float(b) for b in t.base), _float_factors(t.factors))
-            for t in self.terms
-        )
+    def transform(self) -> "CompiledTransform":
+        """The closed-form transform of the terms, without the polynomial
+        multiplier, compiled once per spline (_compile)."""
+        return _compile((t.sign, t.base, t.factors) for t in self.terms)
 
 
 def spline(dim, terms, poly=None) -> SignedConeSpline:
@@ -592,33 +595,66 @@ def _poly_integers(poly, X, common):
 # Laplace transforms (closed form)
 
 
-def _float_factors(factors) -> tuple:
-    """(factor, its floats, their Euclidean norm) per exact factor."""
-    out = []
-    for f in factors:
-        fb = tuple(float(x) for x in f)
-        out.append((f, fb, math.sqrt(sum(x * x for x in fb))))
-    return tuple(out)
+class CompiledTransform(NamedTuple):
+    """A sum of float terms coeff * e^{i<exponent, zeta>} / prod <form, zeta>^mult,
+    each term given by indices into the distinct exponents and the distinct
+    denominator powers."""
+
+    exponents: tuple  # distinct float exponents
+    powers: tuple  # distinct (float form, its norm, mult)
+    terms: tuple  # (coeff, exponent index, power indices)
 
 
-def _factor_transform(float_factors, zeta, zn) -> complex:
-    """(i)^n / prod <b_i, zeta> from _float_factors, with zn the norm of
-    zeta; a factor with |<b, zeta>| within REGULARITY_RTOL * |b| * zn of 0
+def _float_forms(forms) -> list:
+    """(float form, its Euclidean norm) per exact form."""
+    floats = [tuple(float(x) for x in form) for form in forms]
+    return [(f, math.sqrt(sum(x**2 for x in f))) for f in floats]
+
+
+def _times_i_power(c, n) -> complex:
+    """c * i^n for a float c, exactly: i^n is read off (1, i, -1, -i)."""
+    re, im = ((c, 0.0), (0.0, c), (-c, 0.0), (0.0, -c))[n % 4]
+    return complex(re, im)
+
+
+def _compile(terms) -> CompiledTransform:
+    """sum sign * e^{i<base, zeta>} * i^n / prod <b_i, zeta> over the
+    (sign, base, factors) terms, n being the number of factors, as a
+    CompiledTransform: coefficient sign * i^n, and each base and factor
+    read to floats once, a factor as a power of mult 1. Equal floats are
+    stored once, keyed by the floats: hashing the exact rationals would
+    cost more than reading them."""
+    exponents, powers, out = {}, {}, []
+    for sign, base, factors in terms:
+        indices = tuple(powers.setdefault((*fn, 1), len(powers)) for fn in _float_forms(factors))
+        e = exponents.setdefault(tuple(float(x) for x in base), len(exponents))
+        out.append((_times_i_power(float(sign), len(factors)), e, indices))
+    return CompiledTransform(tuple(exponents), tuple(powers), tuple(out))
+
+
+def _evaluate(transform, zeta) -> complex:
+    """The CompiledTransform's sum at zeta, term by term in the given order:
+    the one float evaluator of every closed-form transform. Each distinct
+    phase and denominator power is computed once, before the sum; a form
+    with |<form, zeta>| within REGULARITY_RTOL * |form| * |zeta| of 0
     raises NonRegularZetaError."""
-    vals = []
-    for f, fb, fn in float_factors:
-        p = sum(x * z for x, z in zip(fb, zeta))
-        if abs(p) <= REGULARITY_RTOL * fn * zn:
-            raise NonRegularZetaError(f"zeta is non-regular for factor {f}")
-        vals.append(p)
-    out = 1j ** len(vals)
-    for p in vals:
-        out /= p
-    return out
-
-
-def _norm(zeta) -> float:
-    return math.sqrt(sum(abs(z) ** 2 for z in zeta))
+    zeta = tuple(complex(z) for z in zeta)
+    zn = math.sqrt(sum(abs(z) ** 2 for z in zeta))
+    phases = [np.exp(1j * sum(x * z for x, z in zip(expo, zeta)))
+              for expo in transform.exponents]
+    powers = []
+    for form, norm, mult in transform.powers:
+        fz = sum(x * z for x, z in zip(form, zeta))
+        if abs(fz) <= REGULARITY_RTOL * norm * zn:
+            raise NonRegularZetaError("a denominator form vanishes at zeta")
+        powers.append(fz**mult)
+    total = 0.0 + 0.0j
+    for coeff, e, indices in transform.terms:
+        val = coeff * phases[e]
+        for i in indices:
+            val /= powers[i]
+        total += val
+    return complex(total)
 
 
 def in_tube(factors, eta) -> bool:
@@ -627,7 +663,7 @@ def in_tube(factors, eta) -> bool:
 
 
 def _check_interior(factors, zeta):
-    if not in_tube(factors, [z.imag for z in zeta]):
+    if not in_tube(factors, [complex(z).imag for z in zeta]):
         raise NonRegularZetaError(
             "Im(zeta) is not strictly inside the dual of the factor cone"
         )
@@ -635,9 +671,9 @@ def _check_interior(factors, zeta):
 
 def laplace_factor(factors, zeta) -> complex:
     """(i)^n / prod <b_i, zeta>: the transform of H_{b1} * ... * H_{bn}."""
-    factors = tuple(vec(f) for f in factors)
     zeta = tuple(complex(z) for z in zeta)
-    return _factor_transform(_float_factors(factors), zeta, _norm(zeta))
+    base = (0,) * len(zeta)
+    return _evaluate(_compile([(1, base, [vec(f) for f in factors])]), zeta)
 
 
 def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
@@ -645,23 +681,16 @@ def spline_laplace(S: SignedConeSpline, zeta, strict: bool = True) -> complex:
 
     strict=True insists Im(zeta) lies in the common dual-cone interior of all
     terms; strict=False evaluates the same closed form anywhere regular
-    (analytic continuation, e.g. real-limit samples). The terms' floats are
-    read once per spline (S.float_terms), with each term's operations in
-    laplace_factor's order.
+    (analytic continuation, e.g. real-limit samples). The terms are compiled
+    once per spline (S.transform); each zeta only evaluates them.
     """
     if S.poly is not None:
         raise ValueError(
             "polynomial multipliers transform through the symbolic route"
         )
-    zeta = tuple(complex(z) for z in zeta)
     if strict:
-        _check_interior([fb for _, _, ffs in S.float_terms for _, fb, _ in ffs], zeta)
-    zn = _norm(zeta)
-    total = 0.0 + 0.0j
-    for sign, base, ffs in S.float_terms:
-        phase = 1j * sum(b * z for b, z in zip(base, zeta))
-        total += sign * np.exp(phase) * _factor_transform(ffs, zeta, zn)
-    return complex(total)
+        _check_interior([form for form, _, _ in S.transform.powers], zeta)
+    return _evaluate(S.transform, zeta)
 
 
 # ---------------------------------------------------------------------------

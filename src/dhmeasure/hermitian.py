@@ -31,14 +31,15 @@ weights, w*b for each noncompact root b and -w*a for each compact root a
 localize.dh_measure of that model; the reduced measure keeps only
 noncompact convolution factors and multiplies by the product of the
 compact-root wall functionals. Its transform is derived symbolically, with
-exact Gaussian-rational coefficients, and compiled to float terms.
+exact Gaussian-rational coefficients, and compiled to float terms (a
+conespline.CompiledTransform).
 
 Exact data is derived once and evaluated many times: build_pair caches the
 root data per family, with the lam-free part of every fixed point (its
 tangent weights, noncompact forms and their slopes, HermitianPairData.frames)
 derived on first use, and an OrbitSpec derives its chamber point, builds its
 orbit model and compiles its symbolic transform on first use, so every
-further zeta only evaluates float terms.
+further zeta is a tube check and one evaluation.
 """
 
 from __future__ import annotations
@@ -51,17 +52,17 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from . import localize
 from .conespline import (
-    REGULARITY_RTOL,
+    CompiledTransform,
     ConeSplineTerm,
-    NonRegularZetaError,
     Polynomial,
     SignedConeSpline,
     _certify_proper,
     _check_interior,
+    _evaluate,
+    _float_forms,
+    _times_i_power,
 )
 from .rational import (
     ONE,
@@ -411,7 +412,7 @@ class OrbitSpec:
         return orbit_model(self)
 
     @cached_property
-    def transform(self) -> "CompiledTransform":
+    def transform(self) -> CompiledTransform:
         """The reduced transform compiled to indexed float terms on first
         use, by one integer derivative chain per fixed point over the
         pair's frames."""
@@ -554,48 +555,6 @@ def k_type_measure(O: OrbitSpec) -> SignedConeSpline:
 # the reduced transform, compiled to float terms
 
 
-def _float_forms(forms) -> list:
-    """(float form, its Euclidean norm) per exact form."""
-    out = []
-    for form in forms:
-        f = tuple(float(x) for x in form)
-        out.append((f, math.sqrt(sum(x**2 for x in f))))
-    return out
-
-
-class CompiledTransform(NamedTuple):
-    """A sum of float terms coeff * e^{i<exponent, zeta>} / prod <form, zeta>^mult,
-    each term given by indices into the distinct exponents and the distinct
-    denominator powers."""
-
-    exponents: tuple  # distinct float exponents
-    powers: tuple  # distinct (float form, its norm, mult), a block of mults per form
-    terms: tuple  # (coeff, exponent index, power indices)
-
-
-def _evaluate(transform, zeta) -> complex:
-    """The CompiledTransform's sum at zeta, term by term in the given order.
-    Each distinct phase and denominator power is computed once, before the
-    sum; a form that vanishes at zeta raises NonRegularZetaError."""
-    zeta = tuple(complex(z) for z in zeta)
-    zn = math.sqrt(sum(abs(z) ** 2 for z in zeta))
-    phases = [np.exp(1j * sum(x * z for x, z in zip(expo, zeta)))
-              for expo in transform.exponents]
-    powers = []
-    for form, norm, mult in transform.powers:
-        fz = sum(x * z for x, z in zip(form, zeta))
-        if abs(fz) <= REGULARITY_RTOL * norm * zn:
-            raise NonRegularZetaError("a denominator form vanishes at zeta")
-        powers.append(fz**mult)
-    total = 0.0 + 0.0j
-    for coeff, e, indices in transform.terms:
-        val = coeff * phases[e]
-        for i in indices:
-            val /= powers[i]
-        total += val
-    return complex(total)
-
-
 def _compile_transform(O: OrbitSpec) -> CompiledTransform:
     """The reduced transform as a CompiledTransform, before its prefactor.
 
@@ -643,13 +602,10 @@ def _compile_transform(O: OrbitSpec) -> CompiledTransform:
             acc = {mults: c for mults, c in nxt.items() if c != 0}
         exponents.append(tuple(x / L for x in image))
         for mults in sorted(acc):
-            c = acc[mults] / den
-            # c * i^(k - j)
-            re, im = ((c, 0.0), (0.0, c), (-c, 0.0), (0.0, -c))[
-                (pair.k + n_c - sum(mults)) % 4
-            ]
             indices = tuple(map(operator.add, offsets, mults))
-            terms.append((complex(re, im), len(exponents) - 1, indices))
+            # c * i^(k - j)
+            coeff = _times_i_power(acc[mults] / den, pair.k + n_c - sum(mults))
+            terms.append((coeff, len(exponents) - 1, indices))
     powers = tuple((f, n, m) for f, n in blocks for m in range(1, top + 1))
     return CompiledTransform(tuple(exponents), powers, tuple(terms))
 
@@ -669,7 +625,6 @@ def laplace_nu_symbolic(O: OrbitSpec, zeta) -> complex:
     cone, where the transform converges.
     """
     pair = O.pair
-    zeta = tuple(complex(z) for z in zeta)
     _check_interior(pair.noncompact, zeta)
     power = (len(pair.noncompact) - pair.k) % 4
     return (1j**power) * _evaluate(O.transform, zeta)

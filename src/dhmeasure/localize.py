@@ -6,6 +6,8 @@ every weight is flipped to pair positively with xi; the product of flip signs
 becomes the sign of the point's Heaviside-convolution term. The resulting
 signed cone spline is the pushforward measure, and its closed-form transform
 matches the oscillatory fixed-point sum on the tube where both converge.
+Both are compiled transforms of conespline; the fixed-point sum is compiled
+once per model (FixedPointModel.transform).
 
 renormalize(M, xi) makes that choice once. The RenormalizedModel it
 returns is the chamber: its signed points give dh_measure's terms, and
@@ -27,7 +29,15 @@ from functools import cached_property
 import numpy as np
 
 from . import polycone
-from .conespline import ConeSplineTerm, SignedConeSpline, _certify_proper, in_tube, laplace_factor
+from .conespline import (
+    CompiledTransform,
+    ConeSplineTerm,
+    SignedConeSpline,
+    _certify_proper,
+    _compile,
+    _evaluate,
+    in_tube,
+)
 from .rational import dimension, is_zero_vec, rat_str, vdot, vec
 
 
@@ -52,6 +62,12 @@ class FixedPointModel:
     halfdim: int  # number of weights carried by every fixed point
     points: tuple
     energy_direction: tuple | None = None  # optional properness direction
+
+    @cached_property
+    def transform(self) -> CompiledTransform:
+        """The fixed-point sum with the raw weights, sum over the points of
+        e^{i<image, zeta>} * i^n / prod <w, zeta>, compiled once per model."""
+        return _compile((1, p.image, p.weights) for p in self.points)
 
 
 def fixed_point(image, weights, label=None) -> FixedPointDatum:
@@ -250,14 +266,9 @@ def gamma_region(M: FixedPointModel, xi=None) -> RenormalizedModel:
 def localization_sum(M: FixedPointModel, zeta, region: RenormalizedModel) -> complex:
     """Oscillatory fixed-point sum with the raw weights, at a zeta whose
     imaginary part lies in the given tube region."""
-    zeta = tuple(complex(z) for z in zeta)
-    if not region.contains_im([z.imag for z in zeta]):
+    if not region.contains_im([complex(z).imag for z in zeta]):
         raise NonRegularXiError("Im(zeta) is outside the convergence tube")
-    total = 0.0 + 0.0j
-    for p in M.points:
-        phase = 1j * sum(float(x) * z for x, z in zip(p.image, zeta))
-        total += np.exp(phase) * laplace_factor(p.weights, zeta)
-    return complex(total)
+    return _evaluate(M.transform, zeta)
 
 
 def tube_zetas(rng, direction, factors, count):

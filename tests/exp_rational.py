@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from dhmeasure.hermitian import CompiledTransform, _evaluate, _float_forms
+from dhmeasure.conespline import CompiledTransform, _evaluate, _float_forms
 from dhmeasure.rational import ZERO, rat, vdot, vec
 
 

@@ -12,6 +12,7 @@ from hypothesis import given
 from dhmeasure import cli, conespline, hermitian, localize, polycone, verify
 from dhmeasure.conespline import (
     NonProperConeError,
+    NonRegularZetaError,
     Polynomial,
     atomic_write_text,
     heaviside_density,
@@ -22,7 +23,7 @@ from dhmeasure.conespline import (
     spline_term,
     write_density_csv,
 )
-from dhmeasure.rational import integer_vector, rat, vec, vsub
+from dhmeasure.rational import ZERO, integer_vector, rat, vec, vsub
 from fraction_plan import fraction_density, fraction_plan, lcm_kernel
 
 
@@ -99,6 +100,50 @@ def test_spline_laplace_matches_term_sum():
     z = 0.4 + 1.1j
     expect = (1j / z) * (1 - np.exp(2j * z))
     assert spline_laplace(S, (z,)) == pytest.approx(expect)
+
+
+def test_transforms_are_compiled_on_the_first_zeta_only(monkeypatch):
+    calls = []
+    real, real_orbit = conespline._compile, hermitian._compile_transform
+    for module in (conespline, localize):
+        monkeypatch.setattr(module, "_compile", lambda terms: calls.append("terms") or real(terms))
+    monkeypatch.setattr(
+        hermitian, "_compile_transform", lambda O: calls.append("orbit") or real_orbit(O)
+    )
+    M = verify.projective_plane_model(2)
+    region = localize.gamma_region(M, (1, 2))
+    S = localize.dh_measure(region)
+    O = hermitian.orbit_spec(hermitian.build_pair("AIII", (2, 1)), (3, 1, -4))
+    eta = np.array([float(x) for x in region.sample_interior()])
+    center = np.array([float(x) for x in O.pair.center_vector])
+    rng = np.random.default_rng(39)
+    for _ in range(4):
+        re = rng.uniform(-1, 1, 2)
+        zeta = tuple(complex(r, i) for r, i in zip(re, eta * rng.uniform(0.6, 2.0)))
+        assert spline_laplace(S, zeta) == pytest.approx(localize.localization_sum(M, zeta, region))
+        zeta = tuple(complex(r, i) for r, i in zip(re, center * rng.uniform(1.0, 1.8)))
+        hermitian.laplace_nu_symbolic(O, zeta)
+        # the spline, then the model, then the orbit: each once
+        assert calls == ["terms", "terms", "orbit"]
+
+
+def test_a_zeta_in_a_factor_kernel_is_refused_by_every_route():
+    factors = [(1, 0), (1, 1)]
+    S = spline(2, [spline_term(1, (0, 0), factors), spline_term(-1, (1, 0), factors)])
+    # (1, 0) vanishes at (0, i) and lies within REGULARITY_RTOL of 0 at (1e-14, i)
+    for zeta in ((0, 1j), (1e-14, 1j)):
+        with pytest.raises(NonRegularZetaError):
+            spline_laplace(S, zeta, strict=False)
+        with pytest.raises(NonRegularZetaError):
+            laplace_factor(factors, zeta)
+        with pytest.raises(NonRegularZetaError, match="vanishes"):
+            conespline._evaluate(S.transform, zeta)
+    # beyond the band every route evaluates
+    zeta = (1e-10, 1j)
+    want = -1 / (zeta[0] * (zeta[0] + zeta[1]))
+    assert laplace_factor(factors, zeta) == pytest.approx(want, rel=1e-12)
+    assert spline_laplace(S, zeta, strict=False) == pytest.approx(
+        want * (1 - np.exp(1j * zeta[0])), rel=1e-9)
 
 
 def test_spline_density_interval():
@@ -537,21 +582,26 @@ def test_lattice_rows_equal_the_fraction_route():
                 assert any(value for value, _bound in rows)
 
 
-def test_default_grid_float_ends_equal_the_float_route():
-    # images spanning less than 1 on an axis give that axis float ends
-    # (default_grid's span is then the int 1): the lattice reads the float
-    # values lo + k * (hi - lo) / (count - 1) exactly, as the points were read
-    assert all(isinstance(x, float) for x in cli.default_grid([(0, 0), (2, 0)], 2)[1][:2])
+def test_default_grid_ends_are_exact_and_the_lattice_is_the_fraction_grid():
+    # an axis whose images span less than 1 takes the span 1, exactly: its
+    # ends are rationals (a float compares == to its rational) a quarter
+    # below and three quarters above
+    axes = cli.default_grid([(0, 0), (2, 0)], 2)
+    assert axes == ((rat(-1, 2), rat(7, 2), 25), (rat(-1, 4), rat(3, 4), 25))
+    assert all(type(x) is type(ZERO) for lo, hi, _ in axes for x in (lo, hi))
     planar = [S for S in _cone_splines() if S.dim == 2]
     assert len(planar) > 3
     for S in planar:
         base = S.terms[0].base
-        axes = cli.default_grid([base, (base[0] + 2, base[1])], 2)
-        assert isinstance(axes[1][0], float) and not isinstance(axes[0][0], float)
-        coords, rows, values = _fraction_rows(S, axes)
-        lattice, got_coords = cli._lattice(axes)
-        points = [tuple(rat(x, lattice.denominator) for x in p) for p in zip(*lattice.columns)]
-        assert points == [tuple(rat(x) for x in p) for p in itertools.product(*values)]
-        assert got_coords == coords
-        assert cli._density_rows(S, (lattice, got_coords)) == (coords, rows)
-        assert any(value for value, _bound in rows)
+        # one image (both axes span 0), then two whose second axis spans 0
+        for images in ([base], [base, (base[0] + 2, base[1])]):
+            axes = cli.default_grid(images, 2)
+            assert all(type(x) is type(ZERO) for lo, hi, _ in axes for x in (lo, hi))
+            coords, rows, values = _fraction_rows(S, axes)
+            lattice, got_coords = cli._lattice(axes)
+            points = [tuple(rat(x, lattice.denominator) for x in p) for p in zip(*lattice.columns)]
+            assert points == list(itertools.product(*values))
+            assert tuple(base) in points
+            assert got_coords == coords
+            assert cli._density_rows(S, (lattice, got_coords)) == (coords, rows)
+            assert any(value for value, _bound in rows)

@@ -413,7 +413,7 @@ def test_evaluate_refuses_a_zeta_on_a_denominator_wall(family, params, lam):
         v = rng.uniform(-1, 1, len(f)) + 1j * rng.uniform(0.5, 1.5, len(f))
         zeta = v - (f @ v) / (f @ f) * f  # in the form's kernel, up to rounding
         with pytest.raises(conespline.NonRegularZetaError, match="vanishes"):
-            hermitian._evaluate(transform, zeta)
+            conespline._evaluate(transform, zeta)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,12 @@ to the same product of factor transforms as conespline.laplace_factor.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import numbers
+import os
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +40,8 @@ from scipy import integrate
 from . import polycone
 from .rational import (ONE, ZERO, PureDeltaError, det, integer_vector, rank, rat, solve,
                        vdot, vec)
+
+log = logging.getLogger("dhmeasure")
 
 
 class ImproperConeError(ValueError):
@@ -76,10 +82,12 @@ class MonteCarloConfig:
         if self.bins < 2:
             raise ValueError("need at least 2 bins per axis")
         r = self.cutoff_radius
-        if not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):
+        if isinstance(r, bool) or not (
+                isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):
             raise ValueError(f"cutoff_radius {r!r} is not a finite number > 0")
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed {self.seed!r} is not an integer in [0, 2^64)")
+        s = self.seed
+        if isinstance(s, bool) or not (isinstance(s, numbers.Integral) and 0 <= s < 2**64):
+            raise ValueError(f"seed {s!r} is not an integer in [0, 2^64)")
 
 
 def _positive_functional(factors):
@@ -554,6 +562,13 @@ def _ball_image(rng, m, R, phi0, A):
     return mu
 
 
+def _usable_cores():
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable:
     """Empirical pushforward density for a linear model-space action.
 
@@ -566,8 +581,12 @@ def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable
     exactly; they do not depend on how the bins are found. The output
     density is per coordinate-Lebesgue volume; comparing it with the
     unit-normalized engine density measures the per-factor area constant.
-    Deterministic: counts are accumulated per chunk with a counter-based
-    generator keyed by (seed, chunk) and summed exactly.
+    Deterministic: each chunk draws from a counter-based generator keyed
+    by (seed, chunk) and bins its own samples, and the int64 counts are
+    summed exactly, so they do not depend on order. The chunks run on up
+    to min(MONTECARLO_CHUNKS, usable cores) threads (numpy releases the GIL
+    while it draws and in its large ufuncs); every thread is joined before
+    the function returns. Workers call only _ball_image and _bin_counts.
     """
     weights = [vec(w) for w in weights]
     _positive_functional(weights)
@@ -586,16 +605,22 @@ def montecarlo_pushforward(weights, phi0, cfg: MonteCarloConfig) -> DensityTable
         np.linspace(lo[j] - pad[j], hi[j] + pad[j], cfg.bins + 1) for j in range(d)
     ]
 
-    counts = np.zeros(cfg.bins**d, dtype=np.int64)
+    def chunk(c, m):
+        key = np.array([int(cfg.seed), c], dtype=np.uint64)  # a list goes via float64
+        rng = np.random.Generator(np.random.Philox(key=key))
+        return _bin_counts(_ball_image(rng, m, R, phi0, A), edges)
+
+    t0 = time.perf_counter()
     per = cfg.samples // MONTECARLO_CHUNKS
     sizes = [per] * MONTECARLO_CHUNKS
     sizes[-1] += cfg.samples - per * MONTECARLO_CHUNKS
-    for c, m in enumerate(sizes):
-        if m == 0:
-            continue
-        key = np.array([int(cfg.seed), c], dtype=np.uint64)  # a list goes via float64
-        rng = np.random.Generator(np.random.Philox(key=key))
-        counts += _bin_counts(_ball_image(rng, m, R, phi0, A), edges)
+    workers = min(MONTECARLO_CHUNKS, _usable_cores())
+    counts = np.zeros(cfg.bins**d, dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(chunk, range(MONTECARLO_CHUNKS), sizes):
+            counts += part
+    log.debug("montecarlo: %d samples, %d chunks, %d workers, %.3f s",
+              cfg.samples, MONTECARLO_CHUNKS, workers, time.perf_counter() - t0)
 
     vol_ball = math.pi**n * R ** (2 * n) / math.factorial(n)
     cell = np.prod([e[1] - e[0] for e in edges])

@@ -344,7 +344,7 @@ def _report(name, seed, checks, failures, t0, extra=None):
         "failed": len(failures),
         "passed": not failures,
         "failures": failures[:10],
-        "elapsed_s": round(time.time() - t0, 3),
+        "elapsed_s": round(time.perf_counter() - t0, 3),
     }
     if extra:
         rep.update(extra)
@@ -360,7 +360,7 @@ def cones_suite(seed: int = 0, count: int = 100) -> dict:
     in the set it stays a failure.
     """
     rng = suite_rng(seed, "cones")
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     misses = []
     for i in range(count):
@@ -417,7 +417,7 @@ def convolution_suite(seed: int = 0, count: int = 50) -> dict:
     inside the factor cone) and a lattice point. A failure records exact
     values as strings."""
     rng = suite_rng(seed, "convolution")
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     worst = 0.0
     for i in range(count):
@@ -462,7 +462,7 @@ def laplace_suite(seed: int = 0, sets: int = 25, zetas: int = 5) -> dict:
     own relative bound, LAPLACE_REL.
     """
     rng = suite_rng(seed, "laplace")
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     worst = dict.fromkeys(LAPLACE_REL, 0.0)
     checks = sets * zetas
@@ -535,7 +535,7 @@ def montecarlo_suite(seed: int = 0, samples: int = 1_000_000) -> dict:
     The empirical-to-engine ratio is the model-space area constant; it must
     be flat across bins (3 sigma) and consistent across cases per factor.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     per_factor = []
     details = []
@@ -626,7 +626,7 @@ def lattice_suite(t: int = 100) -> dict:
     coefficient must equal the index of the weight lattice in Z^d (the gcd
     of the maximal minors) times the density, at every point.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     details = []
     for name, weights, mus in _LATTICE_CASES:
@@ -665,7 +665,7 @@ _CIRCLE_CASES = (
 
 def circle_suite(tol: float = 1e-8) -> dict:
     """Truncated rank-one transforms against the two-term closed form."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     details = []
     for alpha, z, a in _CIRCLE_CASES:

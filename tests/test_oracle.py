@@ -1,5 +1,8 @@
 import json
+import logging
 import math
+import os
+import threading
 import warnings
 from fractions import Fraction
 
@@ -399,10 +402,12 @@ def test_montecarlo_seed_keys_a_64_bit_stream():
     ("cutoff_radius", math.nan), ("cutoff_radius", math.inf), ("cutoff_radius", -math.inf),
     ("cutoff_radius", 0.0), ("cutoff_radius", "4"), ("bins", 2.5), ("bins", 8.0),
     ("bins", True), ("bins", 1), ("samples", 1e5), ("samples", True), ("samples", 9_999),
+    ("seed", True), ("cutoff_radius", True),
 ])
 def test_montecarlo_config_rejects_what_cannot_run(field, value):
     # nan and inf radii once ran to all-zero counts and nan densities, and
-    # float bins and samples to a TypeError in the middle of the run
+    # float bins and samples to a TypeError in the middle of the run; a
+    # bool seed or radius once ran as 1
     with pytest.raises(ValueError, match=field[:3]):
         MonteCarloConfig(**{field: value})
 
@@ -435,10 +440,40 @@ def test_montecarlo_config_takes_numpy_integers_and_rational_radii():
     (((1, 0), (0, 1), (1, 1), (1, 2)), (1, -1), 2.0, 5, 2**63, 10_000,
      (77, 132, 54, 0, 0, 244, 829, 447, 4, 0, 258, 1410, 1132, 110, 0, 261, 1318, 1476,
       455, 10, 138, 487, 671, 429, 58)),
+    # d = 2 with 3 samples over, all in the last chunk
+    (((1, 0), (0, 1), (1, 1)), (0, 0), 2.2, 6, 7, 15_003,
+     (137, 217, 190, 212, 230, 141, 193, 529, 606, 654, 565, 224, 216, 604, 974, 993,
+      647, 207, 208, 636, 964, 939, 573, 211, 195, 551, 658, 637, 516, 207, 159, 205,
+      215, 219, 222, 149)),
 ])
-def test_montecarlo_counts_are_pinned(weights, phi0, radius, bins, seed, samples, counts):
+def test_montecarlo_counts_are_pinned(weights, phi0, radius, bins, seed, samples, counts,
+                                      monkeypatch):
     cfg = MonteCarloConfig(seed=seed, samples=samples, cutoff_radius=radius, bins=bins)
     assert montecarlo_pushforward(weights, phi0, cfg).counts == counts
+    # the same counts from one worker thread: the chunk sum is exact
+    _one_core(monkeypatch)
+    assert montecarlo_pushforward(weights, phi0, cfg).counts == counts
+
+
+def _one_core(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+def test_montecarlo_logs_its_workers_and_joins_them(monkeypatch, caplog):
+    cfg = MonteCarloConfig(seed=1, samples=10_000, bins=4)
+    workers = min(oracle.MONTECARLO_CHUNKS, oracle._usable_cores())
+    before = set(threading.enumerate())
+    with caplog.at_level(logging.DEBUG, logger="dhmeasure"):
+        montecarlo_pushforward([(1,)], (0,), cfg)
+        _one_core(monkeypatch)
+        montecarlo_pushforward([(1,)], (0,), cfg)
+    assert set(threading.enumerate()) == before
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("montecarlo")]
+    assert [line.rsplit(", ", 1)[0] for line in lines] == [
+        f"montecarlo: 10000 samples, 8 chunks, {workers} workers",
+        "montecarlo: 10000 samples, 8 chunks, 1 workers",
+    ]
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (5, 3), (7, 1)])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -105,6 +107,17 @@ def test_convolution_suite_small():
 def test_laplace_suite_small():
     rep = verify.laplace_suite(seed=0, sets=5, zetas=2)
     assert rep["failed"] == 0
+
+
+def test_suite_elapsed_survives_a_wall_clock_step(monkeypatch):
+    # the wall clock steps back an hour after its first read; a suite timed
+    # by it would report elapsed_s near -3600
+    wall = time.time
+    reads = itertools.count()
+    monkeypatch.setattr(time, "time", lambda: wall() - (3600.0 if next(reads) else 0.0))
+    rep = verify.circle_suite()
+    assert rep["passed"]
+    assert 0 <= rep["elapsed_s"] < 60
 
 
 def test_montecarlo_suite_reduced_samples():

@@ -41,21 +41,15 @@ def main():
 
     print("\nreduced density (rows mu_1, cols mu_2):")
     m1s, m2s = range(-2, 4), range(4, 10)
-    grid = conespline.spline_density(Sk, [(m1, m2) for m1 in m1s for m2 in m2s])
     print("        " + "".join(f"{m2:8.2f}" for m2 in m2s))
-    for i, m1 in enumerate(m1s):
-        row = grid[i * len(m2s):(i + 1) * len(m2s)]
-        print(f"{m1:+6.2f}  " + "".join(f"{float(dv.value):8.4f}" for dv in row))
+    for m1 in m1s:
+        row = [conespline.spline_density(Sk, (m1, m2)).value for m2 in m2s]
+        print(f"{m1:+6.2f}  " + "".join(f"{float(v):8.4f}" for v in row))
 
     rng = np.random.default_rng(0)
-    center = np.array([float(x) for x in pair.center_vector])
     print("\nsymbolic vs numeric transform:")
     worst = 0.0
-    for _ in range(4):
-        im = center * rng.uniform(1.1, 1.7)
-        zeta = tuple(
-            complex(r, i) for r, i in zip(rng.uniform(-1, 1, 2), im)
-        )
+    for zeta in localize.tube_zetas(rng, pair.center_vector, pair.noncompact, 4):
         sym = hermitian.laplace_nu_symbolic(spec, zeta)
         num, _ = oracle.numeric_laplace_spline(Sk, zeta, method="mapped")
         rel = abs(num - sym) / abs(sym)

@@ -60,7 +60,6 @@ from .oracle import (
     lattice_count,
     line_density,
     montecarlo_pushforward,
-    numeric_laplace,
     numeric_laplace_spline,
     quadrature_convolution,
     truncated_circle_check,

@@ -17,17 +17,16 @@ and the spanning children come from one fraction-free elimination per node
 and are cached per factor tuple, each node with one common denominator.
 
 One recursion evaluates them, with the same arithmetic on d coordinates
-that are numbers, for one point, or numpy object arrays, for an N x d batch
-such as a density grid. heaviside_density and spline_density put the point
-or the batch over one common denominator D and run it on Python integers:
-the density is the integer result over (root denominator) * D^(n - d), an
-exact rational with error bound 0; there is no float density path. The
-input's form selects the output's: a point gives one exact value, a batch
-of points a tuple of them, and a Lattice (integer columns over one
-denominator, as the CLI builds a grid) the integer numerators over one
-denominator, with no rational made per point. write_density_csv writes a
-grid's coordinates as the nearest doubles of the exact points and each
-density as its nearest double, with the caller's bound on that rounding.
+that are numbers, for one point, or numpy object arrays, for N points such
+as a density grid. heaviside_density and spline_density take one point or
+a Lattice (integer columns over one denominator, as the CLI builds a grid)
+and run it on Python integers over one common denominator D: the density
+is the integer result over (root denominator) * D^(n - d), an exact
+rational with error bound 0; there is no float density path. A point gives
+one exact value, a Lattice the integer numerators over one denominator,
+with no rational made per point. write_density_csv writes a grid's
+coordinates as the nearest doubles of the exact points and each density as
+its nearest double, with the caller's bound on that rounding.
 
 On a wall, where the density jumps, the value is the limit from inside the
 term's cone: along mu + eps*c + eps^2*e_1 + ... + eps^(d+1)*e_d for small
@@ -454,33 +453,26 @@ def _truncated_powers(program, dots, masks):
 
 
 def _integer_points(mu, d):
-    """(X, D, N): the point or N x d batch mu times the lcm D > 0 of its
-    denominators, as d coordinates: Python ints for a point, with N None,
-    and numpy object N-arrays of Python ints for a batch. numpy's
-    leading-axis convention tells them apart: a point is one-dimensional. A
-    batch of Python ints is read as it is, with D = 1, and a Lattice is its
-    own columns over its own denominator."""
+    """(X, D, N): a Lattice's own columns over its own denominator, with N
+    its point count, or None for columns of Python ints; or the point mu
+    times the lcm D > 0 of its denominators, as d Python ints, with N None.
+    Several points, as a sequence of points or a 2-D array, are refused:
+    they are evaluated as a Lattice."""
     if isinstance(mu, Lattice):
         X = list(mu.columns)
         if len(X) != d:
             raise ValueError("point/factor dimension mismatch")
         return X, mu.denominator, len(X[0]) if isinstance(X[0], np.ndarray) else None
     if isinstance(mu, np.ndarray):
-        batch = mu.ndim == 2
+        points = mu.ndim > 1
     else:
-        batch = isinstance(mu, (tuple, list)) and bool(mu) and isinstance(mu[0], (tuple, list, np.ndarray))
-    if not batch:
-        mu = vec(mu)
-        if len(mu) != d:
-            raise ValueError("point/factor dimension mismatch")
-        return (*integer_vector(mu), None)
-    P = np.array(mu, dtype=object)
-    if P.ndim != 2 or P.shape[1] != d:
+        points = isinstance(mu, (tuple, list)) and bool(mu) and isinstance(mu[0], (tuple, list, np.ndarray))
+    if points:
+        raise ValueError("a density takes one point or a Lattice of points")
+    mu = vec(mu)
+    if len(mu) != d:
         raise ValueError("point/factor dimension mismatch")
-    if not all(type(x) is int for x in P.flat):
-        ints, common = integer_vector([rat(x) for x in P.flat])
-        return list(np.array(ints, dtype=object).reshape(P.shape).T), common, len(P)
-    return list(P.T), 1, len(P)
+    return (*integer_vector(mu), None)
 
 
 def heaviside_density(factors, mu):
@@ -494,13 +486,12 @@ def heaviside_density(factors, mu):
     ValueError when the factors do not span R^d (the measure is then
     singular and has no density function).
 
-    mu may also be an N x d batch of points (a 2-D array, or a sequence of
-    points); the result is then a tuple of N exact values. Given a Lattice
-    X / D, the result is (numerators, denominator) in the lattice's form,
-    the recursion's integers over Q * D^(n - d). One point and a batch run
-    the same recursion, a batch on numpy object arrays: one kernel lookup
-    and one pass over all N points, whose inner nodes run only on the
-    points inside some leaf.
+    mu may also be a Lattice X / D; the result is then (numerators,
+    denominator) in the lattice's form, the recursion's integers over
+    Q * D^(n - d). One point and a Lattice of N points run the same
+    recursion, the N points on numpy object arrays: one kernel lookup and
+    one pass over all of them, whose inner nodes run only on the points
+    inside some leaf.
     """
     factors = tuple(vec(f) for f in factors)
     if not factors:
@@ -520,25 +511,21 @@ def heaviside_density(factors, mu):
         values = values * top
     if isinstance(mu, Lattice):
         return values, den
-    if count is None:
-        return rat(values, den)
-    return tuple(rat(v, den) if v else ZERO for v in values.tolist())
+    return rat(values, den)
 
 
 def spline_density(S: SignedConeSpline, mu) -> DensityValue:
     """Signed density of the spline at mu (poly multiplier applied); exact.
 
-    mu may also be an N x d batch of points; the result is then a tuple of
-    N DensityValues. Given a Lattice, the result is (numerators,
-    denominator) in the lattice's form, with no DensityValue made. The
-    points and the term bases are put over one common denominator D, and
-    each cone of the spline (S.cones) is one heaviside_density call on the
-    Lattice of the shifted integer points x = D * (mu - base) of its terms,
-    stacked term by term, which gives the density at each mu - base as
-    integers over one denominator. The terms are added up over the lcm of
-    their denominators, the polynomial multiplier is evaluated in integers
-    too, and the point or each point of a batch is divided once. A spline
-    with no terms has density 0.
+    mu may also be a Lattice; the result is then (numerators, denominator)
+    in the lattice's form, with no DensityValue made. The points and the
+    term bases are put over one common denominator D, and each cone of the
+    spline (S.cones) is one heaviside_density call on the Lattice of the
+    shifted integer points x = D * (mu - base) of its terms, stacked term by
+    term, which gives the density at each mu - base as integers over one
+    denominator. The terms are added up over the lcm of their denominators,
+    the polynomial multiplier is evaluated in integers too, and a point is
+    divided once. A spline with no terms has density 0.
     """
     if S.nfactors == 0 and S.terms:
         raise PureDeltaError("point-mass spline has no density function")
@@ -574,9 +561,7 @@ def spline_density(S: SignedConeSpline, mu) -> DensityValue:
         num = np.full(count, num, dtype=object)
     if isinstance(mu, Lattice):
         return num, den
-    if count is None:
-        return DensityValue(rat(num, den), 0.0)
-    return tuple(DensityValue(rat(v, den), 0.0) for v in num.tolist())
+    return DensityValue(rat(num, den), 0.0)
 
 
 def _poly_integers(poly, X, common):

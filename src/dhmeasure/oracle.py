@@ -9,8 +9,8 @@ one. The box route takes one-dimensional splines without a multiplier:
 it integrates its own closed-form line density (line_density, each term
 a truncated power on one side of its base) by one quadrature, so it
 checks the closed-form transform against a density written apart from
-the engine; its truncation interval and tail bound are closed forms over
-each term's damped simplex, with no LP. The mapped route writes each
+the engine; its truncation interval and tail bound are closed forms, from
+one pass over the terms (_line_truncation). The mapped route writes each
 term in orthant coordinates and sums closed-form one-dimensional moments.
 Its multiplier is split at the term's base into exact Taylor coefficients
 (_taylor_table) and the base-free expansions of the orthant substitution
@@ -38,8 +38,7 @@ import numpy as np
 from scipy import integrate
 
 from . import polycone
-from .rational import (ONE, ZERO, PureDeltaError, det, integer_vector, rank, rat, solve,
-                       vdot, vec)
+from .rational import ONE, ZERO, PureDeltaError, det, integer_vector, rank, rat, solve, vec
 
 log = logging.getLogger("dhmeasure")
 
@@ -55,7 +54,8 @@ LATTICE_MAX_NODES = 20_000_000  # enumeration bound of lattice_count
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances of the box route's quadrature (numeric_laplace)."""
+    """Tolerances of the box route's quadrature
+    (numeric_laplace_spline(method="box"))."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
@@ -184,69 +184,31 @@ def quadrature_convolution(factors, mu, cfg: QuadratureConfig | None = None):
 # damped numeric transforms
 
 
-def numeric_laplace(f, zeta, box, cfg: QuadratureConfig | None = None) -> complex:
-    """Quadrature of e^{i mu zeta} f(mu) over a one-entry box [(lo, hi)].
+def _line_truncation(S, im, decay_log: float):
+    """Truncation interval and tail bound of the box route on a
+    one-dimensional spline, with im = Im zeta, in one pass over the terms.
 
-    f takes a one-coordinate tuple. The caller guarantees the truncation
-    is adequate (see numeric_laplace_spline for a tail-bounded wrapper).
-
-    The kernel's value at lo is factored out and applied after
-    integrating, so the quadrature always works at order-one scale even
-    when the support sits deep inside the damping region.
-    """
-    if len(box) != 1 or len(zeta) != 1:
-        raise ValueError("the box route integrates over one dimension only")
-    cfg = cfg or QuadratureConfig()
-    ((lo, hi),) = box
-    z = complex(zeta[0])
-
-    def integrand(t):
-        v = f((t,))
-        if v == 0.0:
-            return 0.0 + 0.0j
-        return v * np.exp(1j * ((t - lo) * z))
-
-    val, _ = integrate.quad(integrand, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                            limit=200, complex_func=True)
-    return complex(val * np.exp(1j * (lo * z)))
-
-
-def spline_truncation(S, im_zeta, decay_log: float):
-    """Truncation box and tail bound of the box route, in one pass over terms.
-
-    With c_j = <f_j, Im zeta> > 0, checked exactly, a term's mass inside the
-    damping slab <mu - base, Im zeta> <= L lies on the simplex with vertices
-    base and base + (L / c_j) f_j. The box is the exact coordinate range of
-    every term's vertices, padded outward in floats. Outside the slab, in
+    A factor b is damped when b * im > 0, checked exactly. Inside the
+    damping slab (mu - base) * im <= L, a term's mass lies between base and
+    base + L / im, the vertex of every factor. The interval is the exact
+    range of those ends, padded outward in floats. Outside the slab, in
     factor coordinates, a term discards the tail of a Gamma(n) law:
-    (prod_j c_j)^(-1) e^(-L) sum_{k<n} L^k / k!, damped at its base. The
-    tail bound sums these; the spline carries no polynomial multiplier.
-
-    Returns (box, tail_bound), box a list of (lo, hi) per coordinate.
+    (prod_j b_j im)^(-1) e^(-L) sum_{k<n} L^k / k!, damped at its base. The
+    tail bound sums these. Returns (lo, hi, tail_bound).
     """
-    im = vec([rat(float(v)) for v in im_zeta])
-    L = rat(float(decay_log))
-    Lf = float(decay_log)
-    vertices = []
+    im_q, L, Lf = rat(im), rat(float(decay_log)), float(decay_log)
+    ends = []
     tail = 0.0
     for t in S.terms:
-        pair_im = [vdot(f, im) for f in t.factors]
-        if any(p <= 0 for p in pair_im):
+        if any(f[0] * im_q <= 0 for f in t.factors):
             raise ValueError("Im(zeta) does not damp every factor direction")
-        vertices.append(t.base)
-        vertices.extend([b + L / p * x for b, x in zip(t.base, f)]
-                        for p, f in zip(pair_im, t.factors))
-        prod_c = math.prod(sum(float(x) * v for x, v in zip(f, im_zeta))
-                           for f in t.factors)
+        ends += [t.base[0], t.base[0] + L / im_q]
+        prod_c = math.prod(float(f[0]) * im for f in t.factors)
         gam = sum(Lf**k / math.factorial(k) for k in range(len(t.factors)))
-        base_damp = math.exp(-sum(float(b) * v for b, v in zip(t.base, im_zeta)))
-        tail += base_damp * math.exp(-Lf) * gam / prod_c
-    box = []
-    for values in zip(*vertices):
-        fa, fb = float(min(values)), float(max(values))
-        pad = 1e-9 * (1.0 + abs(fa) + abs(fb))
-        box.append((fa - pad, fb + pad))
-    return box, tail
+        tail += math.exp(-float(t.base[0]) * im) * math.exp(-Lf) * gam / prod_c
+    lo, hi = float(min(ends)), float(max(ends))
+    pad = 1e-9 * (1.0 + abs(lo) + abs(hi))
+    return lo - pad, hi + pad, tail
 
 
 def line_density(S):
@@ -430,13 +392,13 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
 
     Returns (value, tail_bound). method="box" integrates line_density, the
     density of a one-dimensional spline, times the oscillating kernel by
-    quadrature over a truncation interval holding all but e^(-decay_log)
-    of the damped mass, and bounds the rest (spline_truncation, closed
-    form, no LP); it takes no polynomial multiplier. cfg and decay_log set
-    only this route. method="mapped" writes each term in orthant
-    coordinates, where the kernel splits into closed-form one-dimensional
-    moments (any volume dimension, polynomial multipliers included); it
-    truncates nothing, so its tail bound is 0.0.
+    one quadrature over a truncation interval holding all but
+    e^(-decay_log) of the damped mass, and bounds the rest
+    (_line_truncation, closed form); it takes no polynomial multiplier.
+    cfg and decay_log set only this route. method="mapped" writes each term
+    in orthant coordinates, where the kernel splits into closed-form
+    one-dimensional moments (any volume dimension, polynomial multipliers
+    included); it truncates nothing, so its tail bound is 0.0.
     """
     zeta = tuple(complex(z) for z in zeta)
     if method == "mapped":
@@ -444,8 +406,21 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
     if method != "box":
         raise ValueError("method must be 'box' or 'mapped'")
     density = line_density(S)
-    box, tail = spline_truncation(S, [z.imag for z in zeta], decay_log)
-    return numeric_laplace(density, zeta, box, cfg), tail
+    (z,) = zeta
+    lo, hi, tail = _line_truncation(S, z.imag, decay_log)
+    cfg = cfg or QuadratureConfig()
+
+    def integrand(t):
+        v = density((t,))
+        if v == 0.0:
+            return 0.0 + 0.0j
+        return v * np.exp(1j * ((t - lo) * z))
+
+    # the kernel's value at lo is applied after integrating, so the
+    # quadrature works at order-one scale even deep in the damping region
+    val, _ = integrate.quad(integrand, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
+                            limit=200, complex_func=True)
+    return complex(val * np.exp(1j * (lo * z))), tail
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +437,10 @@ class DensityTable:
     samples: int
     seed: int
 
-    def center_axes(self):
-        """Each axis's bin centres."""
-        return [[(e[i] + e[i + 1]) / 2 for i in range(len(e) - 1)] for e in self.edges]
-
     def centers(self):
         """Bin centres, in the C order of the flattened counts."""
-        return list(itertools.product(*self.center_axes()))
+        axes = ([(e[i] + e[i + 1]) / 2 for i in range(len(e) - 1)] for e in self.edges)
+        return list(itertools.product(*axes))
 
     def to_json(self) -> dict:
         return {
@@ -480,11 +452,6 @@ class DensityTable:
             "samples": self.samples,
             "seed": self.seed,
         }
-
-    def to_csv(self, path):
-        from .conespline import write_density_csv
-
-        write_density_csv(path, self.center_axes(), zip(self.density, self.sigma))
 
 
 def _axis_bins(x, e):

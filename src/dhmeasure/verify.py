@@ -532,8 +532,12 @@ def _mc_interior_mask(weights, phi0, table, radius):
 def montecarlo_suite(seed: int = 0, samples: int = 1_000_000) -> dict:
     """Sampled pushforward against the unit-normalized engine density.
 
-    The empirical-to-engine ratio is the model-space area constant; it must
-    be flat across bins (3 sigma) and consistent across cases per factor.
+    The empirical-to-engine ratio, fitted by weighted least squares over
+    the unbiased bins, is the model-space area constant to the power n. Its
+    n-th root c, the constant per complex line, must be 2 pi within 4
+    sigma_c, with sigma_ratio = 1 / sqrt(sum e^2 / s^2) from the same fit
+    and sigma_c = c * sigma_ratio / (n * ratio). The ratio must also be flat
+    across bins (3 sigma), and c consistent across cases.
     """
     t0 = time.perf_counter()
     failures = []
@@ -544,31 +548,31 @@ def montecarlo_suite(seed: int = 0, samples: int = 1_000_000) -> dict:
             seed=seed, samples=samples, cutoff_radius=radius, bins=bins
         )
         table = oracle.montecarlo_pushforward(weights, phi0, cfg)
-        engine = conespline.heaviside_density(weights, table.centers())
+        engine = [conespline.heaviside_density(weights, c) for c in table.centers()]
         mask = _mc_interior_mask(weights, phi0, table, radius)
+        used = [(d_emp, e, s) for d_emp, e, s, ok in zip(table.density, engine, table.sigma, mask)
+                if ok and e > 1e-9 and s > 0]
         num = den = 0.0
-        for d_emp, e, s, ok in zip(table.density, engine, table.sigma, mask):
-            if ok and e > 1e-9 and s > 0:
-                num += d_emp * e / (s * s)
-                den += e * e / (s * s)
+        for d_emp, e, s in used:
+            num += d_emp * e / (s * s)
+            den += e * e / (s * s)
         if den == 0:
             failures.append({"case": ci, "reason": "no unbiased bins"})
             continue
         ratio = num / den
-        zmax = 0.0
-        nbins = 0
-        for d_emp, e, s, ok in zip(table.density, engine, table.sigma, mask):
-            if ok and e > 1e-9 and s > 0:
-                nbins += 1
-                zmax = max(zmax, abs(d_emp - ratio * e) / s)
+        zmax = max((abs(d_emp - ratio * e) / s for d_emp, e, s in used), default=0.0)
         n = len(weights)
-        per_factor.append(ratio ** (1.0 / n))
+        c = ratio ** (1.0 / n)
+        sigma_c = c / math.sqrt(den) / (n * ratio)
+        per_factor.append(c)
         details.append(
-            {"case": ci, "ratio": ratio, "per_factor": ratio ** (1.0 / n),
-             "max_z": zmax, "bins_used": nbins}
+            {"case": ci, "ratio": ratio, "per_factor": c, "per_factor_sigma": sigma_c,
+             "max_z": zmax, "bins_used": len(used)}
         )
         if zmax > 3.0:
             failures.append({"case": ci, "max_z": zmax})
+        if abs(c - 2 * math.pi) > 4 * sigma_c:
+            failures.append({"case": ci, "per_factor": c, "per_factor_sigma": sigma_c})
     if per_factor:
         lo, hi = min(per_factor), max(per_factor)
         if (hi - lo) / lo > 0.02:

@@ -207,11 +207,11 @@ def test_criterion_8_orbit_families():
         for _ in range(100):
             raw = rng.normal(0, 4, pair.rank) + center * rng.uniform(0, 6)
             points.append(tuple(rat(int(round(x * 8192)), 8192) for x in raw))
-        values = [dv.value for dv in conespline.spline_density(Sk, points)]
+        values = [conespline.spline_density(Sk, mu).value for mu in points]
         neg_worst = min(neg_worst, *values)
         for m in pair.weyl:
-            images = conespline.spline_density(Sk, [mat_vec(m, mu) for mu in points])
-            inv_mismatches += sum(dv.value != v for dv, v in zip(images, values))
+            images = [conespline.spline_density(Sk, mat_vec(m, mu)).value for mu in points]
+            inv_mismatches += sum(a != v for a, v in zip(images, values))
         for zeta in localize.tube_zetas(rng, pair.center_vector, pair.noncompact, 10):
             sym = hermitian.laplace_nu_symbolic(spec, zeta)
             num, _ = oracle.numeric_laplace_spline(Sk, zeta, method="mapped")

@@ -747,7 +747,7 @@ def test_csv_error_bound_bounds_the_written_density(tmp_path):
     assert cli.main(["abelian", "--input", path, "--out", str(out), "--grid=-1:4:11"]) == 0
     S = conespline.spline_from_json((out / "spline.json").read_text())
     # the grid -1:4:11, exact: -1, -1/2, ..., 4
-    exact = [dv.value for dv in conespline.spline_density(S, [(rat(k - 2, 2),) for k in range(11)])]
+    exact = [conespline.spline_density(S, (rat(k - 2, 2),)).value for k in range(11)]
     rows = [r.split(",") for r in (out / "density.csv").read_text().splitlines()[1:]]
     assert len(rows) == len(exact) == 11
     dyadic = 0

@@ -404,21 +404,18 @@ def test_point_and_batch_equal_the_fraction_recursion():
         terms = []
         for t in S.terms:
             shifted = [vsub(mu, t.base) for mu in points]
-            want = tuple(fraction_density(t.factors, x) for x in shifted)
-            values = heaviside_density(t.factors, shifted)
-            one_by_one = tuple(heaviside_density(t.factors, x) for x in shifted)
-            assert type(values) is tuple
-            assert values == want == one_by_one
-            assert {type(v) for v in values + one_by_one} == {type(rat(0))}
+            want = [fraction_density(t.factors, x) for x in shifted]
+            one_by_one = [heaviside_density(t.factors, x) for x in shifted]
+            assert _on_lattice(heaviside_density, t.factors, shifted) == want == one_by_one
+            assert {type(v) for v in one_by_one} == {type(rat(0))}
             terms.append([t.sign * v for v in want])
         want = [
             sum(column, rat(0)) * (S.poly.eval_exact(mu) if S.poly is not None else 1)
             for mu, column in zip(points, zip(*terms))
         ]
-        got = spline_density(S, points)
-        assert type(got) is tuple
+        got = [spline_density(S, mu) for mu in points]
         assert [dv.value for dv in got] == want
-        assert [spline_density(S, mu).value for mu in points] == want
+        assert _on_lattice(spline_density, S, points) == want
         assert {dv.abs_error_bound for dv in got} == {0}
 
 
@@ -426,10 +423,9 @@ def test_zero_spline_density_is_an_exact_zero():
     for S in (spline(2, []), spline(2, [], poly=Polynomial.linear((1, 3)))):
         point = spline_density(S, (rat(7, 3), 1))
         assert point.value == 0 and type(point.value) is type(rat(0))
-        batch = spline_density(S, [(rat(7, 3), 1), (0.5, -2), (4, 4)])
-        assert type(batch) is tuple
-        assert [(dv.value, type(dv.value)) for dv in batch] == [(0, type(rat(0)))] * 3
-        assert spline_density(S, np.empty((0, 2))) == ()
+        nums, den = spline_density(S, _lattice_of([(rat(7, 3), 1), (0.5, -2), (4, 4)]))
+        assert [(n, type(n)) for n in nums.tolist()] == [(0, int)] * 3 and den > 0
+        assert spline_density(S, _EMPTY_LATTICE)[0].tolist() == []
 
 
 def test_batch_edge_cases():
@@ -440,22 +436,31 @@ def test_batch_edge_cases():
         poly=Polynomial.linear((1, 3)),
     )
     mu = (rat(7, 3), rat(5, 2))
-    assert heaviside_density(factors, [mu]) == (heaviside_density(factors, mu),)
-    assert spline_density(S, np.array([mu], dtype=object)) == (spline_density(S, mu),)
-    assert type(heaviside_density(factors, [mu, (1, 1)])) is tuple
-    assert heaviside_density(factors, np.empty((0, 2))) == ()
-    assert spline_density(S, np.empty((0, 2))) == ()
+    assert _on_lattice(heaviside_density, factors, [mu]) == [heaviside_density(factors, mu)]
+    assert _on_lattice(spline_density, S, [mu]) == [spline_density(S, mu).value]
+    assert heaviside_density(factors, _EMPTY_LATTICE)[0].tolist() == []
+    assert spline_density(S, _EMPTY_LATTICE)[0].tolist() == []
     # a leaf root (n = d) of rational factors: its mask times 1/|det C| = 6
     leaf = [(rat(1, 2), 0), (0, rat(1, 3))]
     points = [(1, 1), (-1, 1), (rat(1, 2), 0)]
-    assert heaviside_density(leaf, points) == (6, 0, 6)
-    nums, den = heaviside_density(leaf, _lattice_of(points))
-    assert [rat(n, den) for n in nums.tolist()] == [6, 0, 6]
-    for bad in ([(1, 2), (1, 2, 3)], np.zeros((3, 3)), (1, 2, 3)):
-        with pytest.raises(ValueError):
-            heaviside_density(factors, bad)
-        with pytest.raises(ValueError):
-            spline_density(S, bad)
+    assert [heaviside_density(leaf, x) for x in points] == [6, 0, 6]
+    assert _on_lattice(heaviside_density, leaf, points) == [6, 0, 6]
+
+
+def test_several_points_are_refused_unless_a_lattice():
+    factors = [(1, 0), (0, 1), (1, 2)]
+    S = spline(2, [spline_term(1, (0, 0), factors)], poly=Polynomial.linear((1, 3)))
+    mu = (rat(7, 3), rat(5, 2))
+    for many in ([mu, (1, 1)], [(1, 2), (1, 2, 3)], np.array([mu, (1, 1)], dtype=object),
+                 np.zeros((3, 3)), np.empty((0, 2))):
+        with pytest.raises(ValueError, match="Lattice"):
+            heaviside_density(factors, many)
+        with pytest.raises(ValueError, match="Lattice"):
+            spline_density(S, many)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        heaviside_density(factors, (1, 2, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        spline_density(S, (1, 2, 3))
 
 
 def test_a_grid_makes_one_kernel_lookup_per_cone(monkeypatch):
@@ -467,7 +472,7 @@ def test_a_grid_makes_one_kernel_lookup_per_cone(monkeypatch):
     real = conespline._kernel
     monkeypatch.setattr(conespline, "_kernel", lambda factors: lookups.append(factors) or real(factors))
     grid = list(itertools.product([rat(3 * k, 2) for k in range(5)], repeat=3))
-    assert len(spline_density(S, grid)) == 125
+    assert len(spline_density(S, _lattice_of(grid))[0]) == 125
     assert lookups == [S.terms[0].factors]
     spline_density(S, grid[7])
     assert len(lookups) == 2
@@ -511,7 +516,7 @@ def test_grouped_density_is_the_sum_of_its_terms(monkeypatch):
             for mu in points
         ]
         calls.clear()
-        assert [dv.value for dv in spline_density(S, points)] == want
+        assert _on_lattice(spline_density, S, points) == want
         # one call per cone, with the factors of its first term as given, on
         # the integer lattice of its shifted points
         assert calls == [(factors, conespline.Lattice) for factors, _ in S.cones]
@@ -528,11 +533,20 @@ def _lattice_of(points, scale=1):
     return conespline.Lattice(tuple(columns), D * scale)
 
 
+_EMPTY_LATTICE = conespline.Lattice((np.array([], dtype=object),) * 2, 1)
+
+
+def _on_lattice(density, first, points):
+    """density(first, Lattice of the points) as one exact value per point."""
+    nums, den = density(first, _lattice_of(points))
+    return [rat(n, den) for n in nums.tolist()]
+
+
 def test_lattice_densities_equal_the_fraction_batch():
     rng = np.random.default_rng(38)
     for S in _cone_splines():
         points = [vec(mu) for mu in _probe_points(rng, S, 12)]  # wall points included
-        want = [dv.value for dv in spline_density(S, points)]
+        want = [spline_density(S, mu).value for mu in points]
         for scale in (1, 6):
             lattice = _lattice_of(points, scale)
             got = spline_density(S, lattice)
@@ -542,9 +556,9 @@ def test_lattice_densities_equal_the_fraction_batch():
             assert [rat(n, den) for n in nums.tolist()] == want
             for factors, members in S.cones:
                 shifted = [vsub(mu, S.terms[members[-1]].base) for mu in points]
-                batch = heaviside_density(factors, shifted)
+                batch = [heaviside_density(factors, x) for x in shifted]
                 nums, den = heaviside_density(factors, _lattice_of(shifted, scale))
-                assert [rat(n, den) for n in nums.tolist()] == list(batch)
+                assert [rat(n, den) for n in nums.tolist()] == batch
                 # one point as a lattice of Python ints
                 point = _lattice_of(shifted[-1:], scale)
                 num, den = heaviside_density(factors, conespline.Lattice(
@@ -558,7 +572,7 @@ def _fraction_rows(S, axes):
     rounded from its lowest terms."""
     values = [[lo + k * (hi - lo) / (count - 1) for k in range(count)] if count > 1 else [lo]
               for lo, hi, count in axes]
-    dens = [dv.value for dv in spline_density(S, list(itertools.product(*values)))]
+    dens = [spline_density(S, mu).value for mu in itertools.product(*values)]
     rows = [cli._rounded(int(v.numerator), int(v.denominator)) for v in dens]
     return [[float(x) for x in axis] for axis in values], rows, values
 

@@ -240,7 +240,7 @@ def test_full_measure_density_nonnegative(family, params, lam):
     St = hermitian.t_type_measure(spec)
     rng = np.random.default_rng(12)
     points = [tuple(rng.uniform(-6, 12, 2)) for _ in range(300)]
-    assert min(dv.value for dv in conespline.spline_density(St, points)) >= 0
+    assert min(conespline.spline_density(St, mu).value for mu in points) >= 0
 
 
 def test_reduced_density_vanishes_on_compact_wall():

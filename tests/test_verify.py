@@ -127,6 +127,20 @@ def test_montecarlo_suite_reduced_samples():
     assert max(consts) / min(consts) - 1 <= 0.02
 
 
+def test_montecarlo_suite_fails_a_density_scaled_by_one_percent(monkeypatch):
+    # every case's constant per complex line moves by 1.01^(-1/n), within
+    # the cross-case 2% but 7 sigma or more from 2 pi at 10^6 samples
+    real = conespline.heaviside_density
+    monkeypatch.setattr(conespline, "heaviside_density",
+                        lambda factors, mu: real(factors, mu) * Fraction(101, 100))
+    rep = verify.montecarlo_suite(seed=0, samples=1_000_000)
+    assert not rep["passed"]
+    liouville = [f["case"] for f in rep["failures"] if "per_factor_sigma" in f]
+    assert liouville == list(range(len(verify._MC_CASES)))
+    for c in rep["cases"]:
+        assert abs(c["per_factor"] - 2 * math.pi) > 4 * c["per_factor_sigma"] > 0
+
+
 def _lp_interior_mask(weights, phi0, table, radius):
     """verify._mc_interior_mask's bins by one HiGHS LP per bin centre:
     the largest sum(s) on {s >= 0 : A^T s = c - phi0}."""

@@ -220,14 +220,6 @@ def cmd_cones(args) -> int:
 # transform checks and density grids, shared by abelian and orbit
 
 
-def _chamber(args, dim):
-    return _of_dimension("--chamber", args.chamber, dim, "coordinates")
-
-
-def _grid(args, dim):
-    return _of_dimension("--grid", args.grid, dim, "axes")
-
-
 def _compare_samples(zetas, reference, **evaluations):
     """At each zeta call the two named evaluations, in the order given, and
     record both values and their difference relative to the one named
@@ -314,6 +306,26 @@ def _density_rows(S, grid):
     return coords, [_rounded(num, den) for num in nums.tolist()]
 
 
+def _finish(args, report, files) -> int:
+    """The one place abelian and orbit write. With --out, make the directory
+    and write files in order (a name ending .csv maps to (axes, values), any
+    other to a JSON payload), then report.json; without it, print the
+    report. The callers compute every value first, so a failure writes
+    nothing. 0 if the report passed, else 1."""
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        for name, data in {**files, "report.json": report}.items():
+            path = os.path.join(args.out, name)
+            if name.endswith(".csv"):
+                conespline.write_density_csv(path, *data)
+            else:
+                write_json(path, data)
+        log.info("wrote %s", args.out)
+    else:
+        _emit(report, None)
+    return 0 if report["passed"] else 1
+
+
 # ---------------------------------------------------------------------------
 # abelian models
 
@@ -321,9 +333,9 @@ def _density_rows(S, grid):
 def cmd_abelian(args) -> int:
     M = localize.model_from_json(_load_json(args.input))
     _check_float_range("model", [v for p in M.points for v in (p.image, *p.weights)])
-    axes = _grid(args, M.dim)
+    axes = _of_dimension("--grid", args.grid, M.dim, "axes")
     grid = _lattice(axes or default_grid([p.image for p in M.points], M.dim)) if args.out else None
-    xi = _chamber(args, M.dim) or localize.default_chamber(M)
+    xi = _of_dimension("--chamber", args.chamber, M.dim, "coordinates") or localize.default_chamber(M)
     region = localize.gamma_region(M, xi)
     S = localize.dh_measure(region)
     rng = verify.suite_rng(args.seed, 101)
@@ -341,23 +353,15 @@ def cmd_abelian(args) -> int:
         },
         "support_min": rat_str(region.support_min),
     }
-    # the densities, then the transform check, all before any file is written
-    rows = _density_rows(S, grid) if args.out else None
+    # the densities, then the transform check
+    files = {"density.csv": _density_rows(S, grid),
+             "spline.json": conespline.spline_to_json(S)} if args.out else {}
     samples = _localization_samples(S, M, region, rng, args.zeta_samples)
     report["laplace_samples"] = samples
     report["laplace_worst_rel"] = _worst(samples)
     report["laplace_tol"] = args.tol
     report["passed"] = report["laplace_worst_rel"] <= args.tol
-
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        conespline.write_density_csv(os.path.join(args.out, "density.csv"), *rows)
-        write_json(os.path.join(args.out, "spline.json"), conespline.spline_to_json(S))
-        write_json(os.path.join(args.out, "report.json"), report)
-        log.info("wrote %s", args.out)
-    else:
-        _emit(report, None)
-    return 0 if report["passed"] else 1
+    return _finish(args, report, files)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +372,7 @@ def cmd_orbit(args) -> int:
     O = hermitian.orbit_from_json(_load_json(args.input))
     _check_float_range("lambda", [O.lam_native])
     pair = O.pair
-    axes = _grid(args, pair.rank)
+    axes = _of_dimension("--grid", args.grid, pair.rank, "axes")
     om = O.model
     M = om.model
     _check_float_range("fixed-point image", [p.image for p in M.points])
@@ -390,67 +394,50 @@ def cmd_orbit(args) -> int:
         "wall_values": [(lbl, rat_str(v)) for lbl, v in om.wall_values],
     }
 
-    want_t = args.measure in ("t", "both")
-    want_k = args.measure in ("k", "both")
-    passed = True
-    chamber = _chamber(args, pair.rank)
-
-    St = Sk = None
-    if want_t:
+    chamber = _of_dimension("--chamber", args.chamber, pair.rank, "coordinates")
+    measures = {}
+    if args.measure != "k":
         # one chamber gives the measure and the tube of its check
         region = hermitian.t_chamber(O, chamber)
-        St = hermitian.t_type_measure(O, region)
-    if want_k:
-        Sk = hermitian.k_type_measure(O)
-    # the densities, then the transform checks, all before any file is written
-    measures = [
-        (tag, S, _density_rows(S, grid)) for tag, S in (("t", St), ("k", Sk)) if S is not None
-    ] if args.out else []
+        measures["t"] = hermitian.t_type_measure(O, region)
+    if args.measure != "t":
+        measures["k"] = hermitian.k_type_measure(O)
+    # the densities, then the transform checks
+    files = {}
+    if args.out:
+        files["weyl.json"] = hermitian.weyl_to_json(pair)
+        for tag, S in measures.items():
+            files[f"{tag}_spline.json"] = conespline.spline_to_json(S)
+            files[f"{tag}_density.csv"] = _density_rows(S, grid)
 
-    if want_t:
-        samples = _localization_samples(St, M, region, rng, args.zeta_samples)
-        worst = _worst(samples)
+    worst = []
+    if "t" in measures:
+        samples = _localization_samples(measures["t"], M, region, rng, args.zeta_samples)
+        worst.append(_worst(samples))
         report["t_measure"] = {
             "chamber": [rat_str(x) for x in region.chamber_point],
-            "terms": len(St.terms),
+            "terms": len(measures["t"].terms),
             "localization_samples": samples,
-            "localization_worst_rel": worst,
+            "localization_worst_rel": worst[-1],
         }
-        passed = passed and worst <= args.tol
-
-    if want_k:
+    if "k" in measures:
+        Sk = measures["k"]
         zsamples = _compare_samples(
             localize.tube_zetas(rng, pair.center_vector, pair.noncompact, args.zeta_samples),
             "symbolic",
             symbolic=lambda zeta: hermitian.laplace_nu_symbolic(O, zeta),
             numeric=lambda zeta: oracle.numeric_laplace_spline(Sk, zeta, method="mapped")[0],
         )
-        worst = _worst(zsamples)
+        worst.append(_worst(zsamples))
         report["k_measure"] = {
             "terms": len(Sk.terms),
             "wall_polynomial": Sk.poly.to_json() if Sk.poly is not None else None,
             "symbolic_vs_numeric": zsamples,
-            "worst_rel": worst,
+            "worst_rel": worst[-1],
         }
-        passed = passed and worst <= args.tol
-
     report["tol"] = args.tol
-    report["passed"] = passed
-
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_json(os.path.join(args.out, "weyl.json"), hermitian.weyl_to_json(pair))
-        for tag, S, rows in measures:
-            write_json(
-                os.path.join(args.out, f"{tag}_spline.json"),
-                conespline.spline_to_json(S),
-            )
-            conespline.write_density_csv(os.path.join(args.out, f"{tag}_density.csv"), *rows)
-        write_json(os.path.join(args.out, "report.json"), report)
-        log.info("wrote %s", args.out)
-    else:
-        _emit(report, None)
-    return 0 if passed else 1
+    report["passed"] = all(w <= args.tol for w in worst)
+    return _finish(args, report, files)
 
 
 # ---------------------------------------------------------------------------

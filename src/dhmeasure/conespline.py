@@ -49,11 +49,10 @@ this normalization.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -162,41 +161,26 @@ _PROVEN_MAX = 4096
 _proven = {}  # factor tuples known to span a proper cone, oldest first
 
 
-def _remember_proper(factors):
-    if len(_proven) >= _PROVEN_MAX:
-        del _proven[next(iter(_proven))]
-    _proven[factors] = None
-
-
-def _proper_factor_cone(factors) -> bool:
+def _proper_factor_cone(factors, certificate=None) -> bool:
     """Do the factors span a proper cone (none zero, no line inside)?
 
-    A tuple already proven, by an LP here or by a certificate offered to
-    _certify_proper, is answered from a bounded cache; any other tuple is
-    decided by an exact LP for a functional positive on every factor.
+    A tuple already proven is answered from a bounded cache. Otherwise a
+    certificate, a covector that pairs strictly positively with every
+    factor (checked exactly), proves it; without one that does, an exact LP
+    decides, searching for such a functional. Any proof seeds the cache.
     """
     if factors in _proven:
         return True
-    live = [f for f in factors if not is_zero_vec(f)]
-    if len(live) != len(factors):
-        return False
-    if live and polycone.strict_positive_functional(live) is None:
-        return False
-    _remember_proper(factors)
+    if certificate is None or not all(vdot(f, certificate) > 0 for f in factors):
+        live = [f for f in factors if not is_zero_vec(f)]
+        if len(live) != len(factors):
+            return False
+        if live and polycone.strict_positive_functional(live) is None:
+            return False
+    if len(_proven) >= _PROVEN_MAX:
+        del _proven[next(iter(_proven))]
+    _proven[factors] = None
     return True
-
-
-def _certify_proper(factors, certificate) -> bool:
-    """_proper_factor_cone with a candidate proof: a covector that pairs
-    strictly positively with every factor, checked exactly. A certificate
-    that proves it seeds the cache and answers; one that does not leaves the
-    question to the LP."""
-    if factors in _proven:
-        return True
-    if all(vdot(f, certificate) > 0 for f in factors):
-        _remember_proper(factors)
-        return True
-    return _proper_factor_cone(factors)
 
 
 @dataclass(frozen=True)
@@ -204,14 +188,15 @@ class ConeSplineTerm:
     sign: int
     base: tuple
     factors: tuple  # tuple of covectors; may be empty (pure point mass)
+    certificate: InitVar[tuple | None] = None  # offered to _proper_factor_cone, not kept
 
-    def __post_init__(self):
+    def __post_init__(self, certificate):
         if self.sign not in (1, -1):
             raise ValueError("term sign must be +1 or -1")
         for f in self.factors:
             if len(f) != len(self.base):
                 raise ValueError("factor/base dimension mismatch")
-        if not _proper_factor_cone(self.factors):
+        if not _proper_factor_cone(self.factors, certificate):
             raise NonProperConeError("term factors do not span a proper cone")
 
     @property
@@ -700,8 +685,6 @@ def spline_to_json(S: SignedConeSpline) -> dict:
 
 
 def spline_from_json(data) -> SignedConeSpline:
-    if isinstance(data, str):
-        data = json.loads(data)
     dim = dimension(data["dim"])
     terms = [
         spline_term(t["sign"], t["base"], t["factors"]) for t in data["terms"]

@@ -44,7 +44,6 @@ further zeta is a tube check and one evaluation.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from collections.abc import Callable
@@ -58,7 +57,6 @@ from .conespline import (
     ConeSplineTerm,
     Polynomial,
     SignedConeSpline,
-    _certify_proper,
     _check_interior,
     _evaluate,
     _float_forms,
@@ -542,9 +540,8 @@ def k_type_measure(O: OrbitSpec) -> SignedConeSpline:
     """
     pair = O.pair
     factors = tuple(vec(b) for b in sorted(pair.noncompact))
-    _certify_proper(factors, pair.center_vector)
     terms = tuple(
-        ConeSplineTerm(sign, pt.image, factors)
+        ConeSplineTerm(sign, pt.image, factors, pair.center_vector)
         for sign, pt in zip(pair.signs, O.model.model.points)
     )
     poly = pair.wall_polynomial if pair.k > 0 else None
@@ -643,8 +640,6 @@ def orbit_to_json(O: OrbitSpec) -> dict:
 
 
 def orbit_from_json(data) -> OrbitSpec:
-    if isinstance(data, str):
-        data = json.loads(data)
     pair = build_pair(data["family"], data["params"])
     return orbit_spec(pair, data["lambda"])
 

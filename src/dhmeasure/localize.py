@@ -14,14 +14,13 @@ returns is the chamber: its signed points give dh_measure's terms, and
 its distinct flipped weights the tube of localization_sum (gamma_region
 returns the same object, and dh_measure takes it in place of the model).
 They span a proper cone, and xi is the certificate: it pairs strictly
-positively with every one of them, so renormalization needs no properness
-check and runs no LP. A model with nonzero weights always has a regular
-element, so validation searches for none (_seed_direction).
+positively with every one of them, and dh_measure passes it to each term,
+so no term of a chamber runs an LP. A model with nonzero weights always
+has a regular element, so validation searches for none (_seed_direction).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +32,6 @@ from .conespline import (
     CompiledTransform,
     ConeSplineTerm,
     SignedConeSpline,
-    _certify_proper,
     _compile,
     _evaluate,
     in_tube,
@@ -252,9 +250,7 @@ def dh_measure(M, xi=None) -> SignedConeSpline:
         R = M
     else:
         R = renormalize(M, xi)
-    for p in R.points:
-        _certify_proper(p.factors, R.chamber_point)
-    terms = tuple(ConeSplineTerm(p.sign, p.image, p.factors) for p in R.points)
+    terms = tuple(ConeSplineTerm(p.sign, p.image, p.factors, R.chamber_point) for p in R.points)
     return SignedConeSpline(R.dim, terms)
 
 
@@ -329,8 +325,6 @@ def model_to_json(M: FixedPointModel) -> dict:
 
 
 def model_from_json(data) -> FixedPointModel:
-    if isinstance(data, str):
-        data = json.loads(data)
     pts = [fixed_point(p["image"], p["weights"]) for p in data["points"]]
     M = model(dimension(data["dim"]), pts, data.get("xi0"))
     if "halfdim" in data and dimension(data["halfdim"]) != M.halfdim:

@@ -406,6 +406,8 @@ def numeric_laplace_spline(S, zeta, cfg: QuadratureConfig | None = None,
     if method != "box":
         raise ValueError("method must be 'box' or 'mapped'")
     density = line_density(S)
+    if not S.terms:
+        return 0j, 0.0
     (z,) = zeta
     lo, hi, tail = _line_truncation(S, z.imag, decay_log)
     cfg = cfg or QuadratureConfig()

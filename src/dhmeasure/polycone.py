@@ -15,7 +15,6 @@ on small instances only).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -381,8 +380,6 @@ def polyhedron_to_json(P: PolyhedralSet) -> dict:
 
 
 def polyhedron_from_json(data) -> PolyhedralSet:
-    if isinstance(data, str):
-        data = json.loads(data)
     dim = dimension(data["dim"])
     hs = [
         (vec(h["normal"]), rat(h["offset"]))
@@ -403,8 +400,6 @@ def cone_to_json(C: Cone) -> dict:
 
 
 def cone_from_json(data) -> Cone:
-    if isinstance(data, str):
-        data = json.loads(data)
     dim = dimension(data["dim"])
     normals = None
     if "halfspaces" in data:

@@ -230,20 +230,6 @@ def det(rows):
     return rat(sign * den, math.prod(scales))
 
 
-def primitive(v) -> tuple:
-    """Canonical representative of the LINE through v: integer entries,
-    gcd 1, first nonzero entry positive. Zero vector maps to itself.
-    The sign normalization loses the side of the ray; use primitive_ray
-    when orientation matters."""
-    p = primitive_ray(v)
-    for i in p:
-        if i != 0:
-            if i < 0:
-                p = tuple(-k for k in p)
-            break
-    return p
-
-
 def primitive_ray(v) -> tuple:
     """Shortest integer vector on the ray through v, orientation kept."""
     if all(x == 0 for x in v):

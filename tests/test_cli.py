@@ -200,6 +200,42 @@ def test_orbit_subcommand(orbit_input, tmp_path):
     assert header == "mu_1,mu_2,density,error_bound"
 
 
+@pytest.mark.parametrize("measure,other", [("t", "k"), ("k", "t")])
+def test_orbit_single_measure_writes_its_own_files_only(measure, other, orbit_input, tmp_path):
+    both, single = tmp_path / "both", tmp_path / "single"
+    argv = ["orbit", "--input", orbit_input, "--zeta-samples", "2"]
+    assert cli.main(argv + ["--out", str(both)]) == 0
+    assert cli.main(argv + ["--out", str(single), "--measure", measure]) == 0
+    assert sorted(os.listdir(single)) == sorted(
+        ["weyl.json", f"{measure}_spline.json", f"{measure}_density.csv", "report.json"]
+    )
+    rep = json.loads((single / "report.json").read_text())
+    assert f"{measure}_measure" in rep and f"{other}_measure" not in rep
+    csv = f"{measure}_density.csv"
+    assert (single / csv).read_bytes() == (both / csv).read_bytes()
+
+
+def test_orbit_failure_at_the_k_density_leaves_no_out_directory(
+    orbit_input, tmp_path, monkeypatch, capsys
+):
+    # the t density is computed first; the k one fails before any file is made
+    made, done = [], []
+    real_k, real_rows = hermitian.k_type_measure, cli._density_rows
+    monkeypatch.setattr(hermitian, "k_type_measure", lambda *a: made.append(real_k(*a)) or made[-1])
+
+    def rows(S, grid):
+        if S is made[0]:
+            raise ValueError("no k density")
+        done.append(real_rows(S, grid))
+        return done[-1]
+
+    monkeypatch.setattr(cli, "_density_rows", rows)
+    out = tmp_path / "out"
+    assert cli.main(["orbit", "--input", orbit_input, "--out", str(out), "--measure", "both"]) == 2
+    assert len(done) == 1 and "no k density" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_orbit_wall_lambda_exits_two(tmp_path, capsys):
     bad = write(
         tmp_path / "wall.json",
@@ -745,7 +781,7 @@ def test_csv_error_bound_bounds_the_written_density(tmp_path):
     ]})
     out = tmp_path / "out"
     assert cli.main(["abelian", "--input", path, "--out", str(out), "--grid=-1:4:11"]) == 0
-    S = conespline.spline_from_json((out / "spline.json").read_text())
+    S = conespline.spline_from_json(json.loads((out / "spline.json").read_text()))
     # the grid -1:4:11, exact: -1, -1/2, ..., 4
     exact = [conespline.spline_density(S, (rat(k - 2, 2),)).value for k in range(11)]
     rows = [r.split(",") for r in (out / "density.csv").read_text().splitlines()[1:]]

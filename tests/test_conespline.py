@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -11,6 +12,7 @@ from hypothesis import given
 
 from dhmeasure import cli, conespline, hermitian, localize, polycone, verify
 from dhmeasure.conespline import (
+    ConeSplineTerm,
     NonProperConeError,
     NonRegularZetaError,
     Polynomial,
@@ -339,11 +341,28 @@ def test_synthesized_terms_are_proven_proper_without_lp(monkeypatch):
 
 def test_non_certifying_certificate_leaves_improper_terms_rejected():
     factors = vec((1, 0)), vec((-1, 0)), vec((0, 1))
-    assert not conespline._certify_proper(factors, vec((0, 1)))
+    with pytest.raises(NonProperConeError):
+        ConeSplineTerm(1, vec((0, 0)), factors, vec((0, 1)))
     with pytest.raises(NonProperConeError):
         spline_term(1, (0, 0), factors)
     with pytest.raises(NonProperConeError):
         heaviside_density(factors, (0, 1))
+
+
+def test_failing_certificate_on_a_proper_cone_falls_back_to_the_lp(monkeypatch):
+    calls = []
+    real = polycone.strict_positive_functional
+    monkeypatch.setattr(
+        polycone, "strict_positive_functional", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    monkeypatch.setattr(conespline, "_proven", {})
+    factors = vec((1, 0)), vec((1, 1))
+    # (0, 1) pairs to 0 with (1, 0): no proof, so the LP decides and accepts
+    term = ConeSplineTerm(1, vec((0, 0)), factors, vec((0, 1)))
+    assert len(calls) == 1 and factors in conespline._proven
+    # the proof is cached, and the certificate is no field of the term
+    assert term == spline_term(1, (0, 0), factors) and len(calls) == 1
+    assert [f.name for f in dataclasses.fields(term)] == ["sign", "base", "factors"]
 
 
 def _wall_points(rng, S):

@@ -824,6 +824,13 @@ def test_box_route_takes_one_dimension_only():
         numeric_laplace_spline(S, (0.4 + 1.3j, -0.2 + 1.5j), method="box")
 
 
+def test_both_routes_give_zero_on_a_spline_with_no_terms():
+    for method in ("box", "mapped"):
+        assert numeric_laplace_spline(spline(1, []), (0.5 + 1.0j,), method=method) == (0j, 0.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        numeric_laplace_spline(spline(2, []), (0.4 + 1.3j, -0.2 + 1.5j), method="box")
+
+
 def test_line_density_equals_the_engine_density():
     # per n = 1..5, seeded splines whose terms have their own signs, bases
     # and factor signs, rational factors; points: every base, every base

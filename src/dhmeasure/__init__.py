@@ -33,7 +33,6 @@ from .hermitian import (
     orbit_from_json,
     orbit_model,
     orbit_spec,
-    orbit_to_json,
     t_type_measure,
     weyl_to_json,
 )

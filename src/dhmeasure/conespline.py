@@ -97,7 +97,14 @@ class Polynomial:
 
     @staticmethod
     def from_dict(dim, d) -> "Polynomial":
-        items = tuple(sorted((tuple(int(e) for e in k), rat(v)) for k, v in d.items() if rat(v) != 0))
+        """{exponent: coefficient}, zero coefficients dropped. An exponent
+        that is not a tuple of dim nonnegative ints raises ValueError."""
+        for e in d:
+            if not isinstance(e, tuple) or len(e) != dim or any(
+                type(x) is not int or x < 0 for x in e
+            ):
+                raise ValueError(f"polynomial exponent {e!r} is not {dim} nonnegative integers")
+        items = tuple(sorted((e, rat(v)) for e, v in d.items() if rat(v) != 0))
         return Polynomial(dim, items)
 
     @staticmethod
@@ -689,7 +696,7 @@ def spline_from_json(data) -> SignedConeSpline:
     terms = [
         spline_term(t["sign"], t["base"], t["factors"]) for t in data["terms"]
     ]
-    poly = Polynomial.from_json(dim, data["poly"]) if data.get("poly") else None
+    poly = Polynomial.from_json(dim, data["poly"]) if data.get("poly") is not None else None
     return SignedConeSpline(dim, tuple(terms), poly)
 
 

@@ -17,9 +17,9 @@ build_pair, derives the rest:
 and checks every structural invariant. The roots and the reflections are
 integral (checked once; anything else raises), so the roots and the Weyl
 matrices are held in Python ints, and the closure, the checks, the signs,
-the frames and each orbit's images w*lam run in ints; the duals and the
-center vector stay exact rationals, read over one common denominator
-where they meet the integer data. An orbit's lambda is given in
+the tangent weights and each orbit's images w*lam run in ints; the duals
+and the center vector stay exact rationals, read over one common
+denominator where they meet the integer data. An orbit's lambda is given in
 ambient coordinates and measured as B * lambda. The trace form fixes the
 compact-root duals and the wall polynomial up to one positive scalar per
 family; every check downstream is scale-free.
@@ -29,17 +29,20 @@ are the compact-Weyl translates w*lam; the weights there are the tangent
 weights, w*b for each noncompact root b and -w*a for each compact root a
 (a compact direction points against its root). The full-torus measure is
 localize.dh_measure of that model; the reduced measure keeps only
-noncompact convolution factors and multiplies by the product of the
-compact-root wall functionals. Its transform is derived symbolically, with
-exact Gaussian-rational coefficients, and compiled to float terms (a
-conespline.CompiledTransform).
+noncompact convolution factors and multiplies by the product P of the
+compact-root wall functionals. The Weyl group permutes the compact roots up
+to the signs _verify_pair counts against the determinants, so P alternates:
+P(w*lam) = det(w) * P(lam). The noncompact set is Weyl-stable, so the
+reduced transform has the same denominator forms at every fixed point. Its
+transform is derived symbolically, with exact Gaussian-rational
+coefficients, and compiled to float terms (a conespline.CompiledTransform).
 
 Exact data is derived once and evaluated many times: build_pair caches the
-root data per family, with the lam-free part of every fixed point (its
-tangent weights, noncompact forms and their slopes, HermitianPairData.frames)
-derived on first use, and an OrbitSpec derives its chamber point, builds its
-orbit model and compiles its symbolic transform on first use, so every
-further zeta is a tube check and one evaluation.
+root data per family, with the lam-free data derived on first use (the
+tangent weights per Weyl element, and the noncompact forms and their slopes
+once per pair), and an OrbitSpec derives its chamber point and P(lam),
+builds its orbit model and compiles its symbolic transform on first use, so
+every further zeta is a tube check and one evaluation.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 from . import localize
 from .conespline import (
@@ -84,18 +86,6 @@ class UnsupportedFamilyError(ValueError):
 
 class OrbitValidationError(ValueError):
     pass
-
-
-class WeylFrame(NamedTuple):
-    """What the fixed point w*lam of every orbit of a pair has that does not
-    depend on lam, for one Weyl element w."""
-
-    weights: tuple  # tangent weights: -w*a per compact root a, then w*b
-    forms: tuple  # the noncompact forms w*b, sorted
-    float_forms: tuple  # _float_forms(forms): (float form, its norm) each
-    # per compact dual d_i: (s_i*d_i as ints, s_i, ((j, <forms[j], s_i*d_i>),
-    # ...) for the nonzero slopes only), where s_i clears d_i's denominators
-    walls: tuple
 
 
 @dataclass(frozen=True)
@@ -136,24 +126,31 @@ class HermitianPairData:
         return tuple(weyl_det(m) for m in self.weyl)
 
     @cached_property
-    def frames(self) -> tuple:
-        """The WeylFrame of each Weyl element, in the order of weyl, shared
-        by every orbit of the pair. The roots and the Weyl matrices are
-        integral (checked with the pair), so the weights, forms and slopes
-        are Python ints, computed in ints."""
-        duals = [integer_vector(d) for d in self.killing_duals]
-        out = []
-        for m in self.weyl:
-            weights = tuple(tuple(-x for x in _apply(m, a)) for a in self.compact)
-            weights += tuple(_apply(m, b) for b in self.noncompact)
-            forms = tuple(sorted(weights[self.k :]))
-            walls = []
-            for dual, s in duals:
-                slopes = [(j, _dot(f, dual)) for j, f in enumerate(forms)]
-                walls.append((dual, s, tuple((j, x) for j, x in slopes if x != 0)))
-            fforms = tuple(_float_forms(forms))
-            out.append(WeylFrame(weights, forms, fforms, tuple(walls)))
-        return tuple(out)
+    def tangent_weights(self) -> tuple:
+        """The tangent weights at w*lam for each Weyl element w, in the order
+        of weyl and shared by every orbit of the pair: -w*a per compact root
+        a, then w*b per noncompact root b, in ints."""
+        return tuple(
+            tuple(tuple(-x for x in _apply(m, a)) for a in self.compact)
+            + tuple(_apply(m, b) for b in self.noncompact)
+            for m in self.weyl
+        )
+
+    @cached_property
+    def reduced_forms(self) -> tuple:
+        """(forms, float forms, walls) of the reduced transform, the same at
+        every fixed point: the noncompact set is Weyl-stable (checked with
+        the pair), so the forms w*b, sorted, are the sorted noncompact roots.
+        The float forms are _float_forms(forms), (float form, its norm)
+        each. Per compact dual d_i, walls holds (s_i*d_i as ints, s_i,
+        ((j, <forms[j], s_i*d_i>), ...) for the nonzero slopes only), where
+        s_i clears d_i's denominators."""
+        forms = tuple(sorted(self.noncompact))
+        walls = []
+        for dual, s in map(integer_vector, self.killing_duals):
+            slopes = [(j, _dot(f, dual)) for j, f in enumerate(forms)]
+            walls.append((tuple(dual), s, tuple((j, x) for j, x in slopes if x != 0)))
+        return forms, tuple(_float_forms(forms)), tuple(walls)
 
 
 def weyl_det(matrix) -> int:
@@ -405,6 +402,12 @@ class OrbitSpec:
         return mat_vec(inverse, self.lam)
 
     @cached_property
+    def wall_value(self):
+        """P(lambda) = prod <lambda, d_i> over the compact duals d_i (exactly
+        1 when k=0); each fixed point's wall value is det(w) times it."""
+        return math.prod((vdot(self.lam, d) for d in self.pair.killing_duals), start=ONE)
+
+    @cached_property
     def model(self) -> "OrbitModel":
         """The orbit model, built on first use."""
         return orbit_model(self)
@@ -413,7 +416,7 @@ class OrbitSpec:
     def transform(self) -> CompiledTransform:
         """The reduced transform compiled to indexed float terms on first
         use, by one integer derivative chain per fixed point over the
-        pair's frames."""
+        pair's reduced forms."""
         return _compile_transform(self)
 
 
@@ -434,17 +437,14 @@ def _validate_orbit(O: OrbitSpec):
     """lambda pairs positively with every noncompact dual and lies off every
     compact wall: P(lambda) = prod <lambda, d_i> is 0 iff one factor is."""
     pair = O.pair
-    on_wall = False
-    for idx, dual in enumerate(pair.duals):
+    for root, dual in zip(pair.noncompact, pair.duals[pair.k :]):
         val = vdot(O.lam, dual)
-        if idx < pair.k:
-            on_wall = on_wall or val == 0
-        elif val <= 0:
+        if val <= 0:
             raise OrbitValidationError(
                 "lambda pairs nonpositively with a noncompact root "
-                f"({[str(x) for x in pair.roots[idx]]}: {val})"
+                f"({[str(x) for x in root]}: {val})"
             )
-    if on_wall:
+    if O.wall_value == 0:
         raise OrbitValidationError("P(lambda)=0: lambda lies on a compact wall")
 
 
@@ -455,31 +455,20 @@ class OrbitModel:
 
 
 def orbit_model(O: OrbitSpec) -> OrbitModel:
-    """One fixed point per Weyl element: image w*lam, and the tangent
+    """One fixed point per Weyl element: image w*lam, and the pair's tangent
     weights there, -w*a per compact root a (compact first) and w*b per
-    noncompact root b.
-
-    With lam = X / L over its common denominator, each image is w*X / L and
-    its wall value P(w*lam) = prod_i <w*X, s_i*d_i> / prod_i (s_i * L), with
-    the integer compact duals s_i*d_i of the frames: both in ints."""
+    noncompact root b. With lam = X / L over its common denominator, each
+    image is w*X / L, in ints. The wall value at w*lam is
+    P(w*lam) = det(w) * P(lambda), by the alternation of P; lambda is off
+    every compact wall (checked with the orbit), so none is 0."""
     pair = O.pair
     X, L = integer_vector(O.lam)
-    walls = pair.frames[0].walls
-    wall_den = math.prod(s * L for _, s, _ in walls)
-    pts = []
-    wall_values = []
-    for wi, (m, frame) in enumerate(zip(pair.weyl, pair.frames)):
-        image = _apply(m, X)
-        label = f"w{wi}"
-        pts.append(localize.fixed_point([rat(x, L) for x in image], frame.weights, label))
-        pv = rat(math.prod(_dot(image, dual) for dual, _, _ in walls), wall_den)
-        if pv == 0:
-            raise OrbitValidationError(
-                f"moment image at {label} lies on a compact wall"
-            )
-        wall_values.append((label, pv))
-    M = localize.model(pair.rank, pts)
-    return OrbitModel(M, tuple(wall_values))
+    pts = [
+        localize.fixed_point([rat(x, L) for x in _apply(m, X)], weights, f"w{wi}")
+        for wi, (m, weights) in enumerate(zip(pair.weyl, pair.tangent_weights))
+    ]
+    wall_values = tuple((p.label, sign * O.wall_value) for p, sign in zip(pts, pair.signs))
+    return OrbitModel(localize.model(pair.rank, pts), wall_values)
 
 
 def t_chamber(O: OrbitSpec, xi=None) -> localize.RenormalizedModel:
@@ -558,11 +547,12 @@ def _compile_transform(O: OrbitSpec) -> CompiledTransform:
     Starts from the fixed-point sum with noncompact denominators only and
     applies one directional derivative per compact root d_i, in the
     trace-form dual direction. At a fixed point w*lam the denominator forms
-    w*b stay fixed and a derivative only moves coefficients between
+    stay fixed and a derivative only moves coefficients between
     multiplicity tuples, so the chain runs per point on {multiplicities:
-    coefficient}. It runs in Python ints, with everything lam-free read off
-    the pair's WeylFrame, whose forms, integer duals s_i*d_i and slopes are
-    ints too: with w*lam = image / L over its common
+    coefficient}. The forms, integer duals s_i*d_i and slopes are the
+    pair's reduced forms, the same at every point, so the block offsets of
+    the denominator powers are laid out once. The chain runs in Python ints:
+    with w*lam = image / L over its common
     denominator, each step multiplies both branches by s_i * L, the pairing
     branch by <image, s_i*d_i> and the slope branch by m_j * slope * L, so
     a coefficient is its integer over prod s_i * L^k, and one int true
@@ -575,18 +565,18 @@ def _compile_transform(O: OrbitSpec) -> CompiledTransform:
     """
     pair = O.pair
     n_c = len(pair.noncompact)
-    points = sorted(
-        zip(O.model.model.points, pair.frames, pair.signs), key=lambda pfs: pfs[0].image
-    )
+    _, float_forms, walls = pair.reduced_forms
     top = pair.k + 1  # multiplicities start at 1, and each derivative adds at most 1
-    exponents, blocks, terms = [], {}, []
-    for pt, frame, sign in points:
-        # each distinct (form, norm) owns the powers of mult 1..top, in one block
-        offsets = [blocks.setdefault(fn, len(blocks) * top) - 1 for fn in frame.float_forms]
+    # each distinct (form, norm) owns the powers of mult 1..top, in one block
+    blocks = {}
+    offsets = [blocks.setdefault(fn, len(blocks) * top) - 1 for fn in float_forms]
+    points = sorted(zip(O.model.model.points, pair.signs), key=lambda ps: ps[0].image)
+    exponents, terms = [], []
+    for pt, sign in points:
         image, L = integer_vector(pt.image)
         acc = {(1,) * n_c: sign}
         den = 1
-        for dual, s, slopes in frame.walls:
+        for dual, s, slopes in walls:
             pairing = sum(x * y for x, y in zip(image, dual))
             den *= s * L
             nxt = {}
@@ -629,14 +619,6 @@ def laplace_nu_symbolic(O: OrbitSpec, zeta) -> complex:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def orbit_to_json(O: OrbitSpec) -> dict:
-    return {
-        "family": O.pair.family,
-        "params": list(O.pair.params),
-        "lambda": [rat_str(x) for x in O.lam_native],
-    }
 
 
 def orbit_from_json(data) -> OrbitSpec:

@@ -444,17 +444,6 @@ class DensityTable:
         axes = ([(e[i] + e[i + 1]) / 2 for i in range(len(e) - 1)] for e in self.edges)
         return list(itertools.product(*axes))
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "edges": [list(e) for e in self.edges],
-            "counts": list(self.counts),
-            "density": list(self.density),
-            "sigma": list(self.sigma),
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 def _axis_bins(x, e):
     """np.histogramdd's index of each x on one axis with edges e.

@@ -29,7 +29,6 @@ from .rational import (
     primitive_ray,
     rank,
     rat,
-    rat_str,
     vdot,
     vec,
 )
@@ -362,21 +361,7 @@ def cone_consistency_check(C: Cone) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# serialization: rationals as strings like "5" or "-2/3" (decimals accepted)
-
-
-def _vec_to_json(v):
-    return [rat_str(x) for x in v]
-
-
-def polyhedron_to_json(P: PolyhedralSet) -> dict:
-    return {
-        "dim": P.dim,
-        "halfspaces": [
-            {"normal": _vec_to_json(h.normal), "offset": rat_str(h.offset)}
-            for h in P.halfspaces
-        ],
-    }
+# reading from JSON: rationals as strings like "5" or "-2/3" (decimals accepted)
 
 
 def polyhedron_from_json(data) -> PolyhedralSet:
@@ -386,17 +371,6 @@ def polyhedron_from_json(data) -> PolyhedralSet:
         for h in data.get("halfspaces", [])
     ]
     return polyhedron(dim, hs)
-
-
-def cone_to_json(C: Cone) -> dict:
-    out = {"dim": C.dim}
-    if C.normals is not None:
-        out["halfspaces"] = [
-            {"normal": _vec_to_json(n), "offset": "0"} for n in C.normals
-        ]
-    if C.generators is not None:
-        out["generators"] = [_vec_to_json(g) for g in C.generators]
-    return out
 
 
 def cone_from_json(data) -> Cone:

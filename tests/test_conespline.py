@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import stat
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from dhmeasure.conespline import (
     spline_term,
     write_density_csv,
 )
-from dhmeasure.rational import ZERO, integer_vector, rat, vec, vsub
+from dhmeasure.rational import ONE, ZERO, integer_vector, rat, vec, vsub
 from fraction_plan import fraction_density, fraction_plan, lcm_kernel
 
 
@@ -201,6 +202,34 @@ def test_spline_json_round_trip():
     assert S2.dim == S.dim
     assert S2.terms == S.terms
     assert S2.poly.coeffs == S.poly.coeffs
+
+
+def test_zero_multiplier_survives_the_json_round_trip():
+    # the zero polynomial writes as {}, which reads back as the zero
+    # multiplier (density 0), not as no multiplier (density 1)
+    S = spline(1, [spline_term(1, (0,), [(1,)])], poly=Polynomial(1, ()))
+    data = conespline.spline_to_json(S)
+    assert data["poly"] == {}
+    S2 = conespline.spline_from_json(data)
+    assert S2 == S
+    assert spline_density(S2, (1,)).value == spline_density(S, (1,)).value == 0
+    assert conespline.spline_from_json({k: v for k, v in data.items() if k != "poly"}).poly is None
+
+
+@pytest.mark.parametrize("key,exponent", [("1", "(1,)"), ("-1,0", "(-1, 0)")])
+def test_polynomial_refuses_an_exponent_that_is_not_dim_nonnegative_ints(key, exponent):
+    # in dimension 2, (1,) would evaluate as x_1 alone and (-1, 0) would fail
+    # deep in the density: both are refused where they are read
+    with pytest.raises(ValueError, match=re.escape(f"exponent {exponent} is not 2 nonnegative")):
+        Polynomial.from_json(2, {key: "1"})
+    data = {"dim": 2, "terms": [{"sign": 1, "base": [0, 0], "factors": [[1, 0], [0, 1]]}],
+            "poly": {"0,0": "2", key: "1"}}
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        conespline.spline_from_json(data)
+    for bad in ((1.0, 0), (True, 0), "10", 1):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            Polynomial.from_dict(2, {bad: 1})
+    assert Polynomial.from_dict(2, {(1, 0): 1, (0, 0): 0}) == Polynomial(2, (((1, 0), ONE),))
 
 
 def test_written_files_get_the_mode_open_would_give(tmp_path):

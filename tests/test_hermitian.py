@@ -205,7 +205,8 @@ def test_su11_closed_form():
 
 def test_orbit_json_round_trip():
     spec = su21()
-    spec2 = hermitian.orbit_from_json(hermitian.orbit_to_json(spec))
+    data = {"family": "AIII", "params": [2, 1], "lambda": ["3", 1, "-4"]}
+    spec2 = hermitian.orbit_from_json(data)
     assert spec2.pair.family == spec.pair.family
     assert spec2.pair.params == spec.pair.params
     assert spec2.lam == spec.lam
@@ -372,22 +373,24 @@ COMPILED_CASES = [
 def test_compiled_transform_equals_from_scratch_route(family, params, lam):
     spec = orbit_spec(build_pair(family, params), lam)
     pair = spec.pair
-    # the frames carry the tangent weights, -w*a then w*b, and are shared by
-    # every orbit of the pair
-    for m, frame in zip(pair.weyl, pair.frames):
-        assert frame.weights == tuple(
+    # the tangent weights, -w*a then w*b per Weyl element, and the reduced
+    # forms are shared by every orbit of the pair
+    for m, weights in zip(pair.weyl, pair.tangent_weights, strict=True):
+        assert weights == tuple(
             tuple(-x for x in mat_vec(m, a)) for a in pair.compact
         ) + tuple(mat_vec(m, b) for b in pair.noncompact)
     # 2 * lam is another regular lambda of the pair
     other = hermitian.orbit_from_json({"family": family, "params": list(params),
                                        "lambda": [str(2 * Fraction(x)) for x in lam]})
-    assert other.lam != spec.lam and other.pair.frames is pair.frames
+    assert other.lam != spec.lam
+    assert other.pair.tangent_weights is pair.tangent_weights
+    assert other.pair.reduced_forms is pair.reduced_forms
     if any(Fraction(x).denominator > 1 for x in lam):
         # the images need a common denominator L > 1, and on CI the compact
         # duals (roots / 2) one s_i > 1
         assert any(integer_vector(p.image)[1] > 1 for p in spec.model.model.points)
         assert (family == "CI" and pair.k > 0) == any(
-            s > 1 for _, s, _ in pair.frames[0].walls
+            s > 1 for _, s, _ in pair.reduced_forms[2]
         )
     expr = _derive_from_scratch(spec)
     power = (len(pair.noncompact) - pair.k) % 4
@@ -699,12 +702,13 @@ def _fraction_reflection(root, dual):
 
 
 def _fraction_pair(family, params):
-    """(roots, k, duals, weyl, center vector, signs, frames), all in
-    Fractions: roots B * root, compact first; duals (B B^T)^-1 root / scale;
-    the Weyl group closed from the simple compact reflections; and per Weyl
-    element its tangent weights, sorted noncompact forms, their floats and
-    norms, and per compact dual its integers, their scale and the nonzero
-    slopes of the forms."""
+    """(roots, k, duals, weyl, center vector, signs, tangent weights, reduced
+    forms), all in Fractions: roots B * root, compact first; duals
+    (B B^T)^-1 root / scale; the Weyl group closed from the simple compact
+    reflections; per Weyl element its tangent weights; and the sorted
+    noncompact forms, their floats and norms, and per compact dual its
+    integers, their scale and the nonzero slopes of the forms, built per
+    Weyl element and asserted equal for all of them."""
     spec = hermitian.FAMILIES[family]
     basis = tuple(vec(row) for row in spec.basis(*params))
     d = len(basis)
@@ -735,20 +739,24 @@ def _fraction_pair(family, params):
         for dual in duals[:k]:
             ints, scale = integer_vector(dual)
             slopes = [(j, vdot(f, ints)) for j, f in enumerate(forms)]
-            walls.append((ints, scale, tuple((j, x) for j, x in slopes if x != 0)))
-        frames.append((weights, forms, floats, tuple(walls)))
-    return roots, k, duals, weyl, center, signs, tuple(frames)
+            walls.append((tuple(ints), scale, tuple((j, x) for j, x in slopes if x != 0)))
+        frames.append((weights, (forms, floats, tuple(walls))))
+    tangent_weights = tuple(weights for weights, _ in frames)
+    reduced = frames[0][1]
+    assert all(other == reduced for _, other in frames)
+    return roots, k, duals, weyl, center, signs, tangent_weights, reduced
 
 
 @pytest.mark.parametrize("family,params", SUPPORTED_PAIRS)
 def test_integer_pair_data_equals_the_fraction_construction(family, params):
     pair = build_pair(family, params)
     got = (pair.roots, pair.k, pair.duals, pair.weyl, pair.center_vector, pair.signs,
-           pair.frames)
+           pair.tangent_weights, pair.reduced_forms)
     assert got == _fraction_pair(family, params)
-    for frame in pair.frames:
-        assert all(type(x) is int for w in frame.weights for x in w)
-        assert all(type(x) is int for _, _, slopes in frame.walls for _, x in slopes)
+    assert all(type(x) is int for weights in pair.tangent_weights for w in weights for x in w)
+    forms, _, walls = pair.reduced_forms
+    assert all(type(x) is int for f in forms for x in f)
+    assert all(type(x) is int for _, _, slopes in walls for _, x in slopes)
 
 
 @pytest.mark.parametrize(
@@ -772,17 +780,34 @@ def test_non_integral_pair_data_raises(basis, message, monkeypatch):
         build_pair(name, (2,))
 
 
-@pytest.mark.parametrize("family,params,lam", COMPILED_CASES)
+# integral lambdas outside the dominant compact chamber
+NON_DOMINANT_CASES = [
+    ("CI", (3,), (3, 5, 1)),
+    ("AIII", (2, 1), (1, 3, -4)),
+    ("AIII", (3, 1), (2, 7, 4, -3)),
+    ("AIII", (2, 2), (1, 5, -6, -2)),
+]
+
+
+@pytest.mark.parametrize("family,params,lam", COMPILED_CASES + NON_DOMINANT_CASES)
 def test_orbit_images_and_wall_values_equal_the_fraction_route(family, params, lam):
-    # the images and wall values are computed in ints over lam's common
-    # denominator; non-integral lam make that denominator L > 1
+    # the images are computed in ints over lam's common denominator;
+    # non-integral lam make that denominator L > 1. The wall values are
+    # det(w) * P(lam), which the alternation of P makes P(w*lam)
     spec = orbit_spec(build_pair(family, params), lam)
-    P = spec.pair.wall_polynomial
+    pair = spec.pair
+    P = pair.wall_polynomial
     om = orbit_model(spec)
-    images = [mat_vec(m, spec.lam) for m in spec.pair.weyl]
+    images = [mat_vec(m, spec.lam) for m in pair.weyl]
     assert [p.image for p in om.model.points] == images
     assert om.wall_values == tuple((f"w{i}", P.eval_exact(im)) for i, im in enumerate(images))
+    assert om.wall_values == tuple(
+        (f"w{i}", sign * P.eval_exact(spec.lam)) for i, sign in enumerate(pair.signs)
+    )
+    assert spec.wall_value == P.eval_exact(spec.lam) != 0
+    # exact rationals throughout, k = 0 pairs (constant P = 1) included
     assert {type(x) for p in om.model.points for x in p.image} == {type(ZERO)}
+    assert {type(v) for _, v in om.wall_values} == {type(ZERO)}
 
 
 @pytest.mark.parametrize("family,params,lam", COMPILED_CASES[:5])

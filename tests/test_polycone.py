@@ -196,16 +196,22 @@ def test_consistency_decides_pointed_and_non_pointed_cones(dim, normals, generat
 
 def test_json_round_trip():
     P = quadrant_with_cap()
-    Q = polycone.polyhedron_from_json(polycone.polyhedron_to_json(P))
+    Q = polycone.polyhedron_from_json({"dim": 2, "halfspaces": [
+        {"normal": ["1", "0"], "offset": "0"},
+        {"normal": [0, 1], "offset": 0},
+        {"normal": ["1", "1"], "offset": "-2"},
+    ]})
     assert Q.dim == P.dim
     assert [(h.normal, h.offset) for h in Q.halfspaces] == [
         (h.normal, h.offset) for h in P.halfspaces
     ]
     C = polycone.cone_from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)])
-    C2 = polycone.cone_from_json(polycone.cone_to_json(C))
+    C2 = polycone.cone_from_json({"dim": 3, "generators": [["1", "0", "0"], [1, 1, 0], [1, 1, 1]]})
     assert C2.generators == C.generators
     H = polycone.cone_from_normals(2, [(1, 0), (-1, 3)])
-    H2 = polycone.cone_from_json(polycone.cone_to_json(H))
+    H2 = polycone.cone_from_json({"dim": 2, "halfspaces": [
+        {"normal": ["1", "0"], "offset": "0"}, {"normal": ["-1", "3"]},
+    ]})
     assert set(polycone.extreme_rays(H2)) == set(polycone.extreme_rays(H))
 
 
@@ -357,10 +363,12 @@ def test_zero_dimensional_set_is_compact():
 
 
 def test_cones_run_solves_feasibility_once_and_one_lp_per_question(tmp_path, monkeypatch):
-    box = polycone.polyhedron(4, [(tuple(s * int(i == j) for j in range(4)), -2)
-                                  for i in range(4) for s in (1, -1)])
+    halfspaces = [([s * int(i == j) for j in range(4)], -2) for i in range(4) for s in (1, -1)]
+    box = polycone.polyhedron(4, halfspaces)
     path = tmp_path / "box.json"
-    path.write_text(json.dumps(polycone.polyhedron_to_json(box)))
+    path.write_text(json.dumps({"dim": 4, "halfspaces": [
+        {"normal": normal, "offset": offset} for normal, offset in halfspaces
+    ]}))
     calls = []
     real = lp.solve_lp
     monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append(a) or real(*a, **k))
